@@ -26,7 +26,6 @@ from .causal import (
     cmse_report,
     flow_counterfactual,
     flow_from_linear_sem,
-    flow_intervene_parallel,
     flow_intervene_sample,
     gen_linear_sem,
     imse_report,
@@ -134,10 +133,10 @@ __all__ = [
     "save_flow", "to_noise", "train_flow",
     # causal
     "LinearSEM", "cmse_report", "flow_counterfactual", "flow_from_linear_sem",
-    "flow_intervene_parallel", "flow_intervene_sample", "gen_linear_sem",
-    "imse_report", "intervention_values", "sem_counterfactual",
-    "sem_intervene_mean", "sem_intervene_mean_vector", "sem_intervene_sample",
-    "sem_sample", "total_cmse", "total_imse",
+    "flow_intervene_sample", "gen_linear_sem", "imse_report",
+    "intervention_values", "sem_counterfactual", "sem_intervene_mean",
+    "sem_intervene_mean_vector", "sem_intervene_sample", "sem_sample",
+    "total_cmse", "total_imse",
     # datagen
     "GeneratedData", "SynthSpec", "gen_binary", "gen_gaussian",
     "gen_linear_sem_data", "gen_nonlinear_multimodal", "generate",

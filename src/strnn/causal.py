@@ -2,10 +2,11 @@
 
 The SEM is x_i = sum_{j<i} w_ij x_j + eps_i with unit Gaussian noise, so
 interventional means follow by forward substitution and counterfactuals by
-noise abduction.  Flow-side queries share one sequential reconstruction: the
-intervened coordinate is pinned on the data side (its intermediate values are
-derived by inverting its per-coordinate affine chain), all other coordinates
-push their noise forward in autoregressive order.
+noise abduction.  Flow-side queries share one reconstruction that takes one
+pass per DAG generation: the intervened coordinate is pinned on the data side
+(its intermediate values are derived by inverting its per-coordinate affine
+chain), all other coordinates push their noise forward, a generation at a
+time.
 """
 
 from dataclasses import dataclass
@@ -131,8 +132,8 @@ def flow_intervene_sample(fl, j, alpha, n, rng):
     """Samples from the flow's interventional distribution under do(x_j = alpha).
 
     Coordinate j is pinned to alpha exactly; every other coordinate draws its
-    own noise and is reconstructed sequentially, reading pinned/upstream
-    values through the conditioners.
+    own noise and is reconstructed in one pass per DAG generation, reading
+    pinned/upstream values through the conditioners.
     """
     _check_flow_index(fl, j)
     rng = np.random.default_rng(rng)
@@ -142,31 +143,6 @@ def flow_intervene_sample(fl, j, alpha, n, rng):
     flow_mod._reconstruct(fl, levels, pins={j: pin_u}, start=0)
     x = levels[-1] * fl.sigma + fl.mu
     x[:, j] = alpha
-    return x
-
-
-def flow_intervene_parallel(fl, j, alpha, n, rng):
-    """Two-pass interventional sampler: generate x once, invert coordinate j's
-    affine chain at alpha against that draw, overwrite z_j, regenerate.
-
-    Agrees with flow_intervene_sample draw-for-draw when the flow has a
-    single layer; with more layers the two procedures are distinct.
-    """
-    _check_flow_index(fl, j)
-    rng = np.random.default_rng(rng)
-    z = rng.standard_normal((n, fl.dim))
-    levels = [z.copy()] + [np.zeros_like(z) for _ in fl.layers]
-    flow_mod._reconstruct(fl, levels, pins={}, start=0)
-    K = len(fl.layers)
-    val = np.full(n, (alpha - fl.mu[j]) / fl.sigma[j])
-    for lvl in range(K, 0, -1):
-        s, t = flow_mod._shift_scale(fl.layers[lvl - 1], levels[lvl])
-        val = (val - t[:, j]) * np.exp(-s[:, j])
-    z2 = z.copy()
-    z2[:, j] = val
-    levels2 = [z2] + [np.zeros_like(z2) for _ in fl.layers]
-    flow_mod._reconstruct(fl, levels2, pins={}, start=0)
-    x = levels2[-1] * fl.sigma + fl.mu
     return x
 
 
@@ -184,13 +160,20 @@ def flow_counterfactual(fl, x_obs, j, alpha):
     if squeeze:
         x_obs = x_obs[None, :]
     _, _, levels = flow_mod.to_noise(fl, x_obs, keep_levels=True)
+    x = _counterfactual_from_levels(fl, x_obs, levels, j, alpha)
+    return x[0] if squeeze else x
+
+
+def _counterfactual_from_levels(fl, x_obs, levels, j, alpha):
+    """flow_counterfactual on a batch whose to_noise levels are given; the
+    levels are copied, so one abduction can serve many queries."""
     levels = [lv.copy() for lv in levels]
     pin_u = (alpha - fl.mu[j]) / fl.sigma[j]
     flow_mod._reconstruct(fl, levels, pins={j: pin_u}, start=j)
     x = levels[-1] * fl.sigma + fl.mu
     x[:, :j] = x_obs[:, :j]
     x[:, j] = alpha
-    return x[0] if squeeze else x
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -254,19 +237,21 @@ def total_imse(fl, sem, value_count=8, n_samples=1000, rng=None,
 def cmse_report(fl, sem, value_count=8, n_obs=1000, rng=None):
     """Total counterfactual MSE and its per-query breakdown.
 
-    Observations are drawn once from the SEM; for each (j, alpha) both models
-    answer the same counterfactual and downstream targets are compared by the
-    mean squared gap over observations.  Denominator as in imse_report.
+    Observations are drawn once from the SEM and their flow noise abducted
+    once; for each (j, alpha) both models answer the same counterfactual and
+    downstream targets are compared by the mean squared gap over
+    observations.  Denominator as in imse_report.
     """
     _check_dims(fl, sem)
     d = sem.dim
     x_obs = sem_sample(sem, n_obs, rng)
+    _, _, levels = flow_mod.to_noise(fl, x_obs, keep_levels=True)
     means = sem_mean_vector(sem)
     total = 0.0
     breakdown = []
     for j in range(d):
         for alpha in intervention_values(value_count, means[j]):
-            fc = flow_counterfactual(fl, x_obs, j, float(alpha))
+            fc = _counterfactual_from_levels(fl, x_obs, levels, j, float(alpha))
             sc = sem_counterfactual(sem, x_obs, j, float(alpha))
             errs = {int(i): float(np.mean((sc[:, i] - fc[:, i]) ** 2))
                     for i in range(j + 1, d)}

@@ -4,8 +4,7 @@ Subcommands: factor, datagen, train, causal-eval, verify.  Exit codes:
 0 success, 1 a verified property failed (sparsity mismatch, audit violation),
 2 usage/config errors.  Every JSON output embeds the resolved config and the
 tool version.  When a config omits its seed, the STRNN_SEED environment
-variable is used as a global fallback.  A --jobs flag is accepted for
-compatibility; evaluation is sequential and results never depend on it.
+variable is used as a global fallback.
 """
 
 import argparse
@@ -326,8 +325,6 @@ def build_parser():
         prog="strnn",
         description="Masked autoregressive networks, flows, and causal queries "
                     "with enforced dependency structure.")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="accepted for compatibility; outputs never depend on it")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("factor", help="factor an adjacency into layer masks")

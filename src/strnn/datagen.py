@@ -253,6 +253,8 @@ def read_dataset(path):
     """Read a dataset file and its sidecar back into (GeneratedData, Dataset)."""
     with open(path) as fh:
         lines = [ln for ln in fh.read().split("\n") if ln.strip() != ""]
+    if not lines:
+        raise ParseError(path, 1, "empty dataset file")
     head = lines[0].split()
     if len(head) != 3:
         raise ParseError(path, 1, "header must be 'n d kind'")
@@ -274,14 +276,22 @@ def read_dataset(path):
             x[r] = [float(t) for t in toks]
         except ValueError:
             raise ParseError(path, 2 + r, "non-numeric token") from None
-    with open(path + ".json") as fh:
-        sidecar = json.load(fh)
+    side_path = path + ".json"
+    try:
+        with open(side_path) as fh:
+            sidecar = json.load(fh)
+    except FileNotFoundError:
+        raise ParseError(side_path, 1, "sidecar file not found") from None
+    except json.JSONDecodeError as exc:
+        raise ParseError(side_path, exc.lineno, f"bad JSON: {exc.msg}") from None
+    splits = sidecar.get("splits") if isinstance(sidecar, dict) else None
+    if not isinstance(splits, dict) or not {"train", "val", "test"} <= set(splits):
+        raise ParseError(side_path, 1, "sidecar needs 'splits' with train, val and test")
     params = {k: np.asarray(v) for k, v in sidecar.get("params", {}).items()}
     A = (np.abs(params["alpha"]) > 0).astype(np.int64) if "alpha" in params else None
     if "weights" in params and A is None:
         A = (np.abs(params["weights"]) > 0).astype(np.int64)
     gen = GeneratedData(x, A, kind, sidecar.get("family", "unknown"), params)
-    splits = sidecar["splits"]
     dataset = neural.Dataset(x, kind,
                              np.asarray(splits["train"], dtype=np.int64),
                              np.asarray(splits["val"], dtype=np.int64),

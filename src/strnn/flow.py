@@ -5,9 +5,10 @@ Each sub-flow applies the per-coordinate affine map
 gaussian-head masked network built from the shared adjacency, so s_j and t_j
 read only the declared parents of j (a parentless coordinate gets learned
 constants).  The data-to-noise direction evaluates in one parallel pass per
-layer; the noise-to-data direction is sequential per coordinate.  An affine
-standardization (train-split mean/std) sits outermost and its log-Jacobian is
-part of the density.
+layer; the noise-to-data direction takes one pass per DAG generation, where
+a generation is the set of coordinates whose parents are all already filled.
+An affine standardization (train-split mean/std) sits outermost and its
+log-Jacobian is part of the density.
 """
 
 import numpy as np
@@ -132,33 +133,91 @@ def to_noise(flow, x, keep_levels=False):
     return z, log_det
 
 
+def _dependencies(flow):
+    """(d, d) booleans: entry (k, m) is set when some layer's shift or
+    log-scale for coordinate k reads coordinate m through the actual weights.
+
+    ``W != 0`` also holds for NaN and inf, so a non-finite weight counts as a
+    connection.  This reads the weights, not ``flow.adjacency``: a checkpoint
+    whose weights break its mask must still be inverted in a valid order.
+    """
+    d = flow.dim
+    dep = np.zeros((d, d), dtype=bool)
+    for net in flow.layers:
+        reach = factorizer.mask_product([W != 0 for W in net.weights]) > 0
+        dep |= reach[:d] | reach[d:]
+    return dep
+
+
+def _generations(dep, start):
+    """Coordinates start..d-1 grouped into DAG generations, as index arrays.
+
+    Generation 0 holds the coordinates with no parent among start..d-1; each
+    later one holds those whose parents there all sit in earlier generations.
+    If any coordinate reads itself or a later coordinate, every coordinate is
+    its own generation, in index order, which is the per-coordinate schedule.
+    """
+    d = dep.shape[0]
+    if np.triu(dep).any():
+        return [np.array([k]) for k in range(start, d)]
+    depth = np.zeros(d, dtype=np.int64)
+    for k in range(start, d):
+        parents = np.flatnonzero(dep[k, start:k])
+        if parents.size:
+            depth[k] = depth[start + parents].max() + 1
+    ks, depth = np.arange(start, d), depth[start:]
+    # Depth g > 0 implies a parent at depth g - 1, so no generation is empty.
+    return [ks[depth == g] for g in range(depth.max(initial=-1) + 1)]
+
+
+def _columns(out, cols):
+    """Clamped log-scales s and shifts t of the given columns of a
+    conditioner output."""
+    d = out.shape[1] // 2
+    return np.clip(out[:, d + cols], -SCALE_CLAMP, SCALE_CLAMP), out[:, cols]
+
+
 def _reconstruct(flow, levels, pins, start):
     """Fill coordinates start..d-1 of every level in noise-to-data order.
 
     ``levels`` is the [V_0 (noise), ..., V_K (standardized data)] list, edited
-    in place.  A pinned coordinate k gets its standardized data-side value
-    forced and its intermediate values derived by inverting its affine chain;
-    every other coordinate pushes its noise forward.  Conditioners only ever
-    read already-finalized columns (< k), so partially filled columns are
-    harmless.
+    in place.  Coordinates are filled one DAG generation at a time: each
+    layer's conditioner runs once on its level, the generation's free columns
+    push their noise up through the layers, and a pinned coordinate k gets its
+    standardized data-side value ``pins[k]`` forced and is inverted down
+    through the layers with the same per-level shifts and scales.  A column's
+    conditioner reads only its parents, which are final before its generation
+    starts, so columns not yet filled are harmless.
     """
     K = len(flow.layers)
-    d = flow.dim
-    for k in range(start, d):
-        if k in pins:
-            levels[K][:, k] = pins[k]
+    dep = _dependencies(flow)
+    for gen in _generations(dep, start):
+        is_pin = np.isin(gen, list(pins))
+        free, pinned = gen[~is_pin], gen[is_pin]
+        down = []
+        for lvl in range(1, K + 1):
+            out = flow.layers[lvl - 1].forward(levels[lvl])
+            if free.size:
+                s, t = _columns(out, free)
+                levels[lvl][:, free] = np.exp(s) * levels[lvl - 1][:, free] + t
+            if pinned.size:
+                down.append(_columns(out, pinned))
+        if pinned.size:
+            # A pinned column that reads itself (only possible when the weights
+            # break the mask) must see its forced value, so it reruns its
+            # conditioners on the way down.
+            rerun = dep[pinned, pinned].any()
+            levels[K][:, pinned] = [pins[k] for k in pinned]
             for lvl in range(K, 0, -1):
-                s, t = _shift_scale(flow.layers[lvl - 1], levels[lvl])
-                levels[lvl - 1][:, k] = (levels[lvl][:, k] - t[:, k]) * np.exp(-s[:, k])
-        else:
-            for lvl in range(1, K + 1):
-                s, t = _shift_scale(flow.layers[lvl - 1], levels[lvl])
-                levels[lvl][:, k] = np.exp(s[:, k]) * levels[lvl - 1][:, k] + t[:, k]
+                s, t = (_columns(flow.layers[lvl - 1].forward(levels[lvl]), pinned)
+                        if rerun else down[lvl - 1])
+                levels[lvl - 1][:, pinned] = (levels[lvl][:, pinned] - t) * np.exp(-s)
     return levels
 
 
 def from_noise(flow, z):
-    """Map base noise to data, sequential per coordinate within each layer."""
+    """Map base noise to data in one pass per DAG generation: each layer's
+    conditioner runs once per generation."""
     z, squeeze = _as_batch(flow, z)
     levels = [z.copy()] + [np.zeros_like(z) for _ in flow.layers]
     _reconstruct(flow, levels, pins={}, start=0)

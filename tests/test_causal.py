@@ -195,24 +195,6 @@ class TestFlowInterventions:
         xs = causal.flow_intervene_sample(fl, 2, 3.25, 40, 31)
         assert np.all(xs[:, 2] == 3.25)
 
-    def test_parallel_equals_sequential_for_single_layer(self):
-        sem = causal.gen_linear_sem(6, rng=32)
-        fl = causal.flow_from_linear_sem(sem)
-        a = causal.flow_intervene_sample(fl, 1, -2.0, 64, 33)
-        b = causal.flow_intervene_parallel(fl, 1, -2.0, 64, 33)
-        np.testing.assert_allclose(a, b, atol=1e-10)
-
-    def test_parallel_pins_with_more_layers(self):
-        from strnn import adjacency
-        A = adjacency.gen_prev_k(4, 2)
-        fl = flow.AffineFlow.build(A, 3, [6], 0)
-        rng = np.random.default_rng(1)
-        for net in fl.layers:
-            for W, M in zip(net.weights, net.masks):
-                W += 0.2 * rng.normal(size=W.shape) * M
-        xs = causal.flow_intervene_parallel(fl, 1, 0.7, 32, 2)
-        np.testing.assert_allclose(xs[:, 1], 0.7, atol=1e-12)
-
     def test_index_validation(self):
         sem = causal.gen_linear_sem(4, rng=34)
         fl = causal.flow_from_linear_sem(sem)

@@ -89,11 +89,6 @@ class TestFactorCommand:
         assert cli.main(["factor", "--adjacency", str(tmp_path / "none.txt"),
                          "--widths", "4", "--out-dir", str(tmp_path / "o")]) == 2
 
-    def test_jobs_flag_accepted(self, tmp_path):
-        adj = write_adjacency(tmp_path, adjacency.gen_prev_k(4, 2))
-        assert cli.main(["--jobs", "4", "factor", "--adjacency", adj,
-                         "--widths", "4", "--out-dir", str(tmp_path / "o")]) == 0
-
 
 class TestDatagenCommand:
     def spec_file(self, tmp_path, cfg, name="spec.json"):
@@ -276,6 +271,22 @@ class TestTrainCommand:
                                           "max_epochs": 2})
         assert cli.main(["train", "--config", cfg,
                          "--out-dir", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("defect", ["empty", "no_sidecar", "no_splits"])
+    def test_unreadable_dataset_exits_two(self, tmp_path, capsys, defect):
+        data, adj = write_gaussian_dataset(tmp_path)
+        side = tmp_path / "data.txt.json"
+        if defect == "empty":
+            (tmp_path / "data.txt").write_text("")
+        elif defect == "no_sidecar":
+            side.unlink()
+        else:
+            side.write_text(json.dumps({"family": "gaussian"}))
+        cfg = self.config_file(tmp_path, {"model": "strnn", "dataset": data,
+                                          "adjacency": adj, "max_epochs": 2})
+        assert cli.main(["train", "--config", cfg,
+                         "--out-dir", str(tmp_path / "o")]) == 2
+        assert "data.txt" in capsys.readouterr().err
 
 
 class TestVerifyCommand:

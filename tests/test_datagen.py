@@ -1,5 +1,7 @@
 """Tests for the synthetic dataset families and dataset file IO."""
 
+import json
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -294,7 +296,6 @@ class TestDatasetFiles:
         path = str(tmp_path / "g.txt")
         datagen.write_dataset(path, gen, dataset, spec=spec,
                               adjacency_path="g.adj.txt")
-        import json
         side = json.loads((tmp_path / "g.txt.json").read_text())
         assert side["tool"] == "strnn"
         assert side["kind"] == "real" and side["family"] == "gaussian"
@@ -330,6 +331,49 @@ class TestDatasetFiles:
         p.write_text("1 2 complex\n1.0 2.0\n")
         with pytest.raises(ParseError, match="kind"):
             datagen.read_dataset(str(p))
+
+    def write_small(self, tmp_path):
+        spec = datagen.SynthSpec("gaussian", 10, seed=14,
+                                 adjacency={"scheme": "prev_k", "d": 3, "k": 1})
+        gen, dataset = datagen.generate(spec)
+        path = str(tmp_path / "s.txt")
+        datagen.write_dataset(path, gen, dataset, spec=spec)
+        return path
+
+    def test_empty_file_is_parse_error(self, tmp_path):
+        p = tmp_path / "empty.txt"
+        p.write_text("\n  \n")
+        with pytest.raises(ParseError, match="empty") as info:
+            datagen.read_dataset(str(p))
+        assert info.value.path == str(p)
+
+    def test_missing_sidecar_is_parse_error(self, tmp_path):
+        path = self.write_small(tmp_path)
+        (tmp_path / "s.txt.json").unlink()
+        with pytest.raises(ParseError, match="sidecar") as info:
+            datagen.read_dataset(path)
+        assert info.value.path == path + ".json"
+
+    def test_sidecar_without_splits_is_parse_error(self, tmp_path):
+        path = self.write_small(tmp_path)
+        side = tmp_path / "s.txt.json"
+        cfg = json.loads(side.read_text())
+        del cfg["splits"]["val"]
+        side.write_text(json.dumps(cfg))
+        with pytest.raises(ParseError, match="splits") as info:
+            datagen.read_dataset(path)
+        assert info.value.path == path + ".json"
+        del cfg["splits"]
+        side.write_text(json.dumps(cfg))
+        with pytest.raises(ParseError, match="splits"):
+            datagen.read_dataset(path)
+
+    def test_sidecar_bad_json_is_parse_error(self, tmp_path):
+        path = self.write_small(tmp_path)
+        (tmp_path / "s.txt.json").write_text('{\n  "splits": \n')
+        with pytest.raises(ParseError, match="JSON") as info:
+            datagen.read_dataset(path)
+        assert info.value.line_no == 3
 
     def test_true_nll_survives_round_trip(self, tmp_path):
         spec = datagen.SynthSpec("gaussian", 15, seed=13,

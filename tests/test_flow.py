@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from strnn import adjacency, datagen, factorizer, flow, neural
+from strnn import adjacency, causal, datagen, factorizer, flow, neural
 from strnn.errors import ConfigError, DimMismatchError, NonFiniteInputError
 
 
@@ -150,6 +152,135 @@ class TestTransforms:
         xs = flow.sample(fl, 40000, 11)
         np.testing.assert_allclose(xs.mean(axis=0), fl.mu, atol=0.03)
         np.testing.assert_allclose(xs.std(axis=0), fl.sigma, atol=0.03)
+
+
+def reconstruct_per_coordinate(fl, levels, pins, start):
+    """Reference inversion: one conditioner forward per coordinate per layer,
+    in index order.  ``flow._reconstruct`` must match it bitwise."""
+    K = len(fl.layers)
+    for k in range(start, fl.dim):
+        if k in pins:
+            levels[K][:, k] = pins[k]
+            for lvl in range(K, 0, -1):
+                s, t = flow._shift_scale(fl.layers[lvl - 1], levels[lvl])
+                levels[lvl - 1][:, k] = (levels[lvl][:, k] - t[:, k]) * np.exp(-s[:, k])
+        else:
+            for lvl in range(1, K + 1):
+                s, t = flow._shift_scale(fl.layers[lvl - 1], levels[lvl])
+                levels[lvl][:, k] = np.exp(s[:, k]) * levels[lvl - 1][:, k] + t[:, k]
+    return levels
+
+
+def n_generations(A):
+    depth = np.zeros(A.shape[0], dtype=np.int64)
+    for k in range(A.shape[0]):
+        parents = np.flatnonzero(A[k, :k])
+        if parents.size:
+            depth[k] = depth[parents].max() + 1
+    return int(depth.max()) + 1
+
+
+def count_forwards(monkeypatch):
+    calls = []
+    forward = neural.MaskedMLP.forward
+
+    def counted(net, x):
+        calls.append(1)
+        return forward(net, x)
+
+    monkeypatch.setattr(neural.MaskedMLP, "forward", counted)
+    return calls
+
+
+def assert_same_inversion(fl, levels, pins, start):
+    ours = flow._reconstruct(fl, [lv.copy() for lv in levels], pins, start)
+    ref = reconstruct_per_coordinate(fl, [lv.copy() for lv in levels], pins, start)
+    for a, b in zip(ours, ref):
+        assert a.tobytes() == b.tobytes()
+
+
+class TestGenerationInversion:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), d=st.integers(1, 7), K=st.sampled_from([1, 2, 3]),
+           seed=st.integers(0, 2**16), observed=st.booleans())
+    def test_matches_per_coordinate_reference(self, data, d, K, seed, observed):
+        A = np.zeros((d, d), dtype=np.int64)
+        below = np.tril_indices(d, -1)
+        A[below] = data.draw(st.lists(st.booleans(), min_size=len(below[0]),
+                                      max_size=len(below[0])))
+        fl = jitter_flow(flow.AffineFlow.build(A, K, [d + 2], seed), seed + 1)
+        rng = np.random.default_rng(seed)
+        if observed:
+            _, _, levels = flow.to_noise(fl, rng.normal(size=(30, d)), keep_levels=True)
+        else:
+            levels = [rng.normal(size=(30, d))] + [np.zeros((30, d)) for _ in range(K)]
+        j = data.draw(st.integers(0, d - 1))
+        pins = data.draw(st.sampled_from([{}, {j: data.draw(st.floats(-3, 3))}]))
+        start = data.draw(st.sampled_from([0, j]))
+        assert_same_inversion(fl, levels, pins, start)
+
+    @pytest.mark.parametrize("direction", ["lower", "upper", "self"])
+    def test_weights_outside_adjacency(self, direction):
+        """A conditioner whose weights add an edge A lacks is inverted in an
+        order its actual weights allow (the checkpoint loader keeps such
+        weights so that verify can report them).  With "self", the pinned
+        coordinate 2 reads its own value."""
+        d = 6
+        A = np.zeros((d, d), dtype=np.int64)
+        A[1, 0] = A[2, 1] = A[4, 3] = 1
+        fl = jitter_flow(flow.AffineFlow.build(A, 2, [8], 3), 4)
+        reader, source = {"lower": (5, 0), "upper": (1, 4), "self": (2, 2)}[direction]
+        net = fl.layers[1]
+        net.weights[0][0, :] = 0.0
+        net.weights[0][0, source] = 0.7
+        net.weights[1][:, 0] = 0.0
+        net.weights[1][reader, 0] = 0.4
+        net.weights[1][d + reader, 0] = 0.3
+        expected = ([[0, 3], [1, 4, 5], [2]] if direction == "lower"
+                    else [[k] for k in range(d)])
+        assert [g.tolist() for g in flow._generations(flow._dependencies(fl), 0)] == expected
+        rng = np.random.default_rng(5)
+        z = rng.normal(size=(200, d))
+        noise_side = [z] + [np.zeros_like(z) for _ in fl.layers]
+        assert_same_inversion(fl, noise_side, {}, 0)
+        assert_same_inversion(fl, noise_side, {2: 0.5}, 0)
+        _, _, levels = flow.to_noise(fl, rng.normal(size=(200, d)), keep_levels=True)
+        assert_same_inversion(fl, levels, {0: -1.0}, 0)
+        if direction == "lower":
+            x = rng.normal(size=(200, d))
+            back = flow.from_noise(fl, flow.to_noise(fl, x)[0])
+            assert np.max(np.abs(back - x)) < 1e-8
+
+    def test_non_finite_weight_counts_as_edge(self):
+        A = np.zeros((3, 3), dtype=np.int64)
+        fl = flow.AffineFlow.build(A, 1, [3], 0)
+        fl.layers[0].weights[0][0, 0] = np.nan
+        fl.layers[0].weights[1][2, 0] = np.inf
+        assert [g.tolist() for g in flow._generations(flow._dependencies(fl), 0)] == [[0, 1], [2]]
+
+    @pytest.mark.parametrize("A", [adjacency.gen_prev_k(6, 1),
+                                   adjacency.gen_random_sparse(9, 0.6, 2),
+                                   np.zeros((4, 4), dtype=np.int64)])
+    def test_one_forward_per_layer_per_generation(self, monkeypatch, A):
+        K = 3
+        fl = jitter_flow(flow.AffineFlow.build(A, K, [A.shape[0] + 2], 1), 2)
+        calls = count_forwards(monkeypatch)
+        flow.from_noise(fl, np.random.default_rng(0).normal(size=(10, A.shape[0])))
+        assert len(calls) == n_generations(A) * K
+
+    def test_cmse_report_abducts_once(self, monkeypatch):
+        sem = causal.gen_linear_sem(5, rng=3)
+        fl = causal.flow_from_linear_sem(sem)
+        calls = []
+        to_noise = flow.to_noise
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return to_noise(*args, **kwargs)
+
+        monkeypatch.setattr(flow, "to_noise", counted)
+        causal.cmse_report(fl, sem, value_count=2, n_obs=20, rng=4)
+        assert len(calls) == 1
 
 
 def well_conditioned_flow(x, d, n_layers, hidden, margin=1e-3):

@@ -89,6 +89,7 @@ from .flow import (
     AffineFlow,
     audit_flow,
     from_noise,
+    load_checkpoint,
     load_flow,
     sample,
     save_flow,
@@ -129,7 +130,7 @@ __all__ = [
     "load_mlp", "mean_nll", "nll_binary", "nll_gaussian", "save_mlp",
     "test_summary", "train",
     # flow
-    "AffineFlow", "audit_flow", "from_noise", "load_flow", "sample",
+    "AffineFlow", "audit_flow", "from_noise", "load_checkpoint", "load_flow", "sample",
     "save_flow", "to_noise", "train_flow",
     # causal
     "LinearSEM", "cmse_report", "flow_counterfactual", "flow_from_linear_sem",

@@ -2,20 +2,20 @@
 
 An adjacency matrix A is a d x d strictly lower triangular 0/1 matrix where
 A[i, j] = 1 means variable i depends on variable j (so j < i).  This module
-provides validation, the standard synthetic generators, and the plain-text
-file format shared by adjacencies, masks, and mask products.
+provides validation, the standard synthetic generators, and I/O for the
+plain-text matrix format (defined in ``textio``) of adjacencies and masks.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import textio
 from .errors import (
     ConfigError,
     InvalidDimError,
     InvalidThresholdError,
     NonBinaryEntryError,
-    ParseError,
     UpperTriangleNonZeroError,
 )
 
@@ -104,59 +104,26 @@ def gen_neighborhood(rows, cols, nbr_size):
 
 
 def write_matrix(M, path):
-    """Write an integer matrix in the plain-text format.
-
-    Square matrices get a single-integer header ``d``; non-square ones (masks,
-    non-square products) get ``rows cols``.  Rows follow as space-separated
-    integer tokens.
-    """
+    """Write an integer matrix in the matrix format of ``textio``."""
     M = np.asarray(M, dtype=np.int64)
     if M.ndim != 2:
         raise InvalidDimError("matrix must be 2-D")
     r, c = M.shape
-    header = str(r) if r == c else f"{r} {c}"
-    lines = [header] + [" ".join(str(v) for v in row) for row in M]
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"{r}\n" if r == c else f"{r} {c}\n")
+        textio.write_rows(fh, M)
 
 
-def read_matrix(path, validated=True):
-    """Read a plain-text matrix; with validated=True enforce adjacency invariants.
-
-    Raises ParseError (naming the line number) on malformed content, and the
-    validate() errors when validated=True.
-    """
-    with open(path) as fh:
-        raw = fh.read().split("\n")
-    lines = [ln for ln in raw if ln.strip() != ""]
-    if not lines:
-        raise ParseError(path, 1, "empty matrix file")
-    head = lines[0].split()
-    try:
-        dims = [int(t) for t in head]
-    except ValueError:
-        raise ParseError(path, 1, f"bad header {lines[0]!r}") from None
-    if len(dims) == 1:
-        r = c = dims[0]
-    elif len(dims) == 2:
-        r, c = dims
-    else:
-        raise ParseError(path, 1, f"header must hold 1 or 2 integers, got {len(dims)}")
-    if r < 1 or c < 1:
-        raise ParseError(path, 1, f"bad dimensions {r} x {c}")
-    if len(lines) - 1 != r:
-        raise ParseError(path, len(lines), f"expected {r} rows, found {len(lines) - 1}")
-    M = np.zeros((r, c), dtype=np.int64)
-    for i in range(r):
-        toks = lines[1 + i].split()
-        if len(toks) != c:
-            raise ParseError(path, 2 + i, f"expected {c} columns, found {len(toks)}")
-        try:
-            M[i] = [int(t) for t in toks]
-        except ValueError:
-            raise ParseError(path, 2 + i, f"non-integer token in {lines[1 + i]!r}") from None
-    if validated:
-        return validate(M)
+def read_matrix(path):
+    """Read a plain-text matrix as an int64 array; ``validate`` checks it as
+    an adjacency.  Malformed content raises ParseError naming the line."""
+    reader = textio.Reader(path)
+    head = reader.dims(reader.line("the 'd' or 'rows cols' header"))
+    if len(head) > 2:
+        raise reader.error(f"header must hold 1 or 2 integers, got {len(head)}")
+    r, c = head if len(head) == 2 else (head[0], head[0])
+    M = reader.block(r, c, dtype=np.int64)
+    reader.finish(f"the {r} rows")
     return M
 
 

@@ -8,14 +8,13 @@ variable is used as a global fallback.
 """
 
 import argparse
-import json
 import os
 import sys
 import time
 
 import numpy as np
 
-from . import adjacency, causal, datagen, factorizer, flow, neural
+from . import adjacency, causal, datagen, factorizer, flow, neural, textio
 from .errors import StrnnError, UsageError, VerificationError
 from .version import VERSION
 
@@ -28,22 +27,6 @@ def _env_seed(default=0):
         return int(raw)
     except ValueError:
         raise UsageError(f"STRNN_SEED must be an integer, got {raw!r}") from None
-
-
-def _load_json(path):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise UsageError(f"no such file: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"{path}: invalid JSON ({exc})") from None
-
-
-def _write_json(path, payload):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
 
 
 def _parse_widths(text):
@@ -98,8 +81,8 @@ def cmd_factor(args):
             except StrnnError as exc:
                 comparison[method] = {"error": f"{type(exc).__name__}: {exc}"}
         report["comparison"] = comparison
-        _write_json(os.path.join(args.out_dir, "compare.json"), comparison)
-    _write_json(os.path.join(args.out_dir, "report.json"), report)
+        textio.write_json(os.path.join(args.out_dir, "compare.json"), comparison)
+    textio.write_json(os.path.join(args.out_dir, "report.json"), report)
     if not sparsity_ok:
         print("factor: product sparsity does not match the adjacency", file=sys.stderr)
         return 1
@@ -112,7 +95,7 @@ def cmd_factor(args):
 # datagen
 
 def cmd_datagen(args):
-    cfg = _load_json(args.spec)
+    cfg = textio.read_json(args.spec, "spec")
     if "seed" not in cfg:
         cfg["seed"] = _env_seed()
     spec = datagen.SynthSpec.from_dict(cfg)
@@ -160,7 +143,7 @@ def _train_config(cfg, model):
 
 
 def cmd_train(args):
-    cfg = _load_json(args.config)
+    cfg = textio.read_json(args.config, "config")
     unknown = set(cfg) - _TRAIN_KEYS
     if unknown:
         raise UsageError(f"unknown train config keys: {sorted(unknown)}")
@@ -207,27 +190,26 @@ def cmd_train(args):
         net, history = neural.train(net, dataset, tc)
         per = neural.nll(net, dataset.test_x)
         neural.save_mlp(net, ckpt_path)
+    test_nll, stderr = neural.test_summary(per)
 
     hist_path = os.path.join(args.out_dir, "history.csv")
     with open(hist_path, "w") as fh:
         fh.write("epoch,train_nll,val_nll,lr\n")
         for epoch, tr, va, lr in history:
             fh.write(f"{epoch},{tr!r},{va!r},{lr!r}\n")
-    n_test = len(per)
-    stderr = float(np.std(per, ddof=1) / np.sqrt(n_test)) if n_test > 1 else 0.0
     summary = {
         "tool": "strnn", "version": VERSION,
         "config": {**cfg, "hidden": hidden, "method": method},
         "model": model,
-        "test_nll": float(np.mean(per)),
+        "test_nll": test_nll,
         "test_nll_stderr": stderr,
-        "n_test": int(n_test),
+        "n_test": len(per),
         "epochs_run": len(history),
         "best_val_nll": float(min(h[2] for h in history)),
         "checkpoint": ckpt_path,
         "history": hist_path,
     }
-    _write_json(os.path.join(args.out_dir, "summary.json"), summary)
+    textio.write_json(os.path.join(args.out_dir, "summary.json"), summary)
     print(f"train[{model}]: test NLL {summary['test_nll']:.4f} "
           f"+/- {summary['test_nll_stderr']:.4f} ({len(history)} epochs) "
           f"-> {args.out_dir}")
@@ -238,7 +220,7 @@ def cmd_train(args):
 # causal-eval
 
 def cmd_causal_eval(args):
-    sidecar = _load_json(args.sem)
+    sidecar = textio.read_json(args.sem, "sidecar")
     params = sidecar.get("params", {})
     if "weights" not in params:
         raise UsageError(f"{args.sem} carries no SEM weights "
@@ -262,7 +244,7 @@ def cmd_causal_eval(args):
         "imse_breakdown": imse_breakdown,
         "cmse_breakdown": cmse_breakdown,
     }
-    _write_json(args.out, report)
+    textio.write_json(args.out, report)
     print(f"causal-eval: total I-MSE {imse:.6g}, total C-MSE {cmse:.6g} -> {args.out}")
     return 0
 
@@ -270,35 +252,17 @@ def cmd_causal_eval(args):
 # ---------------------------------------------------------------------------
 # verify
 
-def _checkpoint_kind(path):
-    try:
-        with open(path) as fh:
-            header = fh.readline()
-            kind_line = fh.readline().split()
-    except FileNotFoundError:
-        raise UsageError(f"no such file: {path}") from None
-    if not header.startswith("strnn-checkpoint"):
-        raise UsageError(f"{path} is not a checkpoint file")
-    if len(kind_line) != 2 or kind_line[0] != "kind":
-        raise UsageError(f"{path}: malformed kind line")
-    return kind_line[1]
-
-
 def cmd_verify(args):
-    kind = _checkpoint_kind(args.checkpoint)
+    model = flow.load_checkpoint(args.checkpoint)
     seed = args.seed if args.seed is not None else _env_seed()
     rng = np.random.default_rng(seed)
+    kind = "flow" if isinstance(model, flow.AffineFlow) else "mlp"
     if kind == "flow":
-        fl = flow.load_flow(args.checkpoint)
-        raw = flow.audit_flow(fl, rng)
         violations = [{"layer": k, "i": i, "j": j, "max_abs_diff": diff}
-                      for k, i, j, diff in raw]
-    elif kind == "mlp":
-        net = neural.load_mlp(args.checkpoint)
-        raw = neural.audit_invariance(net, rng)
-        violations = [{"i": i, "j": j, "max_abs_diff": diff} for i, j, diff in raw]
+                      for k, i, j, diff in flow.audit_flow(model, rng)]
     else:
-        raise UsageError(f"unknown checkpoint kind {kind!r}")
+        violations = [{"i": i, "j": j, "max_abs_diff": diff}
+                      for i, j, diff in neural.audit_invariance(model, rng)]
     report = {
         "tool": "strnn", "version": VERSION,
         "config": {"checkpoint": args.checkpoint, "seed": seed},
@@ -307,7 +271,7 @@ def cmd_verify(args):
         "violations": violations,
     }
     if args.out:
-        _write_json(args.out, report)
+        textio.write_json(args.out, report)
     if violations:
         print(f"verify: {len(violations)} structural violation(s) found",
               file=sys.stderr)
@@ -382,7 +346,7 @@ def main(argv=None):
     except StrnnError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

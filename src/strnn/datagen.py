@@ -2,18 +2,17 @@
 
 Every generator returns the data together with its adjacency and the exact
 generating coefficients, so oracles (true NLL, causal ground truth) can be
-evaluated downstream.  Datasets are written as a plain-text matrix with an
-``n d kind`` header plus a JSON sidecar holding the spec, seed, coefficient
-arrays, and the frozen train/val/test split.
+evaluated downstream.  Datasets are written in the dataset format of
+``textio`` plus a JSON sidecar holding the spec, seed, coefficient arrays,
+and the frozen train/val/test split.
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import adjacency as adjacency_mod
-from . import causal, neural
+from . import causal, neural, textio
 from .errors import ConfigError, InvalidDimError, ParseError
 from .version import VERSION
 
@@ -214,21 +213,13 @@ def generate(spec):
 # Files: "n d kind" header + rows; JSON sidecar with params and splits.
 
 def write_dataset(path, gen, dataset, spec=None, adjacency_path=None):
-    """Write data rows and the JSON sidecar (at path + '.json').
-
-    Binary data is written as integer tokens, real data with full-precision
-    repr; rewriting the same dataset is bit-identical.
-    """
+    """Write the data in the dataset format of ``textio`` and the JSON sidecar
+    at path + '.json'; rewriting the same dataset is bit-identical."""
     x = gen.x
     n, d = x.shape
     with open(path, "w") as fh:
         fh.write(f"{n} {d} {gen.kind}\n")
-        if gen.kind == "binary":
-            for row in x.astype(np.int64):
-                fh.write(" ".join(str(v) for v in row) + "\n")
-        else:
-            for row in x:
-                fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+        textio.write_rows(fh, x.astype(np.int64) if gen.kind == "binary" else x)
     sidecar = {
         "tool": "strnn",
         "version": VERSION,
@@ -244,56 +235,28 @@ def write_dataset(path, gen, dataset, spec=None, adjacency_path=None):
                    "val": dataset.idx_val.tolist(),
                    "test": dataset.idx_test.tolist()},
     }
-    with open(path + ".json", "w") as fh:
-        json.dump(sidecar, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    textio.write_json(path + ".json", sidecar)
 
 
 def read_dataset(path):
     """Read a dataset file and its sidecar back into (GeneratedData, Dataset)."""
-    with open(path) as fh:
-        lines = [ln for ln in fh.read().split("\n") if ln.strip() != ""]
-    if not lines:
-        raise ParseError(path, 1, "empty dataset file")
-    head = lines[0].split()
-    if len(head) != 3:
-        raise ParseError(path, 1, "header must be 'n d kind'")
-    try:
-        n, d = int(head[0]), int(head[1])
-    except ValueError:
-        raise ParseError(path, 1, f"bad header {lines[0]!r}") from None
-    kind = head[2]
-    if kind not in ("binary", "real"):
-        raise ParseError(path, 1, f"unknown kind {kind!r}")
-    if len(lines) - 1 != n:
-        raise ParseError(path, len(lines), f"expected {n} rows, found {len(lines) - 1}")
-    x = np.zeros((n, d))
-    for r in range(n):
-        toks = lines[1 + r].split()
-        if len(toks) != d:
-            raise ParseError(path, 2 + r, f"expected {d} values, found {len(toks)}")
-        try:
-            x[r] = [float(t) for t in toks]
-        except ValueError:
-            raise ParseError(path, 2 + r, "non-numeric token") from None
+    reader = textio.Reader(path)
+    head = reader.line("the 'n d kind' header")
+    if len(head) != 3 or head[2] not in ("binary", "real"):
+        raise reader.error(f"header must be 'n d kind' with kind binary or real, "
+                           f"got {' '.join(head)!r}")
+    (n, d), kind = reader.dims(head[:2]), head[2]
+    x = reader.block(n, d)
+    reader.finish(f"the {n} rows")
     side_path = path + ".json"
-    try:
-        with open(side_path) as fh:
-            sidecar = json.load(fh)
-    except FileNotFoundError:
-        raise ParseError(side_path, 1, "sidecar file not found") from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(side_path, exc.lineno, f"bad JSON: {exc.msg}") from None
+    sidecar = textio.read_json(side_path, "sidecar")
     splits = sidecar.get("splits") if isinstance(sidecar, dict) else None
     if not isinstance(splits, dict) or not {"train", "val", "test"} <= set(splits):
         raise ParseError(side_path, 1, "sidecar needs 'splits' with train, val and test")
     params = {k: np.asarray(v) for k, v in sidecar.get("params", {}).items()}
-    A = (np.abs(params["alpha"]) > 0).astype(np.int64) if "alpha" in params else None
-    if "weights" in params and A is None:
-        A = (np.abs(params["weights"]) > 0).astype(np.int64)
+    coef = params.get("alpha", params.get("weights"))
+    A = None if coef is None else (np.abs(coef) > 0).astype(np.int64)
     gen = GeneratedData(x, A, kind, sidecar.get("family", "unknown"), params)
-    dataset = neural.Dataset(x, kind,
-                             np.asarray(splits["train"], dtype=np.int64),
-                             np.asarray(splits["val"], dtype=np.int64),
-                             np.asarray(splits["test"], dtype=np.int64))
+    dataset = neural.Dataset(x, kind, *(np.asarray(splits[part], dtype=np.int64)
+                                        for part in ("train", "val", "test")))
     return gen, dataset

@@ -14,13 +14,12 @@ log-Jacobian is part of the density.
 import numpy as np
 
 from . import adjacency as adjacency_mod
-from . import factorizer, neural
+from . import factorizer, neural, textio
 from .errors import (
     ConfigError,
     DimMismatchError,
     InvalidDimError,
     NonFiniteInputError,
-    ParseError,
 )
 
 SCALE_CLAMP = 7.0
@@ -320,36 +319,36 @@ def audit_flow(flow, rng):
 def save_flow(flow, path):
     """Write a flow checkpoint: shared adjacency, standardization, and the
     ordered conditioner checkpoints, in the network checkpoint format."""
-    with open(path, "w") as fh:
-        fh.write("strnn-checkpoint 1\n")
-        fh.write("kind flow\n")
-        fh.write(f"dim {flow.dim}\n")
-        fh.write(f"layers {len(flow.layers)}\n")
-        neural.write_array_block(fh, "adjacency", flow.adjacency)
-        neural.write_array_block(fh, "mu", flow.mu)
-        neural.write_array_block(fh, "sigma", flow.sigma)
+    def write_body(fh):
+        fh.write(f"dim {flow.dim}\nlayers {len(flow.layers)}\n")
+        for name in ("adjacency", "mu", "sigma"):
+            textio.write_block(fh, name, getattr(flow, name))
         for k, net in enumerate(flow.layers):
             fh.write(f"conditioner {k}\n")
             neural.write_mlp_body(fh, net)
-        fh.write("end\n")
+
+    textio.write_checkpoint(path, "flow", write_body)
+
+
+def _read_flow_body(reader):
+    d = reader.count("dim")
+    n_layers = reader.count("layers")
+    A = reader.named_block("adjacency", d, d)
+    mu = reader.named_block("mu", 1, d).ravel()
+    sigma = reader.named_block("sigma", 1, d).ravel()
+    nets = []
+    for k in range(n_layers):
+        reader.label(f"conditioner {k}")
+        nets.append(neural.read_mlp_body(reader))
+    return AffineFlow(A, nets, mu=mu, sigma=sigma)
 
 
 def load_flow(path):
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip() != ""]
-    reader = neural.Reader(path, lines)
-    reader.expect("strnn-checkpoint")
-    kind = reader.expect("kind").split()[1]
-    if kind != "flow":
-        raise ParseError(path, reader.pos, f"expected a flow checkpoint, found {kind!r}")
-    reader.expect("dim")
-    n_layers = int(reader.expect("layers").split()[1])
-    A = reader.read_array_block("adjacency", dtype=np.int64)
-    mu = reader.read_array_block("mu").ravel()
-    sigma = reader.read_array_block("sigma").ravel()
-    nets = []
-    for _ in range(n_layers):
-        reader.expect("conditioner")
-        nets.append(neural.read_mlp_body(reader))
-    reader.expect("end")
-    return AffineFlow(A, nets, mu=mu, sigma=sigma)
+    """Read a flow checkpoint; any other kind raises ParseError."""
+    return textio.read_checkpoint(path, {"flow": _read_flow_body})
+
+
+def load_checkpoint(path):
+    """Read a checkpoint of either kind: a MaskedMLP or an AffineFlow."""
+    return textio.read_checkpoint(path, {"mlp": neural.read_mlp_body,
+                                         "flow": _read_flow_body})

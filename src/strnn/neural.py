@@ -5,21 +5,20 @@ invariant: weights are masked at initialization and re-masked after every
 optimizer step, so structural zeros stay exactly zero through training.
 Hidden layers use ReLU; the head is either ``binary`` (d logits) or
 ``gaussian`` (2d outputs: means then log-sigmas, the final mask stacked twice
-vertically).
+vertically).  Checkpoints use the text format defined in ``textio``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import factorizer
+from . import factorizer, textio
 from .errors import (
     ConfigError,
     DimMismatchError,
     InvalidDimError,
     NonBinaryInputError,
     NonFiniteInputError,
-    ParseError,
 )
 
 HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
@@ -373,9 +372,8 @@ def _flatten_grads(grads):
     return weight_grads + bias_grads
 
 
-def test_summary(net, dataset):
-    """Mean test NLL and its standard error across the test set."""
-    per = nll(net, dataset.test_x)
+def test_summary(per):
+    """Mean of the per-sample test NLLs ``per`` and its standard error."""
     n = len(per)
     stderr = float(np.std(per, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
     return float(np.mean(per)), stderr
@@ -386,8 +384,9 @@ def audit_invariance(net, rng, n_probes=4, deltas=(1.0, -2.5, 10.0)):
 
     For every input j and output row i whose dependency pattern forbids the
     edge, perturbing coordinate j must leave output i exactly unchanged
-    (float equality).  Returns a list of violations (i, j, max_abs_diff);
-    an empty list means the audit passed.
+    (float equality); a NaN difference is a violation with magnitude NaN.
+    Returns a list of violations (i, j, max_abs_diff); an empty list means
+    the audit passed.
     """
     rng = np.random.default_rng(rng)
     d = net.dim
@@ -407,105 +406,51 @@ def audit_invariance(net, rng, n_probes=4, deltas=(1.0, -2.5, 10.0)):
                 x1[:, j] = x1[:, j] + delta if mode == "shift" else delta
                 diff = np.abs(net.forward(x1)[:, free] - y0[:, free])
                 col_max = diff.max(axis=0)
-                for k in np.flatnonzero(col_max > 0.0):
+                # != and np.maximum keep NaN, so a NaN output is flagged as NaN.
+                for k in np.flatnonzero(col_max != 0.0):
                     key = (int(free[k]), j)
-                    found[key] = max(found.get(key, 0.0), float(col_max[k]))
+                    found[key] = float(np.maximum(found.get(key, 0.0), col_max[k]))
     return [(i, j, worst) for (i, j), worst in sorted(found.items())]
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint format: line-oriented structured text, bitwise round trip.
-
-def _fmt_floats(a):
-    return " ".join(repr(float(v)) for v in np.asarray(a).ravel())
-
-
-def write_array_block(fh, name, a):
-    a = np.asarray(a)
-    r, c = (a.shape if a.ndim == 2 else (1, a.shape[0]))
-    fh.write(f"{name}\n{r} {c}\n")
-    if a.ndim == 2:
-        for row in a:
-            fh.write(_fmt_floats(row) + "\n")
-    else:
-        fh.write(_fmt_floats(a) + "\n")
-
-
-class Reader:
-    def __init__(self, path, lines):
-        self.path = path
-        self.lines = lines
-        self.pos = 0
-
-    def next_line(self):
-        if self.pos >= len(self.lines):
-            raise ParseError(self.path, self.pos + 1, "unexpected end of checkpoint")
-        line = self.lines[self.pos]
-        self.pos += 1
-        return line
-
-    def expect(self, token):
-        line = self.next_line()
-        if line.split()[0] != token:
-            raise ParseError(self.path, self.pos, f"expected {token!r}, got {line!r}")
-        return line
-
-    def read_array_block(self, name, dtype=np.float64):
-        self.expect(name)
-        dims = self.next_line().split()
-        if len(dims) != 2:
-            raise ParseError(self.path, self.pos, "array block needs 'rows cols'")
-        r, c = int(dims[0]), int(dims[1])
-        rows = []
-        for _ in range(r):
-            vals = self.next_line().split()
-            if len(vals) != c:
-                raise ParseError(self.path, self.pos, f"expected {c} values per row")
-            rows.append([float(v) for v in vals])
-        return np.asarray(rows, dtype=dtype)
-
+# Checkpoints, in the text format of ``textio``; a round trip is bitwise.
 
 def write_mlp_body(fh, net):
-    fh.write(f"head {net.head}\n")
-    fh.write(f"dim {net.dim}\n")
-    fh.write(f"layers {len(net.weights)}\n")
-    write_array_block(fh, "pattern", net.pattern)
-    for k, (W, b, M) in enumerate(zip(net.weights, net.biases, net.masks)):
-        write_array_block(fh, f"mask {k}", M)
-        write_array_block(fh, f"weight {k}", W)
-        write_array_block(fh, f"bias {k}", b)
+    fh.write(f"head {net.head}\ndim {net.dim}\nlayers {len(net.weights)}\n")
+    textio.write_block(fh, "pattern", net.pattern)
+    for k, layer in enumerate(zip(net.masks, net.weights, net.biases)):
+        for name, a in zip(("mask", "weight", "bias"), layer):
+            textio.write_block(fh, f"{name} {k}", a)
 
 
 def read_mlp_body(reader):
-    head = reader.expect("head").split()[1]
-    reader.expect("dim")
-    n_layers = int(reader.expect("layers").split()[1])
-    pattern = reader.read_array_block("pattern", dtype=np.int64)
-    weights, biases, masks = [], [], []
-    for _ in range(n_layers):
-        masks.append(reader.read_array_block("mask"))
-        weights.append(reader.read_array_block("weight"))
-        biases.append(reader.read_array_block("bias").ravel())
+    """Read a network body, checking that every block has the shape the
+    header and the previous layers imply.  Weights are taken as written, even
+    where their mask is zero, so that an audit can report them."""
+    head = reader.field("head")
+    if head not in ("binary", "gaussian"):
+        raise reader.error(f"unknown head {head!r}")
+    d = reader.count("dim")
+    n_layers = reader.count("layers")
+    pattern = reader.named_block("pattern", d, d)
+    if ((pattern != 0) & (pattern != 1)).any():
+        raise reader.error("pattern entries must be 0 or 1")
+    weights, biases, masks, width = [], [], [], d
+    for k in range(n_layers):
+        rows = None if k < n_layers - 1 else (d if head == "binary" else 2 * d)
+        masks.append(reader.named_block(f"mask {k}", rows, width))
+        width = len(masks[-1])
+        weights.append(reader.named_block(f"weight {k}", width, masks[-1].shape[1]))
+        biases.append(reader.named_block(f"bias {k}", 1, width).ravel())
     return MaskedMLP(weights, biases, masks, head, pattern)
 
 
 def save_mlp(net, path):
     """Write a network checkpoint; load_mlp(save) reproduces outputs bitwise."""
-    with open(path, "w") as fh:
-        fh.write("strnn-checkpoint 1\n")
-        fh.write("kind mlp\n")
-        write_mlp_body(fh, net)
-        fh.write("end\n")
+    textio.write_checkpoint(path, "mlp", lambda fh: write_mlp_body(fh, net))
 
 
 def load_mlp(path):
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip() != ""]
-    reader = Reader(path, lines)
-    reader.expect("strnn-checkpoint")
-    kind = reader.expect("kind").split()[1]
-    if kind != "mlp":
-        raise ParseError(path, reader.pos, f"expected an mlp checkpoint, found {kind!r}")
-    net = read_mlp_body(reader)
-    reader.expect("end")
-    return net
+    """Read a network checkpoint; any other kind raises ParseError."""
+    return textio.read_checkpoint(path, {"mlp": read_mlp_body})

@@ -1,0 +1,157 @@
+"""The package's text file formats, read and written in one place.
+
+Files are lines of whitespace-separated tokens; blank lines are ignored.  A
+block is r lines of c numbers written with ``repr``, so it reads back bitwise.
+
+- Matrix: a header ``d`` (square) or ``rows cols``, then a block of integers.
+- Dataset: a header ``n d kind`` (``binary`` or ``real``), then an n x d
+  block (binary rows as integers), plus a JSON sidecar.
+- Checkpoint: ``strnn-checkpoint 1``, ``kind <kind>``, ``<name> <value>``
+  fields and named blocks (``<name>``, ``rows cols``, rows of floats; a 1-D
+  array is one row), then ``end``.
+
+Malformed content, JSON included, raises ParseError naming the file and line.
+"""
+
+import json
+
+import numpy as np
+
+from .errors import ParseError
+
+CHECKPOINT_MAGIC = "strnn-checkpoint 1"
+
+
+class Reader:
+    """Cursor over the lines of one file, read once.  ``line_no`` is the
+    1-based number of the last line returned, so errors point at it."""
+
+    def __init__(self, path):
+        try:
+            with open(path) as fh:
+                self.lines = fh.read().split("\n")
+        except UnicodeDecodeError as exc:
+            raise ParseError(path, exc.object[:exc.start].count(b"\n") + 1,
+                             "not a text file") from None
+        self.path, self.line_no = path, 0
+
+    def error(self, message):
+        return ParseError(self.path, self.line_no, message)
+
+    def line(self, what):
+        """Tokens of the next non-blank line, which must exist."""
+        while self.line_no < len(self.lines):
+            self.line_no += 1
+            toks = self.lines[self.line_no - 1].split()
+            if toks:
+                return toks
+        raise self.error(f"file is empty or ends early: expected {what}")
+
+    def dims(self, toks):
+        """The tokens as positive integers."""
+        try:
+            dims = [int(t) for t in toks]
+            if min(dims) >= 1:
+                return dims
+        except ValueError:
+            pass
+        raise self.error(f"expected positive integers, got {' '.join(toks)!r}")
+
+    def label(self, name):
+        """Consume a line that must read exactly ``name``."""
+        toks = self.line(repr(name))
+        if toks != name.split():
+            raise self.error(f"expected {name!r}, got {' '.join(toks)!r}")
+
+    def field(self, name):
+        """The value of a ``<name> <value>`` line."""
+        toks = self.line(f"'{name} <value>'")
+        if len(toks) != 2 or toks[0] != name:
+            raise self.error(f"expected '{name} <value>', got {' '.join(toks)!r}")
+        return toks[1]
+
+    def count(self, name):
+        """The value of a ``<name> <n>`` line, a positive integer."""
+        return self.dims([self.field(name)])[0]
+
+    def block(self, r, c, dtype=np.float64):
+        """The next r lines of c numbers as an (r, c) array."""
+        what, rows = f"{r} rows of {c} values", []
+        for _ in range(r):
+            row = self.line(what)
+            if len(row) != c:
+                raise self.error(f"expected {c} values, found {len(row)}")
+            try:
+                rows.append(np.array(row, dtype=dtype))
+            except (ValueError, OverflowError):
+                kind = "integer" if dtype == np.int64 else "numeric"
+                raise self.error(f"non-{kind} token in {' '.join(row)!r}") from None
+        return np.array(rows)
+
+    def named_block(self, name, rows=None, cols=None):
+        """A checkpoint block; ``rows`` and ``cols``, if given, are its shape."""
+        self.label(name)
+        shape = self.dims(self.line("'rows cols'"))
+        if len(shape) != 2 or rows not in (None, shape[0]) or cols not in (None, shape[1]):
+            raise self.error(f"{name} block is {' x '.join(map(str, shape))}, "
+                             f"expected {rows or 'r'} x {cols or 'c'}")
+        return self.block(*shape)
+
+    def finish(self, what):
+        """Require that nothing but blank lines follows."""
+        if any(ln.strip() for ln in self.lines[self.line_no:]):
+            self.line("")
+            raise self.error(f"unexpected line after {what}")
+
+
+def write_rows(fh, a):
+    """Write a 2-D array one row per line, or a 1-D array as one line."""
+    for row in np.atleast_2d(a):
+        fh.write(" ".join(map(repr, row.tolist())) + "\n")
+
+
+def write_block(fh, name, a):
+    """Write a named checkpoint block, every number as a float."""
+    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
+    fh.write(f"{name}\n{a.shape[0]} {a.shape[1]}\n")
+    write_rows(fh, a)
+
+
+def write_checkpoint(path, kind, write_body):
+    """Write the checkpoint header, ``write_body(fh)`` and the ``end`` line."""
+    with open(path, "w") as fh:
+        fh.write(f"{CHECKPOINT_MAGIC}\nkind {kind}\n")
+        write_body(fh)
+        fh.write("end\n")
+
+
+def read_checkpoint(path, bodies):
+    """Read a checkpoint; ``bodies`` maps each accepted kind to its body reader."""
+    reader = Reader(path)
+    reader.label(CHECKPOINT_MAGIC)
+    kind = reader.field("kind")
+    if kind not in bodies:
+        raise reader.error(f"expected kind {' or '.join(map(repr, bodies))}, "
+                           f"found {kind!r}")
+    model = bodies[kind](reader)
+    reader.label("end")
+    reader.finish("end")
+    return model
+
+
+def read_json(path, what):
+    """Parse a JSON file, ``what`` naming it in errors."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise ParseError(path, 1, f"{what} file not found") from None
+    except json.JSONDecodeError as exc:
+        raise ParseError(path, exc.lineno, f"bad JSON in {what}: {exc.msg}") from None
+
+
+def write_json(path, payload):
+    """Write JSON with sorted keys and one-space indents."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=1, sort_keys=True)
+        fh.write("\n")

@@ -164,8 +164,7 @@ class TestMatrixIO:
         M = np.arange(12).reshape(3, 4)
         path = tmp_path / "M.txt"
         adjacency.write_matrix(M, path)
-        np.testing.assert_array_equal(
-            adjacency.read_matrix(path, validated=False), M)
+        np.testing.assert_array_equal(adjacency.read_matrix(path), M)
 
     def test_header_formats(self, tmp_path):
         path = tmp_path / "A.txt"
@@ -196,10 +195,10 @@ class TestMatrixIO:
     def test_validated_read_rejects_upper_entries(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("2\n0 1\n0 0\n")
-        with pytest.raises(UpperTriangleNonZeroError):
-            adjacency.read_matrix(path)
-        M = adjacency.read_matrix(path, validated=False)
+        M = adjacency.read_matrix(path)
         assert M[0, 1] == 1
+        with pytest.raises(UpperTriangleNonZeroError):
+            adjacency.validate(M)
 
 
 class TestGeneratorSpec:

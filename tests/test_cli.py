@@ -44,11 +44,9 @@ class TestFactorCommand:
         assert report["sparsity_ok"] is True
         assert report["widths"] == [6, 6]
         assert report["objective_value"] > 0
-        masks = [adjacency.read_matrix(
-            str(tmp_path / "out" / f"mask_{k}.txt"), validated=False)
-            for k in range(3)]
-        product = adjacency.read_matrix(str(tmp_path / "out" / "product.txt"),
-                                        validated=False)
+        masks = [adjacency.read_matrix(str(tmp_path / "out" / f"mask_{k}.txt"))
+                 for k in range(3)]
+        product = adjacency.read_matrix(str(tmp_path / "out" / "product.txt"))
         A = adjacency.gen_prev_k(5, 2)
         np.testing.assert_array_equal((product > 0).astype(int), A)
         assert masks[0].shape == (6, 5) and masks[2].shape == (5, 6)
@@ -328,6 +326,45 @@ class TestVerifyCommand:
     def test_missing_file_exits_two(self, tmp_path):
         assert cli.main(["verify", "--checkpoint",
                          str(tmp_path / "none.txt")]) == 2
+
+    def test_directory_exits_two(self, tmp_path):
+        assert cli.main(["verify", "--checkpoint", str(tmp_path)]) == 2
+
+    @staticmethod
+    def small_net():
+        masks = factorizer.factor_multilayer(adjacency.gen_prev_k(3, 1), [4],
+                                             "greedy")
+        return neural.MaskedMLP.from_masks(masks, "binary", 0)
+
+    def assert_exits_two_without_traceback(self, path, capsys):
+        assert cli.main(["verify", "--checkpoint", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}:" in err and "Traceback" not in err
+
+    def test_non_integer_layers_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "ck.txt"
+        neural.save_mlp(self.small_net(), path)
+        path.write_text(path.read_text().replace("layers 2", "layers two", 1))
+        self.assert_exits_two_without_traceback(path, capsys)
+
+    def test_weight_shape_unlike_mask_exits_two(self, tmp_path, capsys):
+        net = self.small_net()
+        net.weights[0] = net.weights[0][:3]      # a 3 x 3 block under a 4 x 3 mask
+        path = tmp_path / "ck.txt"
+        neural.save_mlp(net, path)
+        self.assert_exits_two_without_traceback(path, capsys)
+
+    def test_nan_on_masked_weight_exits_one(self, tmp_path):
+        net = self.small_net()
+        i, j = np.argwhere(net.masks[0] == 0)[0]
+        net.weights[0][i, j] = np.nan
+        path = str(tmp_path / "nan.txt")
+        neural.save_mlp(net, path)
+        out = str(tmp_path / "report.json")
+        assert cli.main(["verify", "--checkpoint", path, "--out", out]) == 1
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["violations"]
+        assert all(np.isnan(v["max_abs_diff"]) for v in report["violations"])
 
 
 class TestCausalEvalCommand:

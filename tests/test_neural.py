@@ -390,8 +390,8 @@ class TestSummary:
         A, ds = toy_dataset(7)
         masks = factorizer.factor_multilayer(A, [6], "greedy")
         net = neural.MaskedMLP.from_masks(masks, "binary", 0)
-        mean, stderr = neural.test_summary(net, ds)
         per = neural.nll(net, ds.test_x)
+        mean, stderr = neural.test_summary(per)
         np.testing.assert_allclose(mean, np.mean(per))
         np.testing.assert_allclose(stderr, scipy.stats.sem(per))
 

@@ -28,10 +28,6 @@ class GeneratedData:
     params: dict = field(default_factory=dict)
 
 
-def _sigmoid(t):
-    return 1.0 / (1.0 + np.exp(-t))
-
-
 def gen_binary(A, n, rng):
     """Autoregressive Bernoulli data: p_i = sigmoid(sum_j alpha_ij x_j + c_i)
     with alpha ~ N(0,1) masked by A and intercepts c ~ N(0,1), both drawn
@@ -43,7 +39,7 @@ def gen_binary(A, n, rng):
     c = rng.standard_normal(d)
     x = np.zeros((n, d))
     for i in range(d):
-        p = _sigmoid(x @ alpha[i] + c[i])
+        p = neural.sigmoid(x @ alpha[i] + c[i])
         x[:, i] = rng.random(n) < p
     return GeneratedData(x, A, "binary", "binary", {"alpha": alpha, "c": c})
 
@@ -109,20 +105,22 @@ def gen_linear_sem_data(d, n, rng, cutoff=1.5):
 
 
 def true_nll_binary(gen, x):
-    """Exact per-sample NLL under the binary generator's own law."""
+    """Exact per-sample NLL under the binary generator's own law: the binary
+    head NLL of its logits."""
     alpha, c = gen.params["alpha"], gen.params["c"]
     x = np.asarray(x, dtype=np.float64)
-    o = x @ alpha.T + c
-    return (np.logaddexp(0.0, o) - x * o).sum(axis=-1)
+    return neural.head_nll("binary", x @ alpha.T + c, x)
 
 
 def true_nll_gaussian(gen, x):
-    """Exact per-sample NLL under the Gaussian generator's own law."""
+    """Exact per-sample NLL under the Gaussian generator's own law: the
+    gaussian head NLL of its means and log-sigmas (the generator's sigmas,
+    floored at 0.01, lie well inside the head's log-sigma clamp)."""
     alpha, c, sigma = gen.params["alpha"], gen.params["c"], gen.params["sigma"]
     x = np.asarray(x, dtype=np.float64)
     mu = x @ alpha.T + c
-    per = np.log(sigma) + neural.HALF_LOG_2PI + (x - mu) ** 2 / (2.0 * sigma ** 2)
-    return per.sum(axis=-1)
+    log_sigma = np.broadcast_to(np.log(sigma), mu.shape)
+    return neural.head_nll("gaussian", np.concatenate([mu, log_sigma], axis=-1), x)
 
 
 def split_indices(n, ratios, rng):
@@ -238,6 +236,16 @@ def write_dataset(path, gen, dataset, spec=None, adjacency_path=None):
     textio.write_json(path + ".json", sidecar)
 
 
+def _numeric_param(side_path, name, value):
+    try:
+        a = np.asarray(value)
+    except ValueError:      # a ragged nested list
+        a = None
+    if a is None or a.dtype.kind not in "iuf":
+        raise ParseError(side_path, 1, f"sidecar params entry {name!r} is not numeric")
+    return a
+
+
 def read_dataset(path):
     """Read a dataset file and its sidecar back into (GeneratedData, Dataset)."""
     reader = textio.Reader(path)
@@ -250,10 +258,19 @@ def read_dataset(path):
     reader.finish(f"the {n} rows")
     side_path = path + ".json"
     sidecar = textio.read_json(side_path, "sidecar")
-    splits = sidecar.get("splits") if isinstance(sidecar, dict) else None
+    splits = sidecar.get("splits")
     if not isinstance(splits, dict) or not {"train", "val", "test"} <= set(splits):
         raise ParseError(side_path, 1, "sidecar needs 'splits' with train, val and test")
-    params = {k: np.asarray(v) for k, v in sidecar.get("params", {}).items()}
+    for part in ("train", "val", "test"):
+        idx = splits[part]
+        # type() rather than isinstance(): JSON true/false load as bool, an int.
+        if not isinstance(idx, list) or not all(type(i) is int and 0 <= i < n for i in idx):
+            raise ParseError(side_path, 1, f"sidecar split {part!r} must list "
+                                           f"integer row indices in 0..{n - 1}")
+    params = sidecar.get("params", {})
+    if not isinstance(params, dict):
+        raise ParseError(side_path, 1, "sidecar 'params' must be an object")
+    params = {k: _numeric_param(side_path, k, v) for k, v in params.items()}
     coef = params.get("alpha", params.get("weights"))
     A = None if coef is None else (np.abs(coef) > 0).astype(np.int64)
     gen = GeneratedData(x, A, kind, sidecar.get("family", "unknown"), params)

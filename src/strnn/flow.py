@@ -5,24 +5,23 @@ Each sub-flow applies the per-coordinate affine map
 gaussian-head masked network built from the shared adjacency, so s_j and t_j
 read only the declared parents of j (a parentless coordinate gets learned
 constants).  The data-to-noise direction evaluates in one parallel pass per
-layer; the noise-to-data direction takes one pass per DAG generation, where
-a generation is the set of coordinates whose parents are all already filled.
-An affine standardization (train-split mean/std) sits outermost and its
-log-Jacobian is part of the density.
+layer; ``to_noise``, ``nll`` and training (``loss_and_grads``) share that
+pass and the standard-normal base density, so the training loss is the
+evaluation NLL.  The noise-to-data direction takes one pass per DAG
+generation, where a generation is the set of coordinates whose parents are
+all already filled.  An affine standardization (train-split mean/std) sits
+outermost and its log-Jacobian is part of the density.
 """
 
 import numpy as np
 
 from . import adjacency as adjacency_mod
 from . import factorizer, neural, textio
-from .errors import (
-    ConfigError,
-    DimMismatchError,
-    InvalidDimError,
-    NonFiniteInputError,
-)
+from .errors import ConfigError, InvalidDimError
 
-SCALE_CLAMP = 7.0
+# The conditioners are gaussian-head networks whose log-sigma outputs serve
+# as log-scales, so the scale clamp is the log-sigma clamp.
+SCALE_CLAMP = neural.LOG_SIGMA_CLAMP
 
 
 class AffineFlow:
@@ -74,35 +73,46 @@ class AffineFlow:
     def params(self):
         return [p for net in self.layers for p in net.params()]
 
-    def snapshot(self):
-        return [p.copy() for p in self.params()]
-
-    def restore(self, snap):
-        for p, s in zip(self.params(), snap):
-            p[...] = s
-
     def apply_masks(self):
         for net in self.layers:
             net.apply_masks()
 
 
-def _shift_scale(net, v):
-    """Conditioner outputs: shifts t and clamped log-scales s."""
-    out = net.forward(v)
-    d = net.dim
-    return np.clip(out[..., d:], -SCALE_CLAMP, SCALE_CLAMP), out[..., :d]
+def _to_noise(flow, x, keep_levels, tape=None):
+    """The data-to-noise pass of a batch: (levels, log_det).
+
+    ``levels`` is [z, ..., u] (noise side first) with keep_levels, else [z];
+    log_det is the per-sample log |det dz/dx|, including the standardization
+    Jacobian.  Given a list ``tape``, each layer, data side first, appends
+    its forward cache, log-scales s and exp(-s) for the backward pass; only
+    training keeps these.
+    """
+    u = (x - flow.mu) / flow.sigma
+    log_det = np.full(x.shape[0], -float(np.sum(np.log(flow.sigma))))
+    levels = [u]
+    for net in reversed(flow.layers):
+        if tape is None:
+            out = net.forward(levels[-1])
+        else:
+            out, cache = net.forward_cached(levels[-1])
+        t, s = neural._split_gaussian(out)
+        e = np.exp(-s)
+        v = (levels[-1] - t) * e
+        log_det -= s.sum(axis=1)
+        if tape is not None:
+            tape.append((cache, s, e))
+        if keep_levels:
+            levels.append(v)
+        else:
+            levels[-1] = v
+    levels.reverse()
+    return levels, log_det
 
 
-def _as_batch(flow, x):
-    x = np.asarray(x, dtype=np.float64)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[None, :]
-    if x.ndim != 2 or x.shape[1] != flow.dim:
-        raise DimMismatchError(f"expected width {flow.dim}, got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise NonFiniteInputError("non-finite value in flow input")
-    return x, squeeze
+def _nll(z, log_det):
+    """Per-sample NLL from base noise z under the standard normal and the
+    log-det of the data-to-noise map."""
+    return 0.5 * np.sum(z * z, axis=-1) + z.shape[-1] * neural.HALF_LOG_2PI - log_det
 
 
 def to_noise(flow, x, keep_levels=False):
@@ -113,18 +123,9 @@ def to_noise(flow, x, keep_levels=False):
     returns the list of intermediate representations [z, ..., u] (noise side
     first), which counterfactual evaluation reuses.
     """
-    x, squeeze = _as_batch(flow, x)
-    u = (x - flow.mu) / flow.sigma
-    log_det = np.full(x.shape[0], -float(np.sum(np.log(flow.sigma))))
-    levels = [u]
-    v = u
-    for net in reversed(flow.layers):
-        s, t = _shift_scale(net, v)
-        v = (v - t) * np.exp(-s)
-        log_det -= s.sum(axis=1)
-        levels.append(v)
-    levels.reverse()
-    z = v
+    x, squeeze = neural._as_batch(x, flow.dim)
+    levels, log_det = _to_noise(flow, x, keep_levels)
+    z = levels[0]
     if squeeze:
         z, log_det = z[0], log_det[0]
     if keep_levels:
@@ -169,13 +170,6 @@ def _generations(dep, start):
     return [ks[depth == g] for g in range(depth.max(initial=-1) + 1)]
 
 
-def _columns(out, cols):
-    """Clamped log-scales s and shifts t of the given columns of a
-    conditioner output."""
-    d = out.shape[1] // 2
-    return np.clip(out[:, d + cols], -SCALE_CLAMP, SCALE_CLAMP), out[:, cols]
-
-
 def _reconstruct(flow, levels, pins, start):
     """Fill coordinates start..d-1 of every level in noise-to-data order.
 
@@ -197,10 +191,10 @@ def _reconstruct(flow, levels, pins, start):
         for lvl in range(1, K + 1):
             out = flow.layers[lvl - 1].forward(levels[lvl])
             if free.size:
-                s, t = _columns(out, free)
+                t, s = neural._split_gaussian(out, free)
                 levels[lvl][:, free] = np.exp(s) * levels[lvl - 1][:, free] + t
             if pinned.size:
-                down.append(_columns(out, pinned))
+                down.append(neural._split_gaussian(out, pinned))
         if pinned.size:
             # A pinned column that reads itself (only possible when the weights
             # break the mask) must see its forced value, so it reruns its
@@ -208,7 +202,8 @@ def _reconstruct(flow, levels, pins, start):
             rerun = dep[pinned, pinned].any()
             levels[K][:, pinned] = [pins[k] for k in pinned]
             for lvl in range(K, 0, -1):
-                s, t = (_columns(flow.layers[lvl - 1].forward(levels[lvl]), pinned)
+                t, s = (neural._split_gaussian(flow.layers[lvl - 1].forward(levels[lvl]),
+                                               pinned)
                         if rerun else down[lvl - 1])
                 levels[lvl - 1][:, pinned] = (levels[lvl][:, pinned] - t) * np.exp(-s)
     return levels
@@ -217,7 +212,7 @@ def _reconstruct(flow, levels, pins, start):
 def from_noise(flow, z):
     """Map base noise to data in one pass per DAG generation: each layer's
     conditioner runs once per generation."""
-    z, squeeze = _as_batch(flow, z)
+    z, squeeze = neural._as_batch(z, flow.dim)
     levels = [z.copy()] + [np.zeros_like(z) for _ in flow.layers]
     _reconstruct(flow, levels, pins={}, start=0)
     x = levels[-1] * flow.sigma + flow.mu
@@ -226,8 +221,7 @@ def from_noise(flow, z):
 
 def nll(flow, x):
     """Per-sample negative log-likelihood under the flow."""
-    z, log_det = to_noise(flow, x)
-    return 0.5 * np.sum(z * z, axis=-1) + flow.dim * neural.HALF_LOG_2PI - log_det
+    return _nll(*to_noise(flow, x))
 
 
 def mean_nll(flow, x):
@@ -240,41 +234,24 @@ def sample(flow, n, rng):
 
 
 def loss_and_grads(flow, x):
-    """Mean NLL of the batch and gradients for every conditioner parameter."""
-    x = np.asarray(x, dtype=np.float64)
-    n, d = x.shape
-    u = (x - flow.mu) / flow.sigma
-    const = float(np.sum(np.log(flow.sigma)))
-    stages = []
-    v = u
-    sum_s = np.zeros(n)
-    for net in reversed(flow.layers):
-        out, cache = net.forward_cached(v)
-        t = out[:, :d]
-        raw = out[:, d:]
-        s = np.clip(raw, -SCALE_CLAMP, SCALE_CLAMP)
-        e = np.exp(-s)
-        v_next = (v - t) * e
-        stages.append((net, cache, raw, e, v_next))
-        sum_s += s.sum(axis=1)
-        v = v_next
-    z = v
-    per = 0.5 * np.sum(z * z, axis=1) + d * neural.HALF_LOG_2PI + sum_s + const
-    loss = float(np.mean(per))
-
-    grads_by_net = {}
-    g = z / n
-    for net, cache, raw, e, v_next in reversed(stages):
+    """Mean NLL of the batch and gradients for every conditioner parameter,
+    aligned with ``flow.params()``.  The loss is ``mean_nll(flow, x)``
+    exactly."""
+    x, _ = neural._as_batch(x, flow.dim)
+    n = x.shape[0]
+    tape = []
+    levels, log_det = _to_noise(flow, x, keep_levels=True, tape=tape)
+    loss = float(np.mean(_nll(levels[0], log_det)))
+    grads = []
+    g = levels[0] / n
+    # Layer k maps levels[k + 1] to levels[k]; the tape runs data side first.
+    for k, (net, (cache, s, e)) in enumerate(zip(flow.layers, reversed(tape))):
         g_t = -g * e
-        g_s = -g * v_next + 1.0 / n
-        g_s = g_s * (np.abs(raw) < SCALE_CLAMP)
+        g_s = (-g * levels[k] + 1.0 / n) * (np.abs(s) < SCALE_CLAMP)
         (gW, gb), g_in = net.backward(cache, np.concatenate([g_t, g_s], axis=1))
-        grads_by_net[id(net)] = gW + gb
+        grads += gW + gb
         g = g * e + g_in
-    flat = []
-    for net in flow.layers:
-        flat.extend(grads_by_net[id(net)])
-    return loss, flat
+    return loss, grads
 
 
 def train_flow(flow, dataset, config):
@@ -287,14 +264,7 @@ def train_flow(flow, dataset, config):
     train_x = dataset.train_x
     flow.mu = train_x.mean(axis=0)
     flow.sigma = np.maximum(train_x.std(axis=0), 1e-8)
-
-    def loss_fn(batch):
-        return loss_and_grads(flow, batch)
-
-    def eval_fn(xs):
-        return mean_nll(flow, xs)
-
-    return neural._optimize(flow, dataset, config, loss_fn, eval_fn)
+    return neural._optimize(flow, dataset, config, loss_and_grads, mean_nll)
 
 
 def audit_flow(flow, rng):

@@ -5,7 +5,10 @@ invariant: weights are masked at initialization and re-masked after every
 optimizer step, so structural zeros stay exactly zero through training.
 Hidden layers use ReLU; the head is either ``binary`` (d logits) or
 ``gaussian`` (2d outputs: means then log-sigmas, the final mask stacked twice
-vertically).  Checkpoints use the text format defined in ``textio``.
+vertically).  Each head has one likelihood, ``head_nll`` of the raw outputs:
+evaluation (``nll``), training (``loss_and_grads``) and the data generators'
+exact oracles all go through it.  Checkpoints use the text format defined in
+``textio``.
 """
 
 from dataclasses import dataclass
@@ -78,20 +81,9 @@ class MaskedMLP:
         for W, M in zip(self.weights, self.masks):
             W *= M
 
-    def _check_input(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        squeeze = x.ndim == 1
-        if squeeze:
-            x = x[None, :]
-        if x.ndim != 2 or x.shape[1] != self.dim:
-            raise DimMismatchError(f"expected inputs of width {self.dim}, got shape {x.shape}")
-        if not np.isfinite(x).all():
-            raise NonFiniteInputError("non-finite value in network input")
-        return x, squeeze
-
     def forward(self, x):
         """Batch forward pass; 1-D input returns a 1-D output."""
-        x, squeeze = self._check_input(x)
+        x, squeeze = _as_batch(x, self.dim)
         h = x
         for W, b in zip(self.weights[:-1], self.biases[:-1]):
             h = np.maximum(h @ W.T + b, 0.0)
@@ -100,7 +92,7 @@ class MaskedMLP:
 
     def forward_cached(self, x):
         """Forward pass that keeps layer inputs/pre-activations for backward."""
-        x, _ = self._check_input(x)
+        x, _ = _as_batch(x, self.dim)
         inputs, preacts = [], []
         h = x
         for W, b in zip(self.weights[:-1], self.biases[:-1]):
@@ -135,58 +127,88 @@ class MaskedMLP:
     def params(self):
         return self.weights + self.biases
 
-    def snapshot(self):
-        return [p.copy() for p in self.params()]
 
-    def restore(self, snap):
-        for p, s in zip(self.params(), snap):
-            p[...] = s
-
-
-def _check_binary(x):
+def _as_batch(x, dim):
+    """``x`` as a finite float64 batch of width ``dim``, and whether it was a
+    single vector."""
     x = np.asarray(x, dtype=np.float64)
-    if ((x != 0.0) & (x != 1.0)).any():
+    squeeze = x.ndim == 1
+    if squeeze:
+        x = x[None, :]
+    if x.ndim != 2 or x.shape[1] != dim:
+        raise DimMismatchError(f"expected inputs of width {dim}, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise NonFiniteInputError("non-finite value in input")
+    return x, squeeze
+
+
+def _targets(head, x):
+    """``x`` as float64; a binary head also requires entries in {0, 1}."""
+    x = np.asarray(x, dtype=np.float64)
+    if head == "binary" and ((x != 0.0) & (x != 1.0)).any():
         raise NonBinaryInputError("binary NLL requires entries in {0, 1}")
     return x
 
 
+def sigmoid(t):
+    """The logistic function 1 / (1 + exp(-t)).  Below t = -700, where that
+    form would overflow and 1 + exp(t) rounds to 1, it is exp(t)."""
+    t = np.asarray(t, dtype=np.float64)
+    return np.where(t < -700.0, np.exp(np.minimum(t, -700.0)),
+                    1.0 / (1.0 + np.exp(-np.maximum(t, -700.0))))
+
+
+def _split_gaussian(out, cols=slice(None)):
+    """Means and log-sigmas clamped to +-LOG_SIGMA_CLAMP, the two halves of a
+    gaussian-head output, at columns ``cols`` (for a flow conditioner: the
+    shifts and log-scales)."""
+    d = out.shape[-1] // 2
+    return (out[..., :d][..., cols],
+            np.clip(out[..., d:][..., cols], -LOG_SIGMA_CLAMP, LOG_SIGMA_CLAMP))
+
+
+def head_nll(head, out, x):
+    """Per-sample negative log-likelihood of ``x`` under the raw outputs
+    ``out`` of a ``head`` network.
+
+    binary: sum_j softplus(o_j) - x_j o_j, the stable form of the Bernoulli
+    NLL with logits o.  gaussian: sum_j log sigma_j + 0.5 log 2 pi +
+    (x_j - mu_j)^2 / (2 sigma_j^2), from ``_split_gaussian(out)``.
+    """
+    if head == "binary":
+        per = np.logaddexp(0.0, out) - x * out
+    else:
+        mu, log_sigma = _split_gaussian(out)
+        per = log_sigma + HALF_LOG_2PI + (x - mu) ** 2 * np.exp(-2.0 * log_sigma) / 2.0
+    return per.sum(axis=-1)
+
+
 def nll_binary(net, x):
     """Negative log-likelihood of binary vectors under the logit head.
-
-    Uses the numerically stable form softplus(o) - x * o per coordinate.
-    Scalar for a single vector, per-sample array for a batch.
-    """
+    Scalar for a single vector, per-sample array for a batch."""
     if net.head != "binary":
         raise ConfigError("nll_binary needs a binary-head network")
-    x = _check_binary(x)
-    o = net.forward(x)
-    per = np.logaddexp(0.0, o) - x * o
-    return per.sum(axis=-1)
+    return nll(net, x)
 
 
 def gaussian_outputs(net, x):
     """Means and clamped log-sigmas from a gaussian-head network."""
     if net.head != "gaussian":
         raise ConfigError("gaussian outputs need a gaussian-head network")
-    out = net.forward(x)
-    d = net.dim
-    mu = out[..., :d]
-    log_sigma = np.clip(out[..., d:], -LOG_SIGMA_CLAMP, LOG_SIGMA_CLAMP)
-    return mu, log_sigma
+    return _split_gaussian(net.forward(x))
 
 
 def nll_gaussian(net, x):
-    """Negative log-likelihood of real vectors under the heteroscedastic head:
-    sum_j log sigma_j + 0.5 log 2 pi + (x_j - mu_j)^2 / (2 sigma_j^2)."""
-    mu, log_sigma = gaussian_outputs(net, x)
-    x = np.asarray(x, dtype=np.float64)
-    sq = (x - mu) ** 2
-    per = log_sigma + HALF_LOG_2PI + sq * np.exp(-2.0 * log_sigma) / 2.0
-    return per.sum(axis=-1)
+    """Negative log-likelihood of real vectors under the heteroscedastic head."""
+    if net.head != "gaussian":
+        raise ConfigError("nll_gaussian needs a gaussian-head network")
+    return nll(net, x)
 
 
 def nll(net, x):
-    return nll_binary(net, x) if net.head == "binary" else nll_gaussian(net, x)
+    """Per-sample negative log-likelihood under the network's head."""
+    x = _targets(net.head, x)
+    return head_nll(net.head, net.forward(x), x)
 
 
 def mean_nll(net, x):
@@ -194,29 +216,23 @@ def mean_nll(net, x):
 
 
 def loss_and_grads(net, x):
-    """Mean NLL over the batch and its gradients w.r.t. every parameter."""
-    x = np.asarray(x, dtype=np.float64)
+    """Mean NLL over the batch and its gradients, aligned with
+    ``net.params()``.  The loss is ``mean_nll(net, x)`` exactly."""
+    x = _targets(net.head, x)
     n = x.shape[0]
     out, cache = net.forward_cached(x)
-    d = net.dim
+    loss = float(np.mean(head_nll(net.head, out, x)))
     if net.head == "binary":
-        x = _check_binary(x)
-        p = 1.0 / (1.0 + np.exp(-out))
-        loss = float(np.mean(np.sum(np.logaddexp(0.0, out) - x * out, axis=1)))
-        grad_out = (p - x) / n
+        grad_out = (sigmoid(out) - x) / n
     else:
-        mu = out[:, :d]
-        raw = out[:, d:]
-        log_sigma = np.clip(raw, -LOG_SIGMA_CLAMP, LOG_SIGMA_CLAMP)
+        mu, log_sigma = _split_gaussian(out)
         inv_var = np.exp(-2.0 * log_sigma)
-        sq = (x - mu) ** 2
-        loss = float(np.mean(np.sum(log_sigma + HALF_LOG_2PI + sq * inv_var / 2.0, axis=1)))
         g_mu = (mu - x) * inv_var / n
-        in_range = (np.abs(raw) < LOG_SIGMA_CLAMP).astype(np.float64)
-        g_raw = (1.0 - sq * inv_var) * in_range / n
-        grad_out = np.concatenate([g_mu, g_raw], axis=1)
-    grads, _ = net.backward(cache, grad_out)
-    return loss, grads
+        in_range = np.abs(log_sigma) < LOG_SIGMA_CLAMP
+        g_log_sigma = (1.0 - (x - mu) ** 2 * inv_var) * in_range / n
+        grad_out = np.concatenate([g_mu, g_log_sigma], axis=1)
+    (weight_grads, bias_grads), _ = net.backward(cache, grad_out)
+    return loss, weight_grads + bias_grads
 
 
 class AdamW:
@@ -306,30 +322,22 @@ def _minibatches(n, batch_size, perm):
         yield perm[start:start + batch_size]
 
 
-def train(net, dataset, config, loss_fn=None):
-    """AdamW training with optional plateau schedule and early stopping.
+def train(net, dataset, config):
+    """AdamW training on the head NLL with optional plateau schedule and
+    early stopping.
 
-    ``loss_fn(batch) -> (loss, flat_grads)`` (gradients aligned with
-    ``net.params()``) defaults to the head NLL of ``net``; flow training
-    passes its own closure.  Validation NLL drives both the
-    plateau schedule and early stopping; the parameters from the best
-    validation epoch are restored at the end.  Deterministic given
-    (seed, config, dataset).  Returns (net, history) where history rows are
-    (epoch, train_nll, val_nll, lr).
+    Validation NLL drives both the plateau schedule and early stopping; the
+    parameters from the best validation epoch are restored at the end.
+    Deterministic given (seed, config, dataset).  Returns (net, history)
+    where history rows are (epoch, train_nll, val_nll, lr).
     """
+    return _optimize(net, dataset, config, loss_and_grads, mean_nll)
+
+
+def _optimize(model, dataset, config, loss_and_grads, mean_nll):
+    """The training loop behind ``train`` and ``flow.train_flow``, given the
+    model's ``loss_and_grads(model, x)`` and ``mean_nll(model, x)``."""
     config.validate()
-    if loss_fn is None:
-        def loss_fn(batch):
-            loss, grads = loss_and_grads(net, batch)
-            return loss, _flatten_grads(grads)
-
-    def eval_fn(x):
-        return mean_nll(net, x)
-
-    return _optimize(net, dataset, config, loss_fn, eval_fn)
-
-
-def _optimize(model, dataset, config, loss_fn, eval_fn):
     rng = np.random.default_rng(config.seed)
     params = model.params()
     opt = AdamW(params, config.learning_rate, config.weight_decay,
@@ -338,21 +346,21 @@ def _optimize(model, dataset, config, loss_fn, eval_fn):
     n = train_x.shape[0]
     history = []
     best_val = np.inf
-    best_snap = model.snapshot()
+    best = [p.copy() for p in params]
     stall = 0
     plateau_stall = 0
     for epoch in range(1, config.max_epochs + 1):
         perm = rng.permutation(n)
         for idx in _minibatches(n, config.batch_size, perm):
-            _, grads = loss_fn(train_x[idx])
+            _, grads = loss_and_grads(model, train_x[idx])
             opt.step(params, grads)
             model.apply_masks()
-        train_nll = eval_fn(train_x)
-        val_nll = eval_fn(dataset.val_x)
+        train_nll = mean_nll(model, train_x)
+        val_nll = mean_nll(model, dataset.val_x)
         history.append((epoch, train_nll, val_nll, opt.lr))
         if val_nll < best_val:
             best_val = val_nll
-            best_snap = model.snapshot()
+            best = [p.copy() for p in params]
             stall = 0
             plateau_stall = 0
         else:
@@ -363,13 +371,9 @@ def _optimize(model, dataset, config, loss_fn, eval_fn):
             plateau_stall = 0
         if stall >= config.early_stop_patience:
             break
-    model.restore(best_snap)
+    for p, b in zip(params, best):
+        p[...] = b
     return model, history
-
-
-def _flatten_grads(grads):
-    weight_grads, bias_grads = grads
-    return weight_grads + bias_grads
 
 
 def test_summary(per):

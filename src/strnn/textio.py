@@ -140,14 +140,18 @@ def read_checkpoint(path, bodies):
 
 
 def read_json(path, what):
-    """Parse a JSON file, ``what`` naming it in errors."""
+    """Parse a JSON file holding one object, ``what`` naming it in errors."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            payload = json.load(fh)
     except FileNotFoundError:
         raise ParseError(path, 1, f"{what} file not found") from None
     except json.JSONDecodeError as exc:
         raise ParseError(path, exc.lineno, f"bad JSON in {what}: {exc.msg}") from None
+    if not isinstance(payload, dict):
+        raise ParseError(path, 1, f"{what} must be a JSON object, "
+                                  f"not {type(payload).__name__}")
+    return payload
 
 
 def write_json(path, payload):

@@ -23,6 +23,11 @@ def write_adjacency(tmp_path, A, name="adj.txt"):
     return path
 
 
+def assert_parse_error_names(path, capsys):
+    err = capsys.readouterr().err
+    assert f"error: {path}:1:" in err and "Traceback" not in err
+
+
 def write_gaussian_dataset(tmp_path, n=60, d=3, seed=3):
     spec = datagen.SynthSpec("gaussian", n, seed=seed,
                              adjacency={"scheme": "prev_k", "d": d, "k": 2})
@@ -165,6 +170,12 @@ class TestDatagenCommand:
         assert cli.main(["datagen", "--spec", str(bad),
                          "--out", str(tmp_path / "d.txt")]) == 2
 
+    def test_non_object_spec_exits_two(self, tmp_path, capsys):
+        spec = self.spec_file(tmp_path, [1, 2])
+        assert cli.main(["datagen", "--spec", spec,
+                         "--out", str(tmp_path / "d.txt")]) == 2
+        assert_parse_error_names(spec, capsys)
+
 
 class TestTrainCommand:
     def config_file(self, tmp_path, cfg, name="train.json"):
@@ -270,21 +281,42 @@ class TestTrainCommand:
         assert cli.main(["train", "--config", cfg,
                          "--out-dir", str(tmp_path / "o")]) == 2
 
-    @pytest.mark.parametrize("defect", ["empty", "no_sidecar", "no_splits"])
+    def test_non_object_config_exits_two(self, tmp_path, capsys):
+        cfg = self.config_file(tmp_path, [1, 2])
+        assert cli.main(["train", "--config", cfg,
+                         "--out-dir", str(tmp_path / "o")]) == 2
+        assert_parse_error_names(cfg, capsys)
+
+    @pytest.mark.parametrize("defect", ["empty", "no_sidecar", "no_splits",
+                                        "not_object", "index_out_of_range",
+                                        "index_not_integer", "params_not_numeric"])
     def test_unreadable_dataset_exits_two(self, tmp_path, capsys, defect):
         data, adj = write_gaussian_dataset(tmp_path)
         side = tmp_path / "data.txt.json"
+        sidecar = json.loads(side.read_text())
         if defect == "empty":
             (tmp_path / "data.txt").write_text("")
         elif defect == "no_sidecar":
             side.unlink()
-        else:
+        elif defect == "no_splits":
             side.write_text(json.dumps({"family": "gaussian"}))
+        elif defect == "not_object":
+            side.write_text(json.dumps([1, 2]))
+        elif defect == "index_out_of_range":
+            sidecar["splits"]["train"][0] = 999
+            side.write_text(json.dumps(sidecar))
+        elif defect == "index_not_integer":
+            sidecar["splits"]["val"][0] = 1.5
+            side.write_text(json.dumps(sidecar))
+        else:
+            sidecar["params"]["alpha"] = "zero"
+            side.write_text(json.dumps(sidecar))
         cfg = self.config_file(tmp_path, {"model": "strnn", "dataset": data,
                                           "adjacency": adj, "max_epochs": 2})
         assert cli.main(["train", "--config", cfg,
                          "--out-dir", str(tmp_path / "o")]) == 2
-        assert "data.txt" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "data.txt" in err and "Traceback" not in err
 
 
 class TestVerifyCommand:
@@ -404,6 +436,16 @@ class TestCausalEvalCommand:
         first = (tmp_path / "m.json").read_bytes()
         assert cli.main(args) == 0
         assert (tmp_path / "m.json").read_bytes() == first
+
+    def test_non_object_sidecar_exits_two(self, tmp_path, capsys):
+        fl = causal.flow_from_linear_sem(causal.gen_linear_sem(3, rng=1))
+        ck = str(tmp_path / "flow.txt")
+        flow.save_flow(fl, ck)
+        sem = tmp_path / "sem.json"
+        sem.write_text(json.dumps([1, 2]))
+        assert cli.main(["causal-eval", "--flow", ck, "--sem", str(sem),
+                         "--out", str(tmp_path / "m.json")]) == 2
+        assert_parse_error_names(str(sem), capsys)
 
     def test_sidecar_without_weights_exits_two(self, tmp_path):
         data, _ = write_gaussian_dataset(tmp_path)

@@ -368,6 +368,52 @@ class TestDatasetFiles:
         with pytest.raises(ParseError, match="splits"):
             datagen.read_dataset(path)
 
+    @pytest.mark.parametrize("part, index", [("train", 999), ("train", 10), ("val", -1),
+                                             ("test", 1.5), ("test", True), ("val", "3")])
+    def test_sidecar_split_index_is_checked(self, tmp_path, part, index):
+        path = self.write_small(tmp_path)
+        side = tmp_path / "s.txt.json"
+        cfg = json.loads(side.read_text())
+        cfg["splits"][part][-1] = index
+        side.write_text(json.dumps(cfg))
+        with pytest.raises(ParseError, match=f"split '{part}'.*0..9") as info:
+            datagen.read_dataset(path)
+        assert info.value.path == path + ".json"
+
+    def test_sidecar_splits_and_params_must_be_containers(self, tmp_path):
+        path = self.write_small(tmp_path)
+        side = tmp_path / "s.txt.json"
+        cfg = json.loads(side.read_text())
+        cfg["splits"]["train"] = 3
+        side.write_text(json.dumps(cfg))
+        with pytest.raises(ParseError, match="split 'train'"):
+            datagen.read_dataset(path)
+        cfg = json.loads(side.read_text())
+        cfg["splits"]["train"] = [0]
+        cfg["params"] = [1.0]
+        side.write_text(json.dumps(cfg))
+        with pytest.raises(ParseError, match="'params' must be an object"):
+            datagen.read_dataset(path)
+
+    @pytest.mark.parametrize("value", ["x", None, True, [[1.0, 2.0], [3.0]],
+                                       [1.0, "2"], {"a": 1}])
+    def test_sidecar_params_must_be_numeric(self, tmp_path, value):
+        path = self.write_small(tmp_path)
+        side = tmp_path / "s.txt.json"
+        cfg = json.loads(side.read_text())
+        cfg["params"]["c"] = value
+        side.write_text(json.dumps(cfg))
+        with pytest.raises(ParseError, match="params entry 'c'") as info:
+            datagen.read_dataset(path)
+        assert info.value.path == path + ".json"
+
+    def test_sidecar_not_an_object_is_parse_error(self, tmp_path):
+        path = self.write_small(tmp_path)
+        (tmp_path / "s.txt.json").write_text("[1, 2]")
+        with pytest.raises(ParseError, match="JSON object, not list") as info:
+            datagen.read_dataset(path)
+        assert info.value.path == path + ".json"
+
     def test_sidecar_bad_json_is_parse_error(self, tmp_path):
         path = self.write_small(tmp_path)
         (tmp_path / "s.txt.json").write_text('{\n  "splits": \n')

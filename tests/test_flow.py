@@ -162,11 +162,11 @@ def reconstruct_per_coordinate(fl, levels, pins, start):
         if k in pins:
             levels[K][:, k] = pins[k]
             for lvl in range(K, 0, -1):
-                s, t = flow._shift_scale(fl.layers[lvl - 1], levels[lvl])
+                t, s = neural.gaussian_outputs(fl.layers[lvl - 1], levels[lvl])
                 levels[lvl - 1][:, k] = (levels[lvl][:, k] - t[:, k]) * np.exp(-s[:, k])
         else:
             for lvl in range(1, K + 1):
-                s, t = flow._shift_scale(fl.layers[lvl - 1], levels[lvl])
+                t, s = neural.gaussian_outputs(fl.layers[lvl - 1], levels[lvl])
                 levels[lvl][:, k] = np.exp(s[:, k]) * levels[lvl - 1][:, k] + t[:, k]
     return levels
 
@@ -314,7 +314,7 @@ class TestFlowGradients:
         x = np.random.default_rng(23).normal(size=(6, 4))
         fl = well_conditioned_flow(x, 4, 2, [5])
         loss, analytic = flow.loss_and_grads(fl, x)
-        np.testing.assert_allclose(loss, flow.mean_nll(fl, x), rtol=1e-12)
+        assert loss == flow.mean_nll(fl, x)
         params = fl.params()
         eps = 1e-6
         for pi, p in enumerate(params):
@@ -367,6 +367,12 @@ class TestFlowTraining:
         for net in fl.layers:
             for W, M in zip(net.weights, net.masks):
                 assert not np.any(W * (1 - M))
+
+    def test_rejects_invalid_config(self):
+        A, ds = self.make_dataset(4)
+        fl = flow.AffineFlow.build(A, 2, [8], 8)
+        with pytest.raises(ConfigError, match="learning_rate"):
+            flow.train_flow(fl, ds, neural.TrainConfig(learning_rate=-1.0))
 
     def test_deterministic(self):
         A, ds = self.make_dataset(3)

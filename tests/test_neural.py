@@ -1,6 +1,7 @@
 """Tests for masked networks: likelihoods, gradients, training, audits."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -184,6 +185,19 @@ class TestGaussianNLL:
                                    neural.nll_gaussian(gnet, x))
 
 
+class TestSigmoid:
+    def test_bitwise_the_plain_form_up_to_700(self):
+        t = np.concatenate([np.linspace(-700.0, 700.0, 20001), [-700.0, -699.9999, 0.0]])
+        np.testing.assert_array_equal(neural.sigmoid(t), 1.0 / (1.0 + np.exp(-t)))
+
+    def test_no_overflow_beyond(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = neural.sigmoid(np.array([-800.0, -709.9, 709.9, 800.0]))
+        assert p[0] == 0.0 and 0.0 < p[1] < 1e-300
+        assert p[2] == p[3] == 1.0
+
+
 class TestGradients:
     @pytest.mark.parametrize("head", ["binary", "gaussian"])
     def test_parameter_gradients_match_finite_differences(self, head):
@@ -191,8 +205,8 @@ class TestGradients:
         x = (rng.random((5, 4)) < 0.5).astype(np.float64) if head == "binary" \
             else rng.normal(size=(5, 4))
         net = well_conditioned_net(4, [6], head, x)
-        _, grads = neural.loss_and_grads(net, x)
-        analytic = neural._flatten_grads(grads)
+        loss, analytic = neural.loss_and_grads(net, x)
+        assert loss == neural.mean_nll(net, x)
         numeric = numerical_grad(lambda: neural.mean_nll(net, x),
                                  net.params())
         for a, n_ in zip(analytic, numeric):
@@ -221,7 +235,7 @@ class TestGradients:
         opt = neural.AdamW(params, learning_rate=0.05)
         for _ in range(3):
             _, grads = neural.loss_and_grads(net, x)
-            opt.step(params, neural._flatten_grads(grads))
+            opt.step(params, grads)
             net.apply_masks()
         for W, M in zip(net.weights, net.masks):
             assert not np.any(W * (1 - M))

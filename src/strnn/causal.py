@@ -61,11 +61,6 @@ def sem_sample(sem, n, rng):
     return x
 
 
-def sem_mean_vector(sem):
-    """Observational means (identically zero: no intercepts, centered noise)."""
-    return np.zeros(sem.dim)
-
-
 def sem_intervene_mean_vector(sem, j, alpha):
     """Exact means of every coordinate under do(x_j = alpha), by forward
     substitution; upstream coordinates keep their observational mean 0."""
@@ -179,13 +174,14 @@ def _counterfactual_from_levels(fl, x_obs, levels, j, alpha):
 # ---------------------------------------------------------------------------
 # Aggregate causal error metrics.
 
-def intervention_values(value_count, mean=0.0):
-    """Integer offsets around an observational mean, zero excluded; the
-    default count 8 gives mean + {-4, ..., -1, 1, ..., 4}."""
+def intervention_values(value_count):
+    """Intervention values around the SEM's observational mean, which is 0:
+    integers with zero excluded; the default count 8 gives
+    {-4, ..., -1, 1, ..., 4}."""
     if value_count < 1:
         raise InvalidDimError("value_count must be >= 1")
     offs = [v for v in range(-((value_count + 1) // 2), value_count // 2 + 1) if v != 0]
-    return np.asarray(offs, dtype=np.float64) + mean
+    return np.asarray(offs, dtype=np.float64)
 
 
 def _check_dims(fl, sem):
@@ -207,9 +203,8 @@ def imse_report(fl, sem, value_count=8, n_samples=1000, rng=None,
     if ground_truth not in ("exact", "sample"):
         raise InvalidDimError(f"unknown ground_truth mode {ground_truth!r}")
     d = sem.dim
-    means = sem_mean_vector(sem)
-    queries = [(j, float(a)) for j in range(d)
-               for a in intervention_values(value_count, means[j])]
+    values = intervention_values(value_count)
+    queries = [(j, float(a)) for j in range(d) for a in values]
     streams = np.random.default_rng(rng).spawn(len(queries))
     total = 0.0
     breakdown = []
@@ -246,11 +241,11 @@ def cmse_report(fl, sem, value_count=8, n_obs=1000, rng=None):
     d = sem.dim
     x_obs = sem_sample(sem, n_obs, rng)
     _, _, levels = flow_mod.to_noise(fl, x_obs, keep_levels=True)
-    means = sem_mean_vector(sem)
+    values = intervention_values(value_count)
     total = 0.0
     breakdown = []
     for j in range(d):
-        for alpha in intervention_values(value_count, means[j]):
+        for alpha in values:
             fc = _counterfactual_from_levels(fl, x_obs, levels, j, float(alpha))
             sc = sem_counterfactual(sem, x_obs, j, float(alpha))
             errs = {int(i): float(np.mean((sc[:, i] - fc[:, i]) ** 2))

@@ -1,8 +1,7 @@
 """Exception types shared across the package.
 
 Validation errors identify the offending location so callers can report
-precisely; CLI maps UsageError subclasses to exit code 2 and
-VerificationError to exit code 1.
+precisely; the CLI maps every StrnnError to exit code 2.
 """
 
 
@@ -12,10 +11,6 @@ class StrnnError(Exception):
 
 class UsageError(StrnnError):
     """Invalid argument, config, or file content supplied by the caller."""
-
-
-class VerificationError(StrnnError):
-    """A structural property that must hold was found violated."""
 
 
 class InvalidDimError(UsageError):

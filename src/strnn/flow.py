@@ -19,10 +19,6 @@ from . import adjacency as adjacency_mod
 from . import factorizer, neural, textio
 from .errors import ConfigError, InvalidDimError
 
-# The conditioners are gaussian-head networks whose log-sigma outputs serve
-# as log-scales, so the scale clamp is the log-sigma clamp.
-SCALE_CLAMP = neural.LOG_SIGMA_CLAMP
-
 
 class AffineFlow:
     """A stack of affine autoregressive sub-flows over one adjacency.
@@ -135,16 +131,15 @@ def to_noise(flow, x, keep_levels=False):
 
 def _dependencies(flow):
     """(d, d) booleans: entry (k, m) is set when some layer's shift or
-    log-scale for coordinate k reads coordinate m through the actual weights.
+    log-scale for coordinate k reads coordinate m, by ``neural.support``.
 
-    ``W != 0`` also holds for NaN and inf, so a non-finite weight counts as a
-    connection.  This reads the weights, not ``flow.adjacency``: a checkpoint
-    whose weights break its mask must still be inverted in a valid order.
+    This reads the weights, not ``flow.adjacency``: a checkpoint whose
+    weights break its mask must still be inverted in a valid order.
     """
     d = flow.dim
     dep = np.zeros((d, d), dtype=bool)
     for net in flow.layers:
-        reach = factorizer.mask_product([W != 0 for W in net.weights]) > 0
+        reach = neural.support(net)
         dep |= reach[:d] | reach[d:]
     return dep
 
@@ -247,7 +242,7 @@ def loss_and_grads(flow, x):
     # Layer k maps levels[k + 1] to levels[k]; the tape runs data side first.
     for k, (net, (cache, s, e)) in enumerate(zip(flow.layers, reversed(tape))):
         g_t = -g * e
-        g_s = (-g * levels[k] + 1.0 / n) * (np.abs(s) < SCALE_CLAMP)
+        g_s = (-g * levels[k] + 1.0 / n) * (np.abs(s) < neural.LOG_SIGMA_CLAMP)
         (gW, gb), g_in = net.backward(cache, np.concatenate([g_t, g_s], axis=1))
         grads += gW + gb
         g = g * e + g_in
@@ -268,10 +263,11 @@ def train_flow(flow, dataset, config):
 
 
 def audit_flow(flow, rng):
-    """Run the structural-independence audit on every conditioner.
-
-    Also flags any conditioner whose mask-product pattern disagrees with the
-    flow's shared adjacency.  Returns a list of (layer_index, i, j, max_diff).
+    """Audit every conditioner: a conditioner whose recorded pattern differs
+    from the flow's shared adjacency has each differing pair flagged with
+    NaN; any other goes through ``neural.audit_invariance`` with the one
+    shared ``rng``.  Returns a list of (layer_index, i, j, max_abs_diff); a
+    clean flow costs no forward pass.
     """
     rng = np.random.default_rng(rng)
     violations = []

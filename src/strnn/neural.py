@@ -26,6 +26,9 @@ from .errors import (
 
 HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 LOG_SIGMA_CLAMP = 7.0
+# The audit's perturbation probe: base points per network and input changes.
+PROBES = 4
+DELTAS = (1.0, -2.5, 10.0)
 
 
 class MaskedMLP:
@@ -181,28 +184,6 @@ def head_nll(head, out, x):
         mu, log_sigma = _split_gaussian(out)
         per = log_sigma + HALF_LOG_2PI + (x - mu) ** 2 * np.exp(-2.0 * log_sigma) / 2.0
     return per.sum(axis=-1)
-
-
-def nll_binary(net, x):
-    """Negative log-likelihood of binary vectors under the logit head.
-    Scalar for a single vector, per-sample array for a batch."""
-    if net.head != "binary":
-        raise ConfigError("nll_binary needs a binary-head network")
-    return nll(net, x)
-
-
-def gaussian_outputs(net, x):
-    """Means and clamped log-sigmas from a gaussian-head network."""
-    if net.head != "gaussian":
-        raise ConfigError("gaussian outputs need a gaussian-head network")
-    return _split_gaussian(net.forward(x))
-
-
-def nll_gaussian(net, x):
-    """Negative log-likelihood of real vectors under the heteroscedastic head."""
-    if net.head != "gaussian":
-        raise ConfigError("nll_gaussian needs a gaussian-head network")
-    return nll(net, x)
 
 
 def nll(net, x):
@@ -383,37 +364,57 @@ def test_summary(per):
     return float(np.mean(per)), stderr
 
 
-def audit_invariance(net, rng, n_probes=4, deltas=(1.0, -2.5, 10.0)):
-    """Exhaustive perturbation audit of structural independence.
+def support(net):
+    """(out_dim, d) booleans: entry (i, j) is set when output i reads input j
+    through a chain of nonzero weights.  ``W != 0`` also holds for NaN and
+    inf, so a non-finite weight counts as an edge."""
+    return factorizer.mask_product([W != 0 for W in net.weights]) > 0
 
-    For every input j and output row i whose dependency pattern forbids the
-    edge, perturbing coordinate j must leave output i exactly unchanged
-    (float equality); a NaN difference is a violation with magnitude NaN.
-    Returns a list of violations (i, j, max_abs_diff); an empty list means
-    the audit passed.
+
+def audit_invariance(net, rng):
+    """Exact audit of structural independence: the pairs (i, j) where output
+    i reads input j although the dependency pattern (stacked twice for a
+    gaussian head) forbids it.
+
+    Output i can read input j only through a chain of nonzero weights (for
+    inputs whose activations stay finite), so for finite parameters the
+    flagged pairs are those where ``support(net)`` leaves the pattern.  A non-finite weight or bias voids that argument
+    (0 * inf is NaN), so such a network has every forbidden pair flagged.
+    Returns (i, j, max_abs_diff) per flagged pair, sorted; an empty list
+    means the audit passed, and a clean network costs no forward pass.
+
+    ``max_abs_diff`` is what a perturbation probe measured: from PROBES base
+    points drawn from ``rng`` (for every network, so a shared ``rng`` stays
+    aligned), the largest change of output i when x_j is shifted by or set
+    to each of DELTAS, NaN when an output difference is NaN.  Only flagged
+    columns are probed.  0.0 means the probe did not reach the pair.
     """
     rng = np.random.default_rng(rng)
-    d = net.dim
-    pattern = net.pattern
+    forbidden = net.pattern == 0
     if net.head == "gaussian":
-        pattern = np.vstack([pattern, pattern])
-    base = rng.normal(0.0, 2.0, size=(n_probes, d))
-    y0 = net.forward(base)
-    found = {}
-    for j in range(d):
-        free = np.flatnonzero(pattern[:, j] == 0)
-        if len(free) == 0:
-            continue
-        for delta in deltas:
-            for mode in ("shift", "set"):
-                x1 = base.copy()
-                x1[:, j] = x1[:, j] + delta if mode == "shift" else delta
-                diff = np.abs(net.forward(x1)[:, free] - y0[:, free])
-                col_max = diff.max(axis=0)
-                # != and np.maximum keep NaN, so a NaN output is flagged as NaN.
-                for k in np.flatnonzero(col_max != 0.0):
-                    key = (int(free[k]), j)
-                    found[key] = float(np.maximum(found.get(key, 0.0), col_max[k]))
+        forbidden = np.vstack([forbidden, forbidden])
+    base = rng.normal(0.0, 2.0, size=(PROBES, net.dim))
+    flagged = forbidden
+    if all(np.isfinite(p).all() for p in net.params()):
+        flagged = support(net) & forbidden
+    pairs = np.argwhere(flagged)
+    if not pairs.size:
+        return []
+    found = {(int(i), int(j)): 0.0 for i, j in pairs}
+    # A corrupt network may compute inf - inf; the probe records it as NaN.
+    with np.errstate(invalid="ignore", over="ignore"):
+        y0 = net.forward(base)
+        for j in np.unique(pairs[:, 1]):
+            rows = np.flatnonzero(forbidden[:, j])
+            for delta in DELTAS:
+                for mode in ("shift", "set"):
+                    x1 = base.copy()
+                    x1[:, j] = x1[:, j] + delta if mode == "shift" else delta
+                    col_max = np.abs(net.forward(x1)[:, rows] - y0[:, rows]).max(axis=0)
+                    # != and np.maximum keep NaN, so a NaN output is flagged as NaN.
+                    for k in np.flatnonzero(col_max != 0.0):
+                        key = (int(rows[k]), int(j))
+                        found[key] = float(np.maximum(found.get(key, 0.0), col_max[k]))
     return [(i, j, worst) for (i, j), worst in sorted(found.items())]
 
 

@@ -72,7 +72,7 @@ def _conditioned_flow(d, n_layers, hidden, x):
             if any(np.abs(p).min() <= 1e-3 for p in preacts):
                 ok = False
                 break
-            if np.abs(out[:, net.dim:]).max() >= flow.SCALE_CLAMP - 0.1:
+            if np.abs(out[:, net.dim:]).max() >= neural.LOG_SIGMA_CLAMP - 0.1:
                 ok = False
                 break
         if ok:
@@ -256,8 +256,8 @@ def test_c04_gradients_match_finite_differences():
 
 
 def test_c05_structural_audits_find_no_violations():
-    """The perturbation audit reports exact invariance on random nets,
-    trained nets, and every layer of built and trained flows."""
+    """The support audit proves that no output reads a forbidden input on
+    random nets, trained nets, and every layer of built and trained flows."""
     t0 = time.perf_counter()
     audited = 0
     for seed in range(10):

@@ -215,10 +215,6 @@ class TestInterventionValues:
     def test_count_one(self):
         np.testing.assert_array_equal(causal.intervention_values(1), [-1.0])
 
-    def test_mean_shift(self):
-        np.testing.assert_array_equal(causal.intervention_values(2, mean=10.0),
-                                      [9.0, 11.0])
-
     def test_rejects_bad_count(self):
         with pytest.raises(InvalidDimError):
             causal.intervention_values(0)

@@ -398,6 +398,47 @@ class TestVerifyCommand:
         assert report["violations"]
         assert all(np.isnan(v["max_abs_diff"]) for v in report["violations"])
 
+    def test_edge_behind_dead_relu_exits_one(self, tmp_path):
+        """A forbidden weight behind a hidden unit that no probe switches on."""
+        masks = factorizer.factor_multilayer(adjacency.gen_prev_k(4, 1), [8], "greedy")
+        net = neural.MaskedMLP.from_masks(masks, "binary", 0)
+        u = np.flatnonzero(net.masks[1][1])[0]
+        net.weights[0][u] = 0.0
+        net.weights[0][u, 3] = 1.0
+        net.biases[0][u] = -50.0
+        net.weights[1][1, u] = 1.0
+        path = str(tmp_path / "dead.txt")
+        neural.save_mlp(net, path)
+        out = str(tmp_path / "report.json")
+        assert cli.main(["verify", "--checkpoint", path, "--out", out]) == 1
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["violations"] == [{"i": 1, "j": 3, "max_abs_diff": 0.0}]
+
+    def test_negative_inf_hidden_bias_exits_one(self, tmp_path):
+        net = self.small_net()
+        net.biases[0][0] = -np.inf
+        path = str(tmp_path / "inf.txt")
+        neural.save_mlp(net, path)
+        assert cli.main(["verify", "--checkpoint", path]) == 1
+
+    def test_clean_checkpoints_run_no_forward(self, tmp_path, monkeypatch):
+        """The support proves a clean checkpoint without the probe."""
+        A = adjacency.gen_random_sparse(10, 0.5, 2)
+        fl = flow.AffineFlow.build(A, 5, [20], 3)
+        rng = np.random.default_rng(4)
+        for net in fl.layers:
+            for W, M in zip(net.weights, net.masks):
+                W += 0.3 * rng.normal(size=W.shape) * M
+        flow.save_flow(fl, tmp_path / "flow.txt")
+        neural.save_mlp(self.small_net(), tmp_path / "mlp.txt")
+        calls = []
+        forward = neural.MaskedMLP.forward
+        monkeypatch.setattr(neural.MaskedMLP, "forward",
+                            lambda net, x: calls.append(1) or forward(net, x))
+        for name in ("flow.txt", "mlp.txt"):
+            assert cli.main(["verify", "--checkpoint", str(tmp_path / name)]) == 0
+        assert calls == []
+
 
 class TestCausalEvalCommand:
     def test_exact_flow_scores_near_zero_cmse(self, tmp_path):
@@ -446,6 +487,19 @@ class TestCausalEvalCommand:
         assert cli.main(["causal-eval", "--flow", ck, "--sem", str(sem),
                          "--out", str(tmp_path / "m.json")]) == 2
         assert_parse_error_names(str(sem), capsys)
+
+    @pytest.mark.parametrize("params", [{"weights": [["a", 1, 2], [0, 0, 0], [0, 0, 0]]},
+                                        "weights"])
+    def test_malformed_sem_params_exit_two(self, tmp_path, capsys, params):
+        fl = causal.flow_from_linear_sem(causal.gen_linear_sem(3, rng=1))
+        ck = str(tmp_path / "flow.txt")
+        flow.save_flow(fl, ck)
+        sem = tmp_path / "sem.json"
+        sem.write_text(json.dumps({"params": params}))
+        assert cli.main(["causal-eval", "--flow", ck, "--sem", str(sem),
+                         "--out", str(tmp_path / "m.json")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {sem}" in err and "Traceback" not in err
 
     def test_sidecar_without_weights_exits_two(self, tmp_path):
         data, _ = write_gaussian_dataset(tmp_path)

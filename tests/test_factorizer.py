@@ -4,8 +4,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from strnn import adjacency, factorizer
+from strnn import adjacency, factorizer, neural
 from strnn.errors import (
     BudgetExceededError,
     InfeasibleError,
@@ -377,3 +379,74 @@ class TestFactorMultilayer:
     def test_unknown_method_rejected(self):
         with pytest.raises(InvalidDimError):
             factorizer.factor_multilayer(adjacency.dense_lower(3), [4], "magic")
+
+
+# ---------------------------------------------------------------------------
+# Factorization invariants over random DAGs
+
+
+@st.composite
+def lower_triangular(draw, max_d=5):
+    d = draw(st.integers(1, max_d))
+    A = np.zeros((d, d), dtype=np.int64)
+    below = np.tril_indices(d, -1)
+    A[below] = draw(st.lists(st.booleans(), min_size=len(below[0]), max_size=len(below[0])))
+    return A
+
+
+# Exact search time grows steeply with two hidden layers wider than 5.
+WIDTHS = st.lists(st.integers(1, 5), min_size=0, max_size=2)
+DOCUMENTED_ERRORS = {
+    "greedy": (InsufficientWidthError,),
+    "exact": (BudgetExceededError, InfeasibleError),
+}
+
+
+class TestFactorizationProperties:
+    @settings(max_examples=300)
+    @given(A=lower_triangular(), widths=WIDTHS,
+           method=st.sampled_from(["greedy", "exact", "zuko"]),
+           objective=st.sampled_from(factorizer.OBJECTIVES))
+    def test_product_support_is_the_adjacency(self, A, widths, method, objective):
+        """greedy and exact reproduce A exactly or raise their documented
+        error; zuko never adds an edge and, with every hidden layer at least
+        as wide as A's distinct nonzero rows, drops none."""
+        try:
+            masks = factorizer.factor_multilayer(A, widths, method, objective)
+        except DOCUMENTED_ERRORS.get(method, ()):
+            return
+        support = factorizer.mask_product(masks) > 0
+        if method == "zuko":
+            assert not (support & (A == 0)).any()
+            n_rows = len(np.unique(A[A.any(axis=1)], axis=0))
+            if all(w >= n_rows for w in widths):
+                np.testing.assert_array_equal(support, A > 0)
+        else:
+            np.testing.assert_array_equal(support, A > 0)
+
+    @settings(max_examples=200)
+    @given(A=lower_triangular(max_d=6), h=st.integers(1, 8),
+           objective=st.sampled_from(factorizer.OBJECTIVES))
+    def test_exact_objective_at_least_greedy(self, A, h, objective):
+        try:
+            greedy = factorizer.factor_multilayer(A, [h], "greedy", objective)
+            exact = factorizer.factor_multilayer(A, [h], "exact", objective)
+        except (InsufficientWidthError, BudgetExceededError, InfeasibleError):
+            return
+        assert (factorizer.objective_value(factorizer.mask_product(exact), objective)
+                >= factorizer.objective_value(factorizer.mask_product(greedy), objective))
+
+    @settings(max_examples=200)
+    @given(A=lower_triangular(), widths=WIDTHS,
+           method=st.sampled_from(["greedy", "exact", "zuko"]),
+           head=st.sampled_from(["binary", "gaussian"]), seed=st.integers(0, 2**16))
+    def test_initialized_network_support_is_its_pattern(self, A, widths, method, head, seed):
+        try:
+            masks = factorizer.factor_multilayer(A, widths, method)
+        except DOCUMENTED_ERRORS.get(method, ()):
+            return
+        net = neural.MaskedMLP.from_masks(masks, head, seed)
+        pattern = net.pattern > 0
+        if head == "gaussian":
+            pattern = np.vstack([pattern, pattern])
+        np.testing.assert_array_equal(neural.support(net), pattern)

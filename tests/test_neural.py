@@ -6,6 +6,8 @@ import warnings
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strnn import adjacency, datagen, factorizer, neural
 from strnn.errors import (
@@ -121,7 +123,7 @@ class TestBinaryNLL:
             A, net = build_net(3, [6], "binary", seed)
             total = 0.0
             for bits in itertools.product((0.0, 1.0), repeat=3):
-                total += np.exp(-neural.nll_binary(net, np.array(bits)))
+                total += np.exp(-neural.nll(net, np.array(bits)))
             np.testing.assert_allclose(total, 1.0, atol=1e-12)
 
     def test_matches_manual_conditionals(self):
@@ -130,40 +132,35 @@ class TestBinaryNLL:
         o = net.forward(x)
         p = 1.0 / (1.0 + np.exp(-o))
         expected = -np.sum(x * np.log(p) + (1 - x) * np.log1p(-p))
-        np.testing.assert_allclose(neural.nll_binary(net, x), expected,
+        np.testing.assert_allclose(neural.nll(net, x), expected,
                                    rtol=1e-10)
 
     def test_batch_shape(self):
         A, net = build_net(4, [7], "binary", 3)
         x = np.zeros((5, 4))
-        assert neural.nll_binary(net, x).shape == (5,)
+        assert neural.nll(net, x).shape == (5,)
 
     def test_stable_at_extreme_logits(self):
         A, net = build_net(3, [5], "binary", 0)
         for W in net.weights:
             W *= 80.0
-        vals = neural.nll_binary(net, np.ones((2, 3)))
+        vals = neural.nll(net, np.ones((2, 3)))
         assert np.isfinite(vals).all()
 
     def test_rejects_nonbinary(self):
         A, net = build_net(3, [5], "binary", 0)
         with pytest.raises(NonBinaryInputError):
-            neural.nll_binary(net, np.array([0.0, 0.5, 1.0]))
-
-    def test_rejects_wrong_head(self):
-        A, net = build_net(3, [5], "gaussian", 0)
-        with pytest.raises(ConfigError):
-            neural.nll_binary(net, np.zeros(3))
+            neural.nll(net, np.array([0.0, 0.5, 1.0]))
 
 
 class TestGaussianNLL:
     def test_matches_scipy_normal(self):
         A, net = build_net(4, [6], "gaussian", 8)
         x = np.random.default_rng(0).normal(size=(6, 4))
-        mu, log_sigma = neural.gaussian_outputs(net, x)
+        mu, log_sigma = neural._split_gaussian(net.forward(x))
         expected = -scipy.stats.norm.logpdf(x, loc=mu,
                                             scale=np.exp(log_sigma)).sum(axis=1)
-        np.testing.assert_allclose(neural.nll_gaussian(net, x), expected,
+        np.testing.assert_allclose(neural.nll(net, x), expected,
                                    rtol=1e-10)
 
     def test_log_sigma_clamped(self):
@@ -171,18 +168,9 @@ class TestGaussianNLL:
         for W in net.weights:
             W *= 200.0
         x = 50.0 * np.ones((2, 3))
-        mu, log_sigma = neural.gaussian_outputs(net, x)
+        mu, log_sigma = neural._split_gaussian(net.forward(x))
         assert np.all(np.abs(log_sigma) <= neural.LOG_SIGMA_CLAMP)
-        assert np.isfinite(neural.nll_gaussian(net, x)).all()
-
-    def test_dispatch_by_head(self):
-        A, bnet = build_net(3, [4], "binary", 2)
-        A, gnet = build_net(3, [4], "gaussian", 2)
-        x = np.zeros((2, 3))
-        np.testing.assert_allclose(neural.nll(bnet, x),
-                                   neural.nll_binary(bnet, x))
-        np.testing.assert_allclose(neural.nll(gnet, x),
-                                   neural.nll_gaussian(gnet, x))
+        assert np.isfinite(neural.nll(net, x)).all()
 
 
 class TestSigmoid:
@@ -410,6 +398,54 @@ class TestSummary:
         np.testing.assert_allclose(stderr, scipy.stats.sem(per))
 
 
+def probe_audit(net, rng, n_probes=4, deltas=(1.0, -2.5, 10.0)):
+    """Reference perturbation audit: for every input j, shift or set x_j at
+    n_probes random base points and report each output i whose pattern
+    forbids j but whose value moved, with the largest move (NaN kept).  It
+    finds only the edges its probes happen to reach; ``audit_invariance``
+    must report each of them with the same magnitude."""
+    rng = np.random.default_rng(rng)
+    d = net.dim
+    pattern = net.pattern
+    if net.head == "gaussian":
+        pattern = np.vstack([pattern, pattern])
+    base = rng.normal(0.0, 2.0, size=(n_probes, d))
+    y0 = net.forward(base)
+    found = {}
+    for j in range(d):
+        free = np.flatnonzero(pattern[:, j] == 0)
+        if len(free) == 0:
+            continue
+        for delta in deltas:
+            for mode in ("shift", "set"):
+                x1 = base.copy()
+                x1[:, j] = x1[:, j] + delta if mode == "shift" else delta
+                diff = np.abs(net.forward(x1)[:, free] - y0[:, free])
+                col_max = diff.max(axis=0)
+                for k in np.flatnonzero(col_max != 0.0):
+                    key = (int(free[k]), j)
+                    found[key] = float(np.maximum(found.get(key, 0.0), col_max[k]))
+    return [(i, j, worst) for (i, j), worst in sorted(found.items())]
+
+
+def forbidden_rows(net):
+    forbidden = net.pattern == 0
+    return np.vstack([forbidden, forbidden]) if net.head == "gaussian" else forbidden
+
+
+def dead_relu_net():
+    """prev_k(4, 1) with a forbidden edge x_3 -> output 1 behind a hidden unit
+    whose bias -50 keeps it off at every probe point."""
+    masks = factorizer.factor_multilayer(adjacency.gen_prev_k(4, 1), [8], "greedy")
+    net = neural.MaskedMLP.from_masks(masks, "binary", 0)
+    u = np.flatnonzero(net.masks[1][1])[0]
+    net.weights[0][u] = 0.0
+    net.weights[0][u, 3] = 1.0
+    net.biases[0][u] = -50.0
+    net.weights[1][1, u] = 1.0
+    return net
+
+
 class TestAudit:
     @pytest.mark.parametrize("head", ["binary", "gaussian"])
     def test_clean_network_passes(self, head):
@@ -440,6 +476,94 @@ class TestAudit:
         net.weights[0][3, 0] = 0.4  # log-sigma row of output 1, input 0
         found = neural.audit_invariance(net, 0)
         assert any(j == 0 for _, j, _ in found)
+
+    def test_edge_behind_dead_relu(self):
+        """The probes never lift the unit over its bias, so the probe audit
+        misses the edge; the support flags it."""
+        net = dead_relu_net()
+        x = np.zeros(4)
+        y0 = net.forward(x)[1]
+        x[3] = 100.0
+        assert net.forward(x)[1] - y0 == pytest.approx(50.0)
+        assert probe_audit(net, 0) == []
+        assert neural.audit_invariance(net, 0) == [(1, 3, 0.0)]
+
+    @pytest.mark.parametrize("value", [-np.inf, np.inf, np.nan])
+    def test_non_finite_hidden_bias_fails(self, value):
+        A, net = build_net(5, [7], "gaussian", 3)
+        net.biases[0][2] = value
+        found = neural.audit_invariance(net, 0)
+        forbidden = forbidden_rows(net)
+        assert [(i, j) for i, j, _ in found] == [tuple(p) for p in np.argwhere(forbidden)]
+
+    def test_rng_draws_one_base_per_network(self):
+        """A clean network still advances a shared rng by its base draw."""
+        A, net = build_net(4, [6], "binary", 1)
+        rng = np.random.default_rng(9)
+        neural.audit_invariance(net, rng)
+        ref = np.random.default_rng(9)
+        ref.normal(0.0, 2.0, size=(neural.PROBES, 4))
+        assert rng.normal() == ref.normal()
+
+    @settings(max_examples=150)
+    @given(data=st.data(), d=st.integers(2, 6), head=st.sampled_from(["binary", "gaussian"]),
+           n_hidden=st.integers(1, 2), seed=st.integers(0, 2**16),
+           defect=st.sampled_from(["clean", "off_mask", "weight", "bias"]))
+    def test_support_audit_covers_probe_audit(self, data, d, head, n_hidden, seed, defect):
+        A = np.zeros((d, d), dtype=np.int64)
+        below = np.tril_indices(d, -1)
+        A[below] = data.draw(st.lists(st.booleans(), min_size=len(below[0]),
+                                      max_size=len(below[0])))
+        widths = [data.draw(st.integers(d, d + 3)) for _ in range(n_hidden)]
+        masks = factorizer.factor_multilayer(A, widths, "greedy")
+        net = neural.MaskedMLP.from_masks(masks, head, seed)
+        rng = np.random.default_rng(seed)
+        for W, M in zip(net.weights, net.masks):
+            W += 0.5 * rng.normal(size=W.shape) * M
+        for b in net.biases:
+            b += 0.5 * rng.normal(size=b.shape)
+        k = data.draw(st.integers(0, n_hidden))
+        if defect == "off_mask":
+            off = np.argwhere(net.masks[k] == 0)
+            if len(off):
+                i, j = off[data.draw(st.integers(0, len(off) - 1))]
+                net.weights[k][i, j] = data.draw(st.sampled_from([0.7, -1.5, 3.0]))
+        elif defect == "weight":
+            i = data.draw(st.integers(0, net.weights[k].shape[0] - 1))
+            j = data.draw(st.integers(0, net.weights[k].shape[1] - 1))
+            net.weights[k][i, j] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        elif defect == "bias":
+            net.biases[k][data.draw(st.integers(0, len(net.biases[k]) - 1))] = np.nan
+
+        with np.errstate(invalid="ignore", over="ignore"):
+            oracle = probe_audit(net, seed)
+        found = neural.audit_invariance(net, seed)
+        report = {(i, j): worst for i, j, worst in found}
+        for i, j, worst in oracle:
+            assert (i, j) in report
+            assert report[(i, j)] == worst or (np.isnan(worst) and np.isnan(report[(i, j)]))
+        finite = all(np.isfinite(p).all() for p in net.params())
+        if defect == "clean":
+            assert found == [] and oracle == []
+        elif finite:
+            expected = np.argwhere(neural.support(net) & forbidden_rows(net))
+            assert list(report) == [tuple(p) for p in expected]
+        else:
+            assert list(report) == [tuple(p) for p in np.argwhere(forbidden_rows(net))]
+
+
+class TestSupport:
+    def test_chains_weight_supports(self):
+        """Output 1 reads input 0 only through hidden unit 1."""
+        masks = [np.ones((2, 2)), np.ones((2, 2))]
+        net = neural.MaskedMLP.from_masks(masks, "binary", 0)
+        net.weights[0][:] = [[0.0, 1.0], [2.0, 0.0]]
+        net.weights[1][:] = [[1.0, 0.0], [0.0, 3.0]]
+        np.testing.assert_array_equal(neural.support(net), [[False, True], [True, False]])
+        net.weights[1][1, 1] = np.nan
+        np.testing.assert_array_equal(neural.support(net), [[False, True], [True, False]])
+        net.weights[1][1, 1] = 0.0
+        assert not neural.support(net)[1].any()
 
 
 class TestCheckpoint:

@@ -179,7 +179,7 @@ def test_malformed_flow_checkpoint(old, new, match, tmp_path):
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
            -1.7976931348623157e308, np.inf, -np.inf]
 floats = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=False))
-FUZZ = settings(max_examples=150, deadline=None,
+FUZZ = settings(max_examples=150,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 

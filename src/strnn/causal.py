@@ -131,11 +131,17 @@ def flow_intervene_sample(fl, j, alpha, n, rng):
     pinned/upstream values through the conditioners.
     """
     _check_flow_index(fl, j)
+    return _intervene_sample(fl, j, alpha, n, rng, flow_mod._dependencies(fl))
+
+
+def _intervene_sample(fl, j, alpha, n, rng, dep):
+    """flow_intervene_sample given the flow's ``flow._dependencies``, so one
+    schedule can serve many queries."""
     rng = np.random.default_rng(rng)
     z = rng.standard_normal((n, fl.dim))
     levels = [z] + [np.zeros_like(z) for _ in fl.layers]
     pin_u = (alpha - fl.mu[j]) / fl.sigma[j]
-    flow_mod._reconstruct(fl, levels, pins={j: pin_u}, start=0)
+    flow_mod._reconstruct(fl, levels, pins={j: pin_u}, start=0, dep=dep)
     x = levels[-1] * fl.sigma + fl.mu
     x[:, j] = alpha
     return x
@@ -155,16 +161,18 @@ def flow_counterfactual(fl, x_obs, j, alpha):
     if squeeze:
         x_obs = x_obs[None, :]
     _, _, levels = flow_mod.to_noise(fl, x_obs, keep_levels=True)
-    x = _counterfactual_from_levels(fl, x_obs, levels, j, alpha)
+    x = _counterfactual_from_levels(fl, x_obs, levels, j, alpha,
+                                    flow_mod._dependencies(fl))
     return x[0] if squeeze else x
 
 
-def _counterfactual_from_levels(fl, x_obs, levels, j, alpha):
-    """flow_counterfactual on a batch whose to_noise levels are given; the
-    levels are copied, so one abduction can serve many queries."""
+def _counterfactual_from_levels(fl, x_obs, levels, j, alpha, dep):
+    """flow_counterfactual on a batch whose to_noise levels and
+    ``flow._dependencies`` are given; the levels are copied, so one abduction
+    and one schedule can serve many queries."""
     levels = [lv.copy() for lv in levels]
     pin_u = (alpha - fl.mu[j]) / fl.sigma[j]
-    flow_mod._reconstruct(fl, levels, pins={j: pin_u}, start=j)
+    flow_mod._reconstruct(fl, levels, pins={j: pin_u}, start=j, dep=dep)
     x = levels[-1] * fl.sigma + fl.mu
     x[:, :j] = x_obs[:, :j]
     x[:, j] = alpha
@@ -206,11 +214,12 @@ def imse_report(fl, sem, value_count=8, n_samples=1000, rng=None,
     values = intervention_values(value_count)
     queries = [(j, float(a)) for j in range(d) for a in values]
     streams = np.random.default_rng(rng).spawn(len(queries))
+    dep = flow_mod._dependencies(fl)
     total = 0.0
     breakdown = []
     for (j, alpha), stream in zip(queries, streams):
         sub = stream.spawn(2)
-        xs = flow_intervene_sample(fl, j, alpha, n_samples, sub[0])
+        xs = _intervene_sample(fl, j, alpha, n_samples, sub[0], dep)
         flow_means = xs.mean(axis=0)
         if ground_truth == "exact":
             gt = sem_intervene_mean_vector(sem, j, alpha)
@@ -241,12 +250,13 @@ def cmse_report(fl, sem, value_count=8, n_obs=1000, rng=None):
     d = sem.dim
     x_obs = sem_sample(sem, n_obs, rng)
     _, _, levels = flow_mod.to_noise(fl, x_obs, keep_levels=True)
+    dep = flow_mod._dependencies(fl)
     values = intervention_values(value_count)
     total = 0.0
     breakdown = []
     for j in range(d):
         for alpha in values:
-            fc = _counterfactual_from_levels(fl, x_obs, levels, j, float(alpha))
+            fc = _counterfactual_from_levels(fl, x_obs, levels, j, float(alpha), dep)
             sc = sem_counterfactual(sem, x_obs, j, float(alpha))
             errs = {int(i): float(np.mean((sc[:, i] - fc[:, i]) ** 2))
                     for i in range(j + 1, d)}

@@ -134,7 +134,9 @@ def _dependencies(flow):
     log-scale for coordinate k reads coordinate m, by ``neural.support``.
 
     This reads the weights, not ``flow.adjacency``: a checkpoint whose
-    weights break its mask must still be inverted in a valid order.
+    weights break its mask must still be inverted in a valid order.  Each
+    query, or report of many queries, computes it once; it is not cached on
+    the flow, because training changes the weights.
     """
     d = flow.dim
     dep = np.zeros((d, d), dtype=bool)
@@ -165,8 +167,9 @@ def _generations(dep, start):
     return [ks[depth == g] for g in range(depth.max(initial=-1) + 1)]
 
 
-def _reconstruct(flow, levels, pins, start):
-    """Fill coordinates start..d-1 of every level in noise-to-data order.
+def _reconstruct(flow, levels, pins, start, dep):
+    """Fill coordinates start..d-1 of every level in noise-to-data order,
+    given the flow's ``_dependencies`` ``dep``.
 
     ``levels`` is the [V_0 (noise), ..., V_K (standardized data)] list, edited
     in place.  Coordinates are filled one DAG generation at a time: each
@@ -178,7 +181,6 @@ def _reconstruct(flow, levels, pins, start):
     starts, so columns not yet filled are harmless.
     """
     K = len(flow.layers)
-    dep = _dependencies(flow)
     for gen in _generations(dep, start):
         is_pin = np.isin(gen, list(pins))
         free, pinned = gen[~is_pin], gen[is_pin]
@@ -209,7 +211,7 @@ def from_noise(flow, z):
     conditioner runs once per generation."""
     z, squeeze = neural._as_batch(z, flow.dim)
     levels = [z.copy()] + [np.zeros_like(z) for _ in flow.layers]
-    _reconstruct(flow, levels, pins={}, start=0)
+    _reconstruct(flow, levels, pins={}, start=0, dep=_dependencies(flow))
     x = levels[-1] * flow.sigma + flow.mu
     return x[0] if squeeze else x
 

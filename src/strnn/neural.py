@@ -7,8 +7,10 @@ Hidden layers use ReLU; the head is either ``binary`` (d logits) or
 ``gaussian`` (2d outputs: means then log-sigmas, the final mask stacked twice
 vertically).  Each head has one likelihood, ``head_nll`` of the raw outputs:
 evaluation (``nll``), training (``loss_and_grads``) and the data generators'
-exact oracles all go through it.  Checkpoints use the text format defined in
-``textio``.
+exact oracles all go through it.  Evaluation runs the network in blocks of
+EVAL_BLOCK rows, so the hidden activations stay in cache; each sample's NLL is
+bitwise the one an unblocked pass gives.  Checkpoints use the text format
+defined in ``textio``.
 """
 
 from dataclasses import dataclass
@@ -29,6 +31,11 @@ LOG_SIGMA_CLAMP = 7.0
 # The audit's perturbation probe: base points per network and input changes.
 PROBES = 4
 DELTAS = (1.0, -2.5, 10.0)
+# ``nll`` evaluates in blocks of EVAL_BLOCK rows and folds a trailing block
+# shorter than EVAL_TAIL into the one before it: BLAS multiplies fewer rows
+# with other kernels, whose rounding differs from the unblocked product's.
+EVAL_BLOCK = 256
+EVAL_TAIL = 64
 
 
 class MaskedMLP:
@@ -107,25 +114,25 @@ class MaskedMLP:
         out = h @ self.weights[-1].T + self.biases[-1]
         return out, (inputs, preacts)
 
-    def backward(self, cache, grad_out):
+    def backward(self, cache, grad_out, input_grad=True):
         """Reverse-mode pass from an output gradient.
 
         Returns ((weight_grads, bias_grads), grad_input).  Gradients are dense;
-        masked positions are irrelevant because updates get re-masked.
+        masked positions are irrelevant because updates get re-masked.  With
+        ``input_grad=False`` the layer-0 product ``delta @ W[0]`` is skipped and
+        grad_input is None; the parameter gradients are unchanged.
         """
         inputs, preacts = cache
         weight_grads = [None] * len(self.weights)
         bias_grads = [None] * len(self.biases)
         delta = np.asarray(grad_out, dtype=np.float64)
-        weight_grads[-1] = delta.T @ inputs[-1]
-        bias_grads[-1] = delta.sum(axis=0)
-        grad_h = delta @ self.weights[-1]
-        for layer in range(len(self.weights) - 2, -1, -1):
-            delta = grad_h * (preacts[layer] > 0.0)
+        for layer in range(len(self.weights) - 1, -1, -1):
             weight_grads[layer] = delta.T @ inputs[layer]
             bias_grads[layer] = delta.sum(axis=0)
-            grad_h = delta @ self.weights[layer]
-        return (weight_grads, bias_grads), grad_h
+            if layer:
+                delta = (delta @ self.weights[layer]) * (preacts[layer - 1] > 0.0)
+        grad_input = delta @ self.weights[0] if input_grad else None
+        return (weight_grads, bias_grads), grad_input
 
     def params(self):
         return self.weights + self.biases
@@ -187,9 +194,21 @@ def head_nll(head, out, x):
 
 
 def nll(net, x):
-    """Per-sample negative log-likelihood under the network's head."""
+    """Per-sample negative log-likelihood under the network's head.
+
+    A batch is evaluated in blocks of EVAL_BLOCK rows (a trailing block
+    shorter than EVAL_TAIL joins the previous one) and the per-sample values
+    are concatenated, bitwise equal to ``head_nll(net.head, net.forward(x),
+    x)``.  A 1-D input gives a scalar.
+    """
     x = _targets(net.head, x)
-    return head_nll(net.head, net.forward(x), x)
+    if x.ndim != 2:
+        return head_nll(net.head, net.forward(x), x)
+    starts = list(range(0, len(x), EVAL_BLOCK)) or [0]
+    if len(starts) > 1 and len(x) - starts[-1] < EVAL_TAIL:
+        starts.pop()
+    return np.concatenate([head_nll(net.head, net.forward(x[a:b]), x[a:b])
+                           for a, b in zip(starts, starts[1:] + [len(x)])])
 
 
 def mean_nll(net, x):
@@ -212,12 +231,16 @@ def loss_and_grads(net, x):
         in_range = np.abs(log_sigma) < LOG_SIGMA_CLAMP
         g_log_sigma = (1.0 - (x - mu) ** 2 * inv_var) * in_range / n
         grad_out = np.concatenate([g_mu, g_log_sigma], axis=1)
-    (weight_grads, bias_grads), _ = net.backward(cache, grad_out)
+    (weight_grads, bias_grads), _ = net.backward(cache, grad_out, input_grad=False)
     return loss, weight_grads + bias_grads
 
 
 class AdamW:
-    """Adam with decoupled weight decay over a flat list of parameter arrays."""
+    """Adam with decoupled weight decay over a flat list of parameter arrays.
+
+    ``step`` updates in place through two scratch arrays per parameter, in the
+    operation order of p -= lr * (m_hat / (sqrt(v_hat) + eps) + wd * p).
+    """
 
     def __init__(self, params, learning_rate, weight_decay=0.0,
                  beta1=0.9, beta2=0.999, epsilon=1e-8):
@@ -226,20 +249,27 @@ class AdamW:
         self.beta1, self.beta2, self.epsilon = beta1, beta2, epsilon
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
+        self._scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
         self.t = 0
 
     def step(self, params, grads):
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        for p, g, m, v in zip(params, grads, self.m, self.v):
+        c1, c2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
+        for p, g, m, v, (a, u) in zip(params, grads, self.m, self.v, self._scratch):
             m *= b1
-            m += (1.0 - b1) * g
+            m += np.multiply(1.0 - b1, g, out=a)
             v *= b2
-            v += (1.0 - b2) * g * g
-            m_hat = m / (1.0 - b1 ** self.t)
-            v_hat = v / (1.0 - b2 ** self.t)
-            p -= self.lr * (m_hat / (np.sqrt(v_hat) + self.epsilon)
-                            + self.weight_decay * p)
+            np.multiply(1.0 - b2, g, out=a)
+            v += np.multiply(a, g, out=a)
+            np.divide(v, c2, out=a)
+            np.sqrt(a, out=a)
+            a += self.epsilon
+            np.divide(m, c1, out=u)
+            u /= a
+            u += np.multiply(self.weight_decay, p, out=a)
+            u *= self.lr
+            p -= u
 
 
 @dataclass
@@ -378,10 +408,13 @@ def audit_invariance(net, rng):
 
     Output i can read input j only through a chain of nonzero weights (for
     inputs whose activations stay finite), so for finite parameters the
-    flagged pairs are those where ``support(net)`` leaves the pattern.  A non-finite weight or bias voids that argument
-    (0 * inf is NaN), so such a network has every forbidden pair flagged.
-    Returns (i, j, max_abs_diff) per flagged pair, sorted; an empty list
-    means the audit passed, and a clean network costs no forward pass.
+    flagged pairs are those where ``support(net)`` leaves the pattern.  A
+    non-finite weight or bias voids that argument (0 * inf is NaN), and so do
+    finite weights large enough to overflow an activation; a network with
+    either, or with a non-finite output at the probe base points, has every
+    forbidden pair flagged.  Returns (i, j, max_abs_diff) per flagged pair,
+    sorted; an empty list means the audit passed, and a clean network costs
+    one forward pass, at the base points.
 
     ``max_abs_diff`` is what a perturbation probe measured: from PROBES base
     points drawn from ``rng`` (for every network, so a shared ``rng`` stays
@@ -394,16 +427,17 @@ def audit_invariance(net, rng):
     if net.head == "gaussian":
         forbidden = np.vstack([forbidden, forbidden])
     base = rng.normal(0.0, 2.0, size=(PROBES, net.dim))
+    # A corrupt network may compute inf - inf; the probe records it as NaN.
+    with np.errstate(invalid="ignore", over="ignore"):
+        y0 = net.forward(base)
     flagged = forbidden
-    if all(np.isfinite(p).all() for p in net.params()):
+    if np.isfinite(y0).all() and all(np.isfinite(p).all() for p in net.params()):
         flagged = support(net) & forbidden
     pairs = np.argwhere(flagged)
     if not pairs.size:
         return []
     found = {(int(i), int(j)): 0.0 for i, j in pairs}
-    # A corrupt network may compute inf - inf; the probe records it as NaN.
     with np.errstate(invalid="ignore", over="ignore"):
-        y0 = net.forward(base)
         for j in np.unique(pairs[:, 1]):
             rows = np.flatnonzero(forbidden[:, j])
             for delta in DELTAS:

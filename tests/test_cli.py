@@ -421,8 +421,10 @@ class TestVerifyCommand:
         neural.save_mlp(net, path)
         assert cli.main(["verify", "--checkpoint", path]) == 1
 
-    def test_clean_checkpoints_run_no_forward(self, tmp_path, monkeypatch):
-        """The support proves a clean checkpoint without the probe."""
+    def test_clean_checkpoints_run_one_forward_per_network(self, tmp_path, monkeypatch):
+        """The support proves a clean checkpoint without the probe; each
+        network only runs once, at the base points, to show that its outputs
+        there are finite."""
         A = adjacency.gen_random_sparse(10, 0.5, 2)
         fl = flow.AffineFlow.build(A, 5, [20], 3)
         rng = np.random.default_rng(4)
@@ -437,7 +439,7 @@ class TestVerifyCommand:
                             lambda net, x: calls.append(1) or forward(net, x))
         for name in ("flow.txt", "mlp.txt"):
             assert cli.main(["verify", "--checkpoint", str(tmp_path / name)]) == 0
-        assert calls == []
+        assert len(calls) == 5 + 1
 
 
 class TestCausalEvalCommand:

@@ -193,7 +193,8 @@ def count_forwards(monkeypatch):
 
 
 def assert_same_inversion(fl, levels, pins, start):
-    ours = flow._reconstruct(fl, [lv.copy() for lv in levels], pins, start)
+    ours = flow._reconstruct(fl, [lv.copy() for lv in levels], pins, start,
+                             flow._dependencies(fl))
     ref = reconstruct_per_coordinate(fl, [lv.copy() for lv in levels], pins, start)
     for a, b in zip(ours, ref):
         assert a.tobytes() == b.tobytes()
@@ -281,6 +282,20 @@ class TestGenerationInversion:
         monkeypatch.setattr(flow, "to_noise", counted)
         causal.cmse_report(fl, sem, value_count=2, n_obs=20, rng=4)
         assert len(calls) == 1
+
+    def test_reports_build_the_schedule_once(self, monkeypatch):
+        sem = causal.gen_linear_sem(5, rng=3)
+        fl = causal.flow_from_linear_sem(sem)
+        calls = []
+        dependencies = flow._dependencies
+        monkeypatch.setattr(flow, "_dependencies",
+                            lambda fl: calls.append(1) or dependencies(fl))
+        flow.sample(fl, 20, 1)
+        causal.imse_report(fl, sem, value_count=2, n_samples=20, rng=4)
+        causal.cmse_report(fl, sem, value_count=2, n_obs=20, rng=4)
+        causal.flow_intervene_sample(fl, 1, 0.5, 20, 5)
+        causal.flow_counterfactual(fl, np.zeros(5), 1, 0.5)
+        assert len(calls) == 5
 
 
 def well_conditioned_flow(x, d, n_layers, hidden, margin=1e-3):

@@ -173,6 +173,40 @@ class TestGaussianNLL:
         assert np.isfinite(neural.nll(net, x)).all()
 
 
+class TestBlockedEvaluation:
+    """``nll`` runs in row blocks; each sample's value must be bitwise the
+    unblocked ``head_nll(head, net.forward(x), x)``."""
+
+    ROWS = [1, 40, 63, 64, 200, 256, 257, 319, 320, 456, 512, 513, 575, 576, 712, 1024]
+
+    @pytest.mark.parametrize("head", ["binary", "gaussian"])
+    @pytest.mark.parametrize("hidden", [[320], [40], [64, 64]])
+    def test_bitwise_the_unblocked_form(self, head, hidden):
+        A, net = build_net(20, hidden, head, 5, threshold=0.8)
+        rng = np.random.default_rng(6)
+        for W, M in zip(net.weights, net.masks):
+            W += 0.1 * rng.normal(size=W.shape) * M
+        x = rng.normal(size=(max(self.ROWS), 20))
+        if head == "binary":
+            x = (x < 0.0).astype(np.float64)
+        for n in self.ROWS:
+            want = neural.head_nll(head, net.forward(x[:n]), x[:n])
+            np.testing.assert_array_equal(neural.nll(net, x[:n]), want)
+        assert neural.nll(net, x[0]) == neural.head_nll(head, net.forward(x[0]), x[0])
+
+    @pytest.mark.parametrize("n, rows", [
+        (0, [0]), (40, [40]), (300, [300]), (320, [256, 64]),
+        (575, [256, 319]), (576, [256, 256, 64]), (712, [256, 256, 200])])
+    def test_short_tail_joins_previous_block(self, monkeypatch, n, rows):
+        A, net = build_net(5, [8], "binary", 2)
+        seen = []
+        forward = neural.MaskedMLP.forward
+        monkeypatch.setattr(neural.MaskedMLP, "forward",
+                            lambda net, x: seen.append(len(x)) or forward(net, x))
+        assert neural.nll(net, np.zeros((n, 5))).shape == (n,)
+        assert seen == rows
+
+
 class TestSigmoid:
     def test_bitwise_the_plain_form_up_to_700(self):
         t = np.concatenate([np.linspace(-700.0, 700.0, 20001), [-700.0, -699.9999, 0.0]])
@@ -214,6 +248,20 @@ class TestGradients:
         numeric = numerical_grad(f, [x])[0]
         np.testing.assert_allclose(grad_in, numeric, atol=5e-7)
 
+    @pytest.mark.parametrize("hidden", [[], [6], [7, 5]])
+    def test_skipping_input_gradient_keeps_parameter_gradients(self, hidden):
+        rng = np.random.default_rng(19)
+        A, net = build_net(4, hidden, "gaussian", 3)
+        for W, M in zip(net.weights, net.masks):
+            W += 0.3 * rng.normal(size=W.shape) * M
+        _, cache = net.forward_cached(rng.normal(size=(9, 4)))
+        c = rng.normal(size=(9, net.out_dim))
+        (gW, gb), grad_in = net.backward(cache, c)
+        (gW2, gb2), none = net.backward(cache, c, input_grad=False)
+        assert grad_in.shape == (9, 4) and none is None
+        for a, b in zip(gW + gb, gW2 + gb2):
+            np.testing.assert_array_equal(a, b)
+
     def test_masked_positions_stay_zero_through_updates(self):
         """Gradients are dense true derivatives; the invariant is restored by
         re-masking after each optimizer step."""
@@ -251,6 +299,32 @@ class TestAdamW:
         for g in grads:
             opt.step([actual], [g])
         np.testing.assert_allclose(actual, ref, rtol=1e-12)
+
+    @pytest.mark.parametrize("wd", [0.0, 0.01])
+    def test_bitwise_the_expression_form(self, wd):
+        """Several steps over parameters of different shapes match the
+        out-of-place update, including its weight-decay term at wd = 0."""
+        rng = np.random.default_rng(21)
+        shapes = [(5, 3), (3,), (2, 5)]
+        lr, b1, b2, eps = 0.003, 0.9, 0.999, 1e-8
+        params = [rng.normal(size=s) for s in shapes]
+        ref = [p.copy() for p in params]
+        m = [np.zeros(s) for s in shapes]
+        v = [np.zeros(s) for s in shapes]
+        opt = neural.AdamW(params, lr, wd, epsilon=eps)
+        for t in range(1, 8):
+            grads = [rng.normal(size=s) * 10.0 ** rng.integers(-6, 2) for s in shapes]
+            opt.step(params, grads)
+            for p, g, m_, v_ in zip(ref, grads, m, v):
+                m_ *= b1
+                m_ += (1.0 - b1) * g
+                v_ *= b2
+                v_ += (1.0 - b2) * g * g
+                m_hat = m_ / (1.0 - b1 ** t)
+                v_hat = v_ / (1.0 - b2 ** t)
+                p -= lr * (m_hat / (np.sqrt(v_hat) + eps) + wd * p)
+            for a, b in zip(params, ref):
+                np.testing.assert_array_equal(a, b)
 
     def test_decay_is_decoupled(self):
         """With zero gradient the update is pure shrinkage, untouched by the
@@ -487,6 +561,22 @@ class TestAudit:
         assert net.forward(x)[1] - y0 == pytest.approx(50.0)
         assert probe_audit(net, 0) == []
         assert neural.audit_invariance(net, 0) == [(1, 3, 0.0)]
+
+    @pytest.mark.parametrize("edge", [(2, 2), (5, 2)])
+    def test_overflowing_finite_weight_fails(self, edge):
+        """A finite 1e308 on an allowed edge overflows a hidden unit at the
+        probe base points, and 0 * inf turns outputs NaN; the support alone
+        would pass the network."""
+        masks = factorizer.factor_multilayer(adjacency.gen_prev_k(4, 1), [8], "greedy")
+        net = neural.MaskedMLP.from_masks(masks, "binary", 0)
+        assert net.masks[0][edge] == 1.0
+        net.weights[0][edge] = 1e308
+        assert not (neural.support(net) & forbidden_rows(net)).any()
+        base = np.random.default_rng(0).normal(0.0, 2.0, size=(neural.PROBES, 4))
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert not np.isfinite(net.forward(base)).all()
+        found = neural.audit_invariance(net, 0)
+        assert [(i, j) for i, j, _ in found] == [tuple(p) for p in np.argwhere(net.pattern == 0)]
 
     @pytest.mark.parametrize("value", [-np.inf, np.inf, np.nan])
     def test_non_finite_hidden_bias_fails(self, value):

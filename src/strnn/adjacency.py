@@ -17,6 +17,7 @@ from .errors import (
     InvalidThresholdError,
     NonBinaryEntryError,
     UpperTriangleNonZeroError,
+    check_field_types,
 )
 
 
@@ -170,6 +171,8 @@ class GeneratorSpec:
 
     @classmethod
     def from_dict(cls, cfg):
+        if not isinstance(cfg, dict):
+            raise ConfigError(f"adjacency spec must be an object, got {cfg!r}")
         known = {"scheme", "d", "k", "threshold", "rows", "cols", "nbr_size", "seed"}
         unknown = set(cfg) - known
         if unknown:
@@ -179,4 +182,8 @@ class GeneratorSpec:
         if cfg["scheme"] not in cls._SCHEMES:
             raise ConfigError(f"unknown scheme {cfg['scheme']!r}; "
                               f"known: {cls._SCHEMES}")
-        return cls(**cfg)
+        spec = cls(**cfg)
+        check_field_types(spec, "adjacency spec ")
+        if spec.seed < 0:
+            raise ConfigError("adjacency spec seed must be >= 0")
+        return spec

@@ -1,12 +1,14 @@
 """Linear SEM ground truth and causal query evaluation for flows.
 
-The SEM is x_i = sum_{j<i} w_ij x_j + eps_i with unit Gaussian noise, so
-interventional means follow by forward substitution and counterfactuals by
-noise abduction.  Flow-side queries share one reconstruction that takes one
-pass per DAG generation: the intervened coordinate is pinned on the data side
-(its intermediate values are derived by inverting its per-coordinate affine
-chain), all other coordinates push their noise forward, a generation at a
-time.
+The SEM is x_i = sum_{j<i} w_ij x_j + eps_i with unit Gaussian noise.  Its
+samples, interventional means and samples, and counterfactuals (by noise
+abduction) all run one ancestral loop, ``_ancestral``.  Flow-side queries
+call the flow's one noise-to-data routine, ``flow._reconstruct``, which takes
+one pass per DAG generation: the intervened coordinate is pinned on the data
+side (its intermediate values are derived by inverting its per-coordinate
+affine chain), all other coordinates push their noise forward, a generation
+at a time.  ``imse_report`` and ``cmse_report`` score every (j, alpha) query
+through one loop, ``_report``.
 """
 
 from dataclasses import dataclass
@@ -51,77 +53,51 @@ def gen_linear_sem(d, cutoff=1.5, rng=None):
     return LinearSEM(W)
 
 
+def _ancestral(sem, x, start=0, pin=None):
+    """Fill columns start..d-1 of ``x`` (one row or a batch) in index order:
+    x_m = W_m x + (the noise x_m holds on entry), or alpha for the pinned
+    coordinate of ``pin=(j, alpha)``.  Edits ``x`` in place and returns it."""
+    j, alpha = (None, None) if pin is None else pin
+    if pin is not None and not 0 <= j < sem.dim:
+        raise InvalidPairError(f"intervention index {j} outside 0..{sem.dim - 1}")
+    for m in range(start, sem.dim):
+        if m == j:
+            x[..., m] = alpha
+        else:
+            x[..., m] += x @ sem.weights[m]
+    return x
+
+
 def sem_sample(sem, n, rng):
     """Ancestral samples from the observational distribution."""
-    rng = np.random.default_rng(rng)
-    d = sem.dim
-    x = rng.standard_normal((n, d))
-    for i in range(d):
-        x[:, i] += x @ sem.weights[i]
-    return x
+    return _ancestral(sem, np.random.default_rng(rng).standard_normal((n, sem.dim)))
 
 
 def sem_intervene_mean_vector(sem, j, alpha):
     """Exact means of every coordinate under do(x_j = alpha), by forward
     substitution; upstream coordinates keep their observational mean 0."""
-    d = sem.dim
-    if not (0 <= j < d):
-        raise InvalidPairError(f"intervention index {j} outside 0..{d - 1}")
-    mu = np.zeros(d)
-    mu[j] = alpha
-    for m in range(j + 1, d):
-        mu[m] = sem.weights[m] @ mu
-    return mu
-
-
-def sem_intervene_mean(sem, j, alpha, i):
-    """E[x_i | do(x_j = alpha)] for a downstream target i > j."""
-    if not (0 <= j < i < sem.dim):
-        raise InvalidPairError(f"need 0 <= j < i < d, got i={i}, j={j}")
-    return float(sem_intervene_mean_vector(sem, j, alpha)[i])
+    return _ancestral(sem, np.zeros(sem.dim), start=j, pin=(j, alpha))
 
 
 def sem_intervene_sample(sem, j, alpha, n, rng):
     """Monte-Carlo interventional samples (ancestral, with x_j clamped)."""
-    if not (0 <= j < sem.dim):
-        raise InvalidPairError(f"intervention index {j} outside 0..{sem.dim - 1}")
-    rng = np.random.default_rng(rng)
-    x = rng.standard_normal((n, sem.dim))
-    for i in range(sem.dim):
-        if i == j:
-            x[:, i] = alpha
-        else:
-            x[:, i] += x @ sem.weights[i]
-    return x
+    return _ancestral(sem, np.random.default_rng(rng).standard_normal((n, sem.dim)),
+                      pin=(j, alpha))
 
 
 def sem_counterfactual(sem, x_obs, j, alpha):
     """Counterfactual values: abduct eps = x - W x, set x_j = alpha, re-propagate
     downstream.  Accepts a single observation or a batch."""
-    x_obs = np.asarray(x_obs, dtype=np.float64)
-    squeeze = x_obs.ndim == 1
-    if squeeze:
-        x_obs = x_obs[None, :]
-    d = sem.dim
-    if x_obs.shape[1] != d:
-        raise DimMismatchError(f"observations must have width {d}")
-    if not (0 <= j < d):
-        raise InvalidPairError(f"intervention index {j} outside 0..{d - 1}")
-    eps = x_obs - x_obs @ sem.weights.T
-    x = x_obs.copy()
-    x[:, j] = alpha
-    for m in range(j + 1, d):
-        x[:, m] = x @ sem.weights[m] + eps[:, m]
+    x_obs, squeeze = neural._as_batch(x_obs, sem.dim)
+    # The abducted noise from j on, the observations before it.
+    x = x_obs - x_obs @ sem.weights.T
+    x[:, :j] = x_obs[:, :j]
+    x = _ancestral(sem, x, start=j, pin=(j, alpha))
     return x[0] if squeeze else x
 
 
 # ---------------------------------------------------------------------------
 # Flow-side queries.
-
-def _check_flow_index(fl, j):
-    if not (0 <= j < fl.dim):
-        raise InvalidPairError(f"intervention index {j} outside 0..{fl.dim - 1}")
-
 
 def flow_intervene_sample(fl, j, alpha, n, rng):
     """Samples from the flow's interventional distribution under do(x_j = alpha).
@@ -130,21 +106,9 @@ def flow_intervene_sample(fl, j, alpha, n, rng):
     own noise and is reconstructed in one pass per DAG generation, reading
     pinned/upstream values through the conditioners.
     """
-    _check_flow_index(fl, j)
-    return _intervene_sample(fl, j, alpha, n, rng, flow_mod._dependencies(fl))
-
-
-def _intervene_sample(fl, j, alpha, n, rng, dep):
-    """flow_intervene_sample given the flow's ``flow._dependencies``, so one
-    schedule can serve many queries."""
-    rng = np.random.default_rng(rng)
-    z = rng.standard_normal((n, fl.dim))
-    levels = [z] + [np.zeros_like(z) for _ in fl.layers]
-    pin_u = (alpha - fl.mu[j]) / fl.sigma[j]
-    flow_mod._reconstruct(fl, levels, pins={j: pin_u}, start=0, dep=dep)
-    x = levels[-1] * fl.sigma + fl.mu
-    x[:, j] = alpha
-    return x
+    z = np.random.default_rng(rng).standard_normal((n, fl.dim))
+    return flow_mod._reconstruct(fl, [z] + [np.zeros_like(z) for _ in fl.layers],
+                                 flow_mod._dependencies(fl), pin=(j, alpha))
 
 
 def flow_counterfactual(fl, x_obs, j, alpha):
@@ -155,32 +119,20 @@ def flow_counterfactual(fl, x_obs, j, alpha):
     affected), coordinate j equals alpha exactly, and descendants reuse their
     abducted noise.  Accepts a single observation or a batch.
     """
-    _check_flow_index(fl, j)
-    x_obs = np.asarray(x_obs, dtype=np.float64)
-    squeeze = x_obs.ndim == 1
-    if squeeze:
-        x_obs = x_obs[None, :]
+    x_obs, squeeze = neural._as_batch(x_obs, fl.dim)
     _, _, levels = flow_mod.to_noise(fl, x_obs, keep_levels=True)
-    x = _counterfactual_from_levels(fl, x_obs, levels, j, alpha,
-                                    flow_mod._dependencies(fl))
-    return x[0] if squeeze else x
-
-
-def _counterfactual_from_levels(fl, x_obs, levels, j, alpha, dep):
-    """flow_counterfactual on a batch whose to_noise levels and
-    ``flow._dependencies`` are given; the levels are copied, so one abduction
-    and one schedule can serve many queries."""
-    levels = [lv.copy() for lv in levels]
-    pin_u = (alpha - fl.mu[j]) / fl.sigma[j]
-    flow_mod._reconstruct(fl, levels, pins={j: pin_u}, start=j, dep=dep)
-    x = levels[-1] * fl.sigma + fl.mu
+    x = flow_mod._reconstruct(fl, levels, flow_mod._dependencies(fl), start=j,
+                              pin=(j, alpha))
     x[:, :j] = x_obs[:, :j]
-    x[:, j] = alpha
-    return x
+    return x[0] if squeeze else x
 
 
 # ---------------------------------------------------------------------------
 # Aggregate causal error metrics.
+
+# Draws behind each Monte-Carlo ground-truth mean of imse_report.
+GT_SAMPLES = 1000
+
 
 def intervention_values(value_count):
     """Intervention values around the SEM's observational mean, which is 0:
@@ -192,50 +144,63 @@ def intervention_values(value_count):
     return np.asarray(offs, dtype=np.float64)
 
 
-def _check_dims(fl, sem):
+def _report(fl, sem, value_count, n, answers):
+    """The loop behind imse_report and cmse_report: (total, breakdown).
+
+    The queries are every (j, alpha), j over the coordinates and alpha over
+    ``intervention_values(value_count)``.  ``answers(queries)`` yields, per
+    query, the SEM's values and the flow's (one row each, or a batch of ``n``
+    matching rows); each downstream target i > j scores the mean squared gap
+    between their column i.  The total divides by value_count * d * (d+1) / 2.
+    Arguments are checked before ``answers`` runs.
+    """
     if fl.dim != sem.dim:
         raise DimMismatchError(f"flow width {fl.dim} != SEM width {sem.dim}")
+    if n < 1:
+        raise InvalidDimError(f"each query needs at least 1 sample, got {n}")
+    d = sem.dim
+    queries = [(j, float(a)) for j in range(d) for a in intervention_values(value_count)]
+    total = 0.0
+    breakdown = []
+    for (j, alpha), (truth, model) in zip(queries, answers(queries)):
+        errs = {i: float(np.mean((truth[..., i] - model[..., i]) ** 2))
+                for i in range(j + 1, d)}
+        total += sum(errs.values())
+        breakdown.append({"j": j, "alpha": alpha, "errors": errs})
+    return total / (value_count * d * (d + 1) / 2.0), breakdown
 
 
-def imse_report(fl, sem, value_count=8, n_samples=1000, rng=None,
-                ground_truth="exact", gt_samples=1000):
+def imse_report(fl, sem, value_count=8, n_samples=1000, rng=None, ground_truth="exact"):
     """Total interventional MSE and its per-query breakdown.
 
     For every pair (j, alpha) the flow's interventional mean over n_samples
-    draws is compared against the SEM's exact mean (or a Monte-Carlo mean
-    with ground_truth="sample") for every downstream target i > j.  The total
-    divides by value_count * d * (d+1) / 2.  RNG streams are pre-split per
-    query, so results do not depend on evaluation order.
+    draws is compared against the SEM's exact mean (or a Monte-Carlo mean of
+    GT_SAMPLES draws with ground_truth="sample") for every downstream target
+    i > j.  The total divides by value_count * d * (d+1) / 2.  RNG streams
+    are pre-split per query, so results do not depend on evaluation order.
     """
-    _check_dims(fl, sem)
     if ground_truth not in ("exact", "sample"):
         raise InvalidDimError(f"unknown ground_truth mode {ground_truth!r}")
-    d = sem.dim
-    values = intervention_values(value_count)
-    queries = [(j, float(a)) for j in range(d) for a in values]
-    streams = np.random.default_rng(rng).spawn(len(queries))
-    dep = flow_mod._dependencies(fl)
-    total = 0.0
-    breakdown = []
-    for (j, alpha), stream in zip(queries, streams):
-        sub = stream.spawn(2)
-        xs = _intervene_sample(fl, j, alpha, n_samples, sub[0], dep)
-        flow_means = xs.mean(axis=0)
-        if ground_truth == "exact":
-            gt = sem_intervene_mean_vector(sem, j, alpha)
-        else:
-            gt = sem_intervene_sample(sem, j, alpha, gt_samples, sub[1]).mean(axis=0)
-        errs = {int(i): float((gt[i] - flow_means[i]) ** 2) for i in range(j + 1, d)}
-        total += sum(errs.values())
-        breakdown.append({"j": j, "alpha": alpha, "errors": errs})
-    denom = value_count * d * (d + 1) / 2.0
-    return total / denom, breakdown
+
+    def answers(queries):
+        streams = np.random.default_rng(rng).spawn(len(queries))
+        dep = flow_mod._dependencies(fl)
+        for (j, alpha), stream in zip(queries, streams):
+            flow_rng, sem_rng = stream.spawn(2)
+            z = flow_rng.standard_normal((n_samples, fl.dim))
+            xs = flow_mod._reconstruct(fl, [z] + [np.zeros_like(z) for _ in fl.layers],
+                                       dep, pin=(j, alpha))
+            if ground_truth == "exact":
+                gt = sem_intervene_mean_vector(sem, j, alpha)
+            else:
+                gt = sem_intervene_sample(sem, j, alpha, GT_SAMPLES, sem_rng).mean(axis=0)
+            yield gt, xs.mean(axis=0)
+
+    return _report(fl, sem, value_count, n_samples, answers)
 
 
-def total_imse(fl, sem, value_count=8, n_samples=1000, rng=None,
-               ground_truth="exact", gt_samples=1000):
-    return imse_report(fl, sem, value_count, n_samples, rng,
-                       ground_truth, gt_samples)[0]
+def total_imse(fl, sem, value_count=8, n_samples=1000, rng=None, ground_truth="exact"):
+    return imse_report(fl, sem, value_count, n_samples, rng, ground_truth)[0]
 
 
 def cmse_report(fl, sem, value_count=8, n_obs=1000, rng=None):
@@ -246,24 +211,17 @@ def cmse_report(fl, sem, value_count=8, n_obs=1000, rng=None):
     downstream targets are compared by the mean squared gap over
     observations.  Denominator as in imse_report.
     """
-    _check_dims(fl, sem)
-    d = sem.dim
-    x_obs = sem_sample(sem, n_obs, rng)
-    _, _, levels = flow_mod.to_noise(fl, x_obs, keep_levels=True)
-    dep = flow_mod._dependencies(fl)
-    values = intervention_values(value_count)
-    total = 0.0
-    breakdown = []
-    for j in range(d):
-        for alpha in values:
-            fc = _counterfactual_from_levels(fl, x_obs, levels, j, float(alpha), dep)
-            sc = sem_counterfactual(sem, x_obs, j, float(alpha))
-            errs = {int(i): float(np.mean((sc[:, i] - fc[:, i]) ** 2))
-                    for i in range(j + 1, d)}
-            total += sum(errs.values())
-            breakdown.append({"j": j, "alpha": float(alpha), "errors": errs})
-    denom = value_count * d * (d + 1) / 2.0
-    return total / denom, breakdown
+    def answers(queries):
+        x_obs = sem_sample(sem, n_obs, rng)
+        _, _, levels = flow_mod.to_noise(fl, x_obs, keep_levels=True)
+        dep = flow_mod._dependencies(fl)
+        for j, alpha in queries:
+            fc = flow_mod._reconstruct(fl, [lv.copy() for lv in levels], dep,
+                                       start=j, pin=(j, alpha))
+            fc[:, :j] = x_obs[:, :j]
+            yield sem_counterfactual(sem, x_obs, j, alpha), fc
+
+    return _report(fl, sem, value_count, n_obs, answers)
 
 
 def total_cmse(fl, sem, value_count=8, n_obs=1000, rng=None):

@@ -19,14 +19,20 @@ from .errors import StrnnError, UsageError
 from .version import VERSION
 
 
-def _env_seed(default=0):
-    raw = os.environ.get("STRNN_SEED")
-    if raw is None:
-        return default
+def _seed(arg=None):
+    """The ``--seed`` value ``arg``, else the STRNN_SEED environment variable,
+    else 0; a seed is a nonnegative integer."""
+    if arg is not None:
+        name, raw = "--seed", arg
+    else:
+        name, raw = "STRNN_SEED", os.environ.get("STRNN_SEED", "0")
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError:
-        raise UsageError(f"STRNN_SEED must be an integer, got {raw!r}") from None
+        seed = None
+    if seed is None or seed < 0:
+        raise UsageError(f"{name} must be a nonnegative integer, got {raw!r}")
+    return seed
 
 
 def _parse_widths(text):
@@ -97,7 +103,7 @@ def cmd_factor(args):
 def cmd_datagen(args):
     cfg = textio.read_json(args.spec, "spec")
     if "seed" not in cfg:
-        cfg["seed"] = _env_seed()
+        cfg["seed"] = _seed()
     spec = datagen.SynthSpec.from_dict(cfg)
     gen, dataset = datagen.generate(spec)
     adj_path = args.adjacency_out or args.out + ".adj.txt"
@@ -153,12 +159,23 @@ def cmd_train(args):
     if "dataset" not in cfg:
         raise UsageError("train config needs a 'dataset' path")
     if "seed" not in cfg:
-        cfg["seed"] = _env_seed()
+        cfg["seed"] = _seed()
+    if cfg.get("objective", factorizer.MAX_CONNECTIONS) not in factorizer.OBJECTIVES:
+        raise UsageError(f"objective must be one of {factorizer.OBJECTIVES}, "
+                         f"got {cfg['objective']!r}")
+    tc = _train_config(cfg, model)
     gen, dataset = datagen.read_dataset(cfg["dataset"])
     d = dataset.x.shape[1]
-    hidden = list(cfg.get("hidden", [2 * d]))
+    hidden = cfg.get("hidden", [2 * d])
+    if not (isinstance(hidden, list) and all(type(h) is int and h >= 1 for h in hidden)):
+        raise UsageError(f"hidden must be a list of positive integers, got {hidden!r}")
+    n_layers = cfg.get("flow_layers", 5)
+    if type(n_layers) is not int:
+        raise UsageError(f"flow_layers must be an integer, got {n_layers!r}")
+    natural = cfg.get("natural_ordering", True)
+    if type(natural) is not bool:
+        raise UsageError(f"natural_ordering must be true or false, got {natural!r}")
     method = cfg.get("method", "greedy")
-    tc = _train_config(cfg, model)
     os.makedirs(args.out_dir, exist_ok=True)
     ckpt_path = os.path.join(args.out_dir, "checkpoint.txt")
     head = "binary" if dataset.kind == "binary" else "gaussian"
@@ -169,8 +186,7 @@ def cmd_train(args):
         if "adjacency" not in cfg:
             raise UsageError("flow training needs an 'adjacency' path")
         A = adjacency.read_matrix(cfg["adjacency"])
-        fl = flow.AffineFlow.build(A, int(cfg.get("flow_layers", 5)), hidden,
-                                   tc.seed, method)
+        fl = flow.AffineFlow.build(A, n_layers, hidden, tc.seed, method)
         fl, history = flow.train_flow(fl, dataset, tc)
         per = flow.nll(fl, dataset.test_x)
         flow.save_flow(fl, ckpt_path)
@@ -183,9 +199,7 @@ def cmd_train(args):
                                                  cfg.get("objective",
                                                          factorizer.MAX_CONNECTIONS))
         else:
-            masks = factorizer.made_masks(d, hidden, tc.seed,
-                                          natural_ordering=bool(
-                                              cfg.get("natural_ordering", True)))
+            masks = factorizer.made_masks(d, hidden, tc.seed, natural_ordering=natural)
         net = neural.MaskedMLP.from_masks(masks, head, tc.seed)
         net, history = neural.train(net, dataset, tc)
         per = neural.nll(net, dataset.test_x)
@@ -227,7 +241,7 @@ def cmd_causal_eval(args):
                          "(expected a linear_sem dataset sidecar)")
     sem = causal.LinearSEM(datagen._numeric_param(args.sem, "weights", params["weights"]))
     fl = flow.load_flow(args.flow)
-    seed = args.seed if args.seed is not None else _env_seed()
+    seed = _seed(args.seed)
     imse, imse_breakdown = causal.imse_report(
         fl, sem, value_count=args.value_count, n_samples=args.samples,
         rng=seed, ground_truth=args.ground_truth)
@@ -259,7 +273,7 @@ def cmd_verify(args):
     is what the perturbation probe measured, 0.0 when it did not reach the
     pair; ``--seed`` seeds the probe."""
     model = flow.load_checkpoint(args.checkpoint)
-    seed = args.seed if args.seed is not None else _env_seed()
+    seed = _seed(args.seed)
     rng = np.random.default_rng(seed)
     kind = "flow" if isinstance(model, flow.AffineFlow) else "mlp"
     if kind == "flow":

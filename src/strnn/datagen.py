@@ -7,13 +7,14 @@ evaluated downstream.  Datasets are written in the dataset format of
 and the frozen train/val/test split.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import adjacency as adjacency_mod
 from . import causal, neural, textio
-from .errors import ConfigError, InvalidDimError, ParseError
+from .errors import ConfigError, InvalidDimError, ParseError, check_field_types
 from .version import VERSION
 
 
@@ -161,6 +162,13 @@ class SynthSpec:
     def validate(self):
         if self.family not in self._FAMILIES:
             raise ConfigError(f"unknown family {self.family!r}; known: {self._FAMILIES}")
+        check_field_types(self)
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        if not (isinstance(self.ratios, (list, tuple)) and len(self.ratios) == 3
+                and all(isinstance(r, numbers.Real) and not isinstance(r, bool)
+                        for r in self.ratios)):
+            raise ConfigError(f"ratios must be three numbers, got {self.ratios!r}")
         if self.n < 1:
             raise ConfigError("n must be >= 1")
         if self.family in ("binary", "gaussian") and self.adjacency is None:
@@ -187,7 +195,7 @@ class SynthSpec:
         if unknown:
             raise ConfigError(f"unknown dataset spec keys {sorted(unknown)}")
         cfg = dict(cfg)
-        if "ratios" in cfg:
+        if isinstance(cfg.get("ratios"), list):
             cfg["ratios"] = tuple(cfg["ratios"])
         return cls(**cfg).validate()
 

@@ -4,6 +4,9 @@ Validation errors identify the offending location so callers can report
 precisely; the CLI maps every StrnnError to exit code 2.
 """
 
+import dataclasses
+import numbers
+
 
 class StrnnError(Exception):
     """Base class for all package-specific errors."""
@@ -73,3 +76,15 @@ class InvalidPairError(UsageError):
 
 class ConfigError(UsageError):
     pass
+
+
+def check_field_types(spec, where=""):
+    """Raise ConfigError naming the first int or float field of the dataclass
+    ``spec`` whose value has another type.  A bool is not a number here, and
+    an integer is a valid float."""
+    for f in dataclasses.fields(spec):
+        kind = {int: numbers.Integral, float: numbers.Real}.get(f.type)
+        value = getattr(spec, f.name)
+        if kind and (isinstance(value, bool) or not isinstance(value, kind)):
+            raise ConfigError(f"{where}{f.name} must be of type {f.type.__name__}, "
+                              f"got {value!r}")

@@ -9,15 +9,18 @@ layer; ``to_noise``, ``nll`` and training (``loss_and_grads``) share that
 pass and the standard-normal base density, so the training loss is the
 evaluation NLL.  The noise-to-data direction takes one pass per DAG
 generation, where a generation is the set of coordinates whose parents are
-all already filled.  An affine standardization (train-split mean/std) sits
-outermost and its log-Jacobian is part of the density.
+all already filled; ``_reconstruct`` is its one routine, shared by sampling
+and by the interventions and counterfactuals of ``causal``, which pin one
+coordinate to a value in data units.  An affine standardization
+(train-split mean/std) sits outermost and its log-Jacobian is part of the
+density.
 """
 
 import numpy as np
 
 from . import adjacency as adjacency_mod
 from . import factorizer, neural, textio
-from .errors import ConfigError, InvalidDimError
+from .errors import ConfigError, InvalidDimError, InvalidPairError
 
 
 class AffineFlow:
@@ -167,23 +170,29 @@ def _generations(dep, start):
     return [ks[depth == g] for g in range(depth.max(initial=-1) + 1)]
 
 
-def _reconstruct(flow, levels, pins, start, dep):
+def _reconstruct(flow, levels, dep, start=0, pin=None):
     """Fill coordinates start..d-1 of every level in noise-to-data order,
-    given the flow's ``_dependencies`` ``dep``.
+    given the flow's ``_dependencies`` ``dep``, and return the data.
 
     ``levels`` is the [V_0 (noise), ..., V_K (standardized data)] list, edited
     in place.  Coordinates are filled one DAG generation at a time: each
-    layer's conditioner runs once on its level, the generation's free columns
-    push their noise up through the layers, and a pinned coordinate k gets its
-    standardized data-side value ``pins[k]`` forced and is inverted down
-    through the layers with the same per-level shifts and scales.  A column's
+    layer's conditioner runs once on its level and the generation's free
+    columns push their noise up through the layers.  With ``pin=(j, alpha)``
+    coordinate j is forced to alpha (data units) on the data side and
+    inverted down through the layers with the same per-level shifts and
+    scales, and column j of the returned data is alpha exactly.  A column's
     conditioner reads only its parents, which are final before its generation
     starts, so columns not yet filled are harmless.
     """
+    j, alpha = (None, None) if pin is None else pin
+    if pin is not None and not 0 <= j < flow.dim:
+        raise InvalidPairError(f"intervention index {j} outside 0..{flow.dim - 1}")
     K = len(flow.layers)
     for gen in _generations(dep, start):
-        is_pin = np.isin(gen, list(pins))
-        free, pinned = gen[~is_pin], gen[is_pin]
+        at_pin = gen == j
+        # An index array, not the scalar j: the pinned t, s below are then
+        # copies, not views that keep each level's conditioner output alive.
+        free, pinned = gen[~at_pin], gen[at_pin]
         down = []
         for lvl in range(1, K + 1):
             out = flow.layers[lvl - 1].forward(levels[lvl])
@@ -196,23 +205,25 @@ def _reconstruct(flow, levels, pins, start, dep):
             # A pinned column that reads itself (only possible when the weights
             # break the mask) must see its forced value, so it reruns its
             # conditioners on the way down.
-            rerun = dep[pinned, pinned].any()
-            levels[K][:, pinned] = [pins[k] for k in pinned]
+            rerun = dep[j, j]
+            levels[K][:, j] = (alpha - flow.mu[j]) / flow.sigma[j]
             for lvl in range(K, 0, -1):
                 t, s = (neural._split_gaussian(flow.layers[lvl - 1].forward(levels[lvl]),
                                                pinned)
                         if rerun else down[lvl - 1])
                 levels[lvl - 1][:, pinned] = (levels[lvl][:, pinned] - t) * np.exp(-s)
-    return levels
+    x = levels[K] * flow.sigma + flow.mu
+    if pin is not None:
+        x[:, j] = alpha
+    return x
 
 
 def from_noise(flow, z):
     """Map base noise to data in one pass per DAG generation: each layer's
     conditioner runs once per generation."""
     z, squeeze = neural._as_batch(z, flow.dim)
-    levels = [z.copy()] + [np.zeros_like(z) for _ in flow.layers]
-    _reconstruct(flow, levels, pins={}, start=0, dep=_dependencies(flow))
-    x = levels[-1] * flow.sigma + flow.mu
+    x = _reconstruct(flow, [z.copy()] + [np.zeros_like(z) for _ in flow.layers],
+                     _dependencies(flow))
     return x[0] if squeeze else x
 
 

@@ -24,6 +24,7 @@ from .errors import (
     InvalidDimError,
     NonBinaryInputError,
     NonFiniteInputError,
+    check_field_types,
 )
 
 HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
@@ -288,6 +289,9 @@ class TrainConfig:
     epsilon: float = 1e-8
 
     def validate(self):
+        check_field_types(self)
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.learning_rate < 0:
             raise ConfigError("learning_rate must be >= 0")
         if self.weight_decay < 0:

@@ -58,12 +58,10 @@ class TestSemInterventions:
     def test_chain_closed_form(self):
         """do(x0 = a) pushes a * w10 * w21 into x2."""
         sem = chain_sem(0.8, -1.7)
-        np.testing.assert_allclose(causal.sem_intervene_mean(sem, 0, 2.0, 2),
-                                   2.0 * 0.8 * -1.7)
-        np.testing.assert_allclose(causal.sem_intervene_mean(sem, 0, 2.0, 1),
-                                   2.0 * 0.8)
-        np.testing.assert_allclose(causal.sem_intervene_mean(sem, 1, 3.0, 2),
-                                   3.0 * -1.7)
+        np.testing.assert_allclose(causal.sem_intervene_mean_vector(sem, 0, 2.0),
+                                   [2.0, 2.0 * 0.8, 2.0 * 0.8 * -1.7])
+        np.testing.assert_allclose(causal.sem_intervene_mean_vector(sem, 1, 3.0),
+                                   [0.0, 3.0, 3.0 * -1.7])
 
     def test_mean_vector_matches_linear_solve(self):
         """Forward substitution equals solving the cut SEM's linear system."""
@@ -91,12 +89,11 @@ class TestSemInterventions:
 
     def test_pair_validation(self):
         sem = chain_sem()
-        with pytest.raises(InvalidPairError):
-            causal.sem_intervene_mean(sem, 2, 1.0, 1)
-        with pytest.raises(InvalidPairError):
-            causal.sem_intervene_mean(sem, 1, 1.0, 1)
-        with pytest.raises(InvalidPairError):
-            causal.sem_intervene_mean_vector(sem, 5, 1.0)
+        for j in (-1, 3, 5):
+            with pytest.raises(InvalidPairError):
+                causal.sem_intervene_mean_vector(sem, j, 1.0)
+            with pytest.raises(InvalidPairError):
+                causal.sem_intervene_sample(sem, j, 1.0, 10, 0)
 
 
 class TestSemCounterfactuals:
@@ -134,6 +131,8 @@ class TestSemCounterfactuals:
             causal.sem_counterfactual(sem, np.zeros(4), 0, 1.0)
         with pytest.raises(InvalidPairError):
             causal.sem_counterfactual(sem, np.zeros(3), 7, 1.0)
+        with pytest.raises(InvalidPairError):
+            causal.sem_counterfactual(sem, np.zeros((2, 3)), -1, 1.0)
 
 
 class TestExactFlow:
@@ -198,8 +197,11 @@ class TestFlowInterventions:
     def test_index_validation(self):
         sem = causal.gen_linear_sem(4, rng=34)
         fl = causal.flow_from_linear_sem(sem)
-        with pytest.raises(InvalidPairError):
-            causal.flow_intervene_sample(fl, 4, 0.0, 10, 0)
+        for j in (-1, 4):
+            with pytest.raises(InvalidPairError):
+                causal.flow_intervene_sample(fl, j, 0.0, 10, 0)
+            with pytest.raises(InvalidPairError):
+                causal.flow_counterfactual(fl, np.zeros((2, 4)), j, 0.0)
 
 
 class TestInterventionValues:
@@ -252,7 +254,7 @@ class TestMetricReports:
         sem = causal.gen_linear_sem(3, rng=44)
         fl = causal.flow_from_linear_sem(sem)
         val = causal.total_imse(fl, sem, value_count=2, n_samples=200, rng=9,
-                                ground_truth="sample", gt_samples=200)
+                                ground_truth="sample")
         assert np.isfinite(val) and val >= 0
 
     def test_cmse_breakdown_structure(self):

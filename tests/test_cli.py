@@ -5,11 +5,16 @@ left behind.
 """
 
 import json
+import os
 
 import numpy as np
 import pytest
 
 from strnn import adjacency, causal, cli, datagen, factorizer, flow, neural
+
+
+# A small trained flow and the linear SEM of its data (tests/data/README.md).
+CAUSAL = os.path.join(os.path.dirname(__file__), "data", "causal_eval")
 
 
 @pytest.fixture(autouse=True)
@@ -530,3 +535,81 @@ class TestParser:
             cli.main(["factor", "--adjacency", adj, "--widths", "3",
                       "--method", "psychic", "--out-dir", str(tmp_path / "o")])
         assert exc.value.code == 2
+
+
+class TestRejectedValues:
+    """Sample counts below 1, negative seeds and wrong-typed config or spec
+    values exit 2 with an error that names the value."""
+
+    @staticmethod
+    def assert_usage_error(argv, capsys, name):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err
+
+    @staticmethod
+    def json_file(tmp_path, obj, name):
+        path = tmp_path / name
+        path.write_text(json.dumps(obj))
+        return str(path)
+
+    @pytest.mark.parametrize("flag, value", [("--samples", "-1"), ("--samples", "0"),
+                                             ("--n-obs", "0"), ("--n-obs", "-3")])
+    def test_causal_eval_sample_count(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "m.json"
+        self.assert_usage_error(
+            ["causal-eval", "--flow", os.path.join(CAUSAL, "flow.txt"),
+             "--sem", os.path.join(CAUSAL, "sem.json"), "--out", str(out),
+             "--value-count", "2", flag, value], capsys, f"got {value}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["verify", "causal-eval", "env", "train", "datagen"])
+    def test_negative_seed(self, tmp_path, capsys, monkeypatch, where):
+        flow_path = os.path.join(CAUSAL, "flow.txt")
+        name = "--seed"
+        if where == "verify":
+            argv = ["verify", "--checkpoint", flow_path, "--seed", "-1"]
+        elif where == "causal-eval":
+            argv = ["causal-eval", "--flow", flow_path, "--seed", "-2",
+                    "--sem", os.path.join(CAUSAL, "sem.json"),
+                    "--out", str(tmp_path / "m.json")]
+        elif where == "env":
+            monkeypatch.setenv("STRNN_SEED", "-5")
+            argv, name = ["verify", "--checkpoint", flow_path], "STRNN_SEED"
+        elif where == "train":
+            data, adj = write_gaussian_dataset(tmp_path)
+            cfg = self.json_file(tmp_path, {"model": "strnn", "dataset": data,
+                                            "adjacency": adj, "seed": -1}, "train.json")
+            argv, name = ["train", "--config", cfg, "--out-dir", str(tmp_path / "o")], "seed"
+        else:
+            spec = self.json_file(tmp_path, {"family": "linear_sem", "n": 10, "d": 3,
+                                             "seed": -1}, "spec.json")
+            argv, name = ["datagen", "--spec", spec, "--out", str(tmp_path / "d.txt")], "seed"
+        self.assert_usage_error(argv, capsys, name)
+
+    @pytest.mark.parametrize("key, value", [
+        ("hidden", 5), ("hidden", "ab"), ("hidden", [1.5]), ("learning_rate", "0.1"),
+        ("batch_size", 2.5), ("max_epochs", 1.5), ("seed", "x"),
+        ("early_stop_patience", None), ("objective", "bogus"), ("flow_layers", 2.5),
+        ("natural_ordering", "false")])
+    def test_train_config_value(self, tmp_path, capsys, key, value):
+        data, adj = write_gaussian_dataset(tmp_path)
+        cfg = self.json_file(tmp_path, {"model": "flow" if key == "flow_layers" else "strnn",
+                                        "dataset": data, "adjacency": adj,
+                                        "max_epochs": 1, key: value}, "train.json")
+        self.assert_usage_error(["train", "--config", cfg, "--out-dir", str(tmp_path / "o")],
+                                capsys, key)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key, spec", [
+        ("n", {"family": "linear_sem", "n": "200", "d": 3}),
+        ("n", {"family": "linear_sem", "n": 20.5, "d": 3}),
+        ("d", {"family": "binary", "n": 20, "adjacency": {"scheme": "prev_k", "d": "5"}}),
+        ("ratios", {"family": "linear_sem", "n": 20, "d": 3, "ratios": 1}),
+        ("cutoff", {"family": "linear_sem", "n": 20, "d": 3, "cutoff": "x"}),
+        ("adjacency", {"family": "binary", "n": 20, "adjacency": 5})])
+    def test_dataset_spec_value(self, tmp_path, capsys, key, spec):
+        path = self.json_file(tmp_path, spec, "spec.json")
+        out = tmp_path / "d.txt"
+        self.assert_usage_error(["datagen", "--spec", path, "--out", str(out)], capsys, key)
+        assert not out.exists()

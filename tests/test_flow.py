@@ -154,13 +154,15 @@ class TestTransforms:
         np.testing.assert_allclose(xs.std(axis=0), fl.sigma, atol=0.03)
 
 
-def reconstruct_per_coordinate(fl, levels, pins, start):
+def reconstruct_per_coordinate(fl, levels, pin, start):
     """Reference inversion: one conditioner forward per coordinate per layer,
-    in index order.  ``flow._reconstruct`` must match it bitwise."""
+    in index order, then de-standardization.  ``flow._reconstruct`` must
+    match it bitwise, levels and data."""
     K = len(fl.layers)
+    j, alpha = pin if pin else (None, None)
     for k in range(start, fl.dim):
-        if k in pins:
-            levels[K][:, k] = pins[k]
+        if k == j:
+            levels[K][:, k] = (alpha - fl.mu[k]) / fl.sigma[k]
             for lvl in range(K, 0, -1):
                 t, s = neural._split_gaussian(fl.layers[lvl - 1].forward(levels[lvl]))
                 levels[lvl - 1][:, k] = (levels[lvl][:, k] - t[:, k]) * np.exp(-s[:, k])
@@ -168,7 +170,10 @@ def reconstruct_per_coordinate(fl, levels, pins, start):
             for lvl in range(1, K + 1):
                 t, s = neural._split_gaussian(fl.layers[lvl - 1].forward(levels[lvl]))
                 levels[lvl][:, k] = np.exp(s[:, k]) * levels[lvl - 1][:, k] + t[:, k]
-    return levels
+    x = levels[K] * fl.sigma + fl.mu
+    if pin:
+        x[:, j] = alpha
+    return x
 
 
 def n_generations(A):
@@ -192,10 +197,11 @@ def count_forwards(monkeypatch):
     return calls
 
 
-def assert_same_inversion(fl, levels, pins, start):
-    ours = flow._reconstruct(fl, [lv.copy() for lv in levels], pins, start,
-                             flow._dependencies(fl))
-    ref = reconstruct_per_coordinate(fl, [lv.copy() for lv in levels], pins, start)
+def assert_same_inversion(fl, levels, pin, start):
+    ours = [lv.copy() for lv in levels]
+    ref = [lv.copy() for lv in levels]
+    ours.append(flow._reconstruct(fl, ours, flow._dependencies(fl), start, pin))
+    ref.append(reconstruct_per_coordinate(fl, ref, pin, start))
     for a, b in zip(ours, ref):
         assert a.tobytes() == b.tobytes()
 
@@ -211,14 +217,15 @@ class TestGenerationInversion:
                                       max_size=len(below[0])))
         fl = jitter_flow(flow.AffineFlow.build(A, K, [d + 2], seed), seed + 1)
         rng = np.random.default_rng(seed)
+        fl.mu, fl.sigma = rng.normal(size=d), rng.uniform(0.5, 2.0, size=d)
         if observed:
             _, _, levels = flow.to_noise(fl, rng.normal(size=(30, d)), keep_levels=True)
         else:
             levels = [rng.normal(size=(30, d))] + [np.zeros((30, d)) for _ in range(K)]
         j = data.draw(st.integers(0, d - 1))
-        pins = data.draw(st.sampled_from([{}, {j: data.draw(st.floats(-3, 3))}]))
+        pin = data.draw(st.sampled_from([None, (j, data.draw(st.floats(-3, 3)))]))
         start = data.draw(st.sampled_from([0, j]))
-        assert_same_inversion(fl, levels, pins, start)
+        assert_same_inversion(fl, levels, pin, start)
 
     @pytest.mark.parametrize("direction", ["lower", "upper", "self"])
     def test_weights_outside_adjacency(self, direction):
@@ -243,10 +250,10 @@ class TestGenerationInversion:
         rng = np.random.default_rng(5)
         z = rng.normal(size=(200, d))
         noise_side = [z] + [np.zeros_like(z) for _ in fl.layers]
-        assert_same_inversion(fl, noise_side, {}, 0)
-        assert_same_inversion(fl, noise_side, {2: 0.5}, 0)
+        assert_same_inversion(fl, noise_side, None, 0)
+        assert_same_inversion(fl, noise_side, (2, 0.5), 0)
         _, _, levels = flow.to_noise(fl, rng.normal(size=(200, d)), keep_levels=True)
-        assert_same_inversion(fl, levels, {0: -1.0}, 0)
+        assert_same_inversion(fl, levels, (0, -1.0), 0)
         if direction == "lower":
             x = rng.normal(size=(200, d))
             back = flow.from_noise(fl, flow.to_noise(fl, x)[0])

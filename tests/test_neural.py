@@ -358,6 +358,11 @@ class TestTrainConfig:
         {"plateau_factor": 1.5},
         {"epsilon": 0.0},
         {"lr_schedule": "cosine"},
+        {"seed": -1},
+        {"batch_size": 2.5},
+        {"learning_rate": "0.1"},
+        {"early_stop_patience": None},
+        {"max_epochs": True},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):

@@ -144,6 +144,16 @@ def intervention_values(value_count):
     return np.asarray(offs, dtype=np.float64)
 
 
+def check_queries(fl, sem, value_count, n):
+    """Raise unless a report can run: the flow and the SEM share a width,
+    ``value_count`` >= 1 and each query gets ``n`` >= 1 samples."""
+    if fl.dim != sem.dim:
+        raise DimMismatchError(f"flow width {fl.dim} != SEM width {sem.dim}")
+    if n < 1:
+        raise InvalidDimError(f"each query needs at least 1 sample, got {n}")
+    intervention_values(value_count)
+
+
 def _report(fl, sem, value_count, n, answers):
     """The loop behind imse_report and cmse_report: (total, breakdown).
 
@@ -152,12 +162,9 @@ def _report(fl, sem, value_count, n, answers):
     query, the SEM's values and the flow's (one row each, or a batch of ``n``
     matching rows); each downstream target i > j scores the mean squared gap
     between their column i.  The total divides by value_count * d * (d+1) / 2.
-    Arguments are checked before ``answers`` runs.
+    ``check_queries`` runs before ``answers``.
     """
-    if fl.dim != sem.dim:
-        raise DimMismatchError(f"flow width {fl.dim} != SEM width {sem.dim}")
-    if n < 1:
-        raise InvalidDimError(f"each query needs at least 1 sample, got {n}")
+    check_queries(fl, sem, value_count, n)
     d = sem.dim
     queries = [(j, float(a)) for j in range(d) for a in intervention_values(value_count)]
     total = 0.0

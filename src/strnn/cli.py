@@ -242,6 +242,8 @@ def cmd_causal_eval(args):
     sem = causal.LinearSEM(datagen._numeric_param(args.sem, "weights", params["weights"]))
     fl = flow.load_flow(args.flow)
     seed = _seed(args.seed)
+    for n in (args.samples, args.n_obs):
+        causal.check_queries(fl, sem, args.value_count, n)
     imse, imse_breakdown = causal.imse_report(
         fl, sem, value_count=args.value_count, n_samples=args.samples,
         rng=seed, ground_truth=args.ground_truth)

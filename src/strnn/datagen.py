@@ -275,6 +275,8 @@ def read_dataset(path):
         if not isinstance(idx, list) or not all(type(i) is int and 0 <= i < n for i in idx):
             raise ParseError(side_path, 1, f"sidecar split {part!r} must list "
                                            f"integer row indices in 0..{n - 1}")
+        if not idx:
+            raise ParseError(side_path, 1, f"sidecar split {part!r} is empty")
     params = sidecar.get("params", {})
     if not isinstance(params, dict):
         raise ParseError(side_path, 1, "sidecar 'params' must be an object")

@@ -72,9 +72,8 @@ class AffineFlow:
     def params(self):
         return [p for net in self.layers for p in net.params()]
 
-    def apply_masks(self):
-        for net in self.layers:
-            net.apply_masks()
+    def param_masks(self):
+        return [M for net in self.layers for M in net.param_masks()]
 
 
 def _to_noise(flow, x, keep_levels, tape=None):

@@ -1,8 +1,10 @@
 """Masked feedforward networks with hand-rolled reverse-mode gradients.
 
 The effective weight of every layer is weight * mask, maintained as an
-invariant: weights are masked at initialization and re-masked after every
-optimizer step, so structural zeros stay exactly zero through training.
+invariant: weights are masked at initialization and every ``AdamW`` step
+multiplies the masks from ``param_masks()`` back in, so structural zeros stay
+exactly zero through training.  The step updates all parameters of a model
+(every conditioner of a flow) as one flat vector.
 Hidden layers use ReLU; the head is either ``binary`` (d logits) or
 ``gaussian`` (2d outputs: means then log-sigmas, the final mask stacked twice
 vertically).  Each head has one likelihood, ``head_nll`` of the raw outputs:
@@ -87,11 +89,6 @@ class MaskedMLP:
             biases.append(np.zeros(M.shape[0]))
         return cls(weights, biases, masks, head, pattern)
 
-    def apply_masks(self):
-        """Re-impose the structural zeros (call after every optimizer step)."""
-        for W, M in zip(self.weights, self.masks):
-            W *= M
-
     def forward(self, x):
         """Batch forward pass; 1-D input returns a 1-D output."""
         x, squeeze = _as_batch(x, self.dim)
@@ -137,6 +134,10 @@ class MaskedMLP:
 
     def params(self):
         return self.weights + self.biases
+
+    def param_masks(self):
+        """The structural masks aligned with ``params()``: None per bias."""
+        return self.masks + [None] * len(self.biases)
 
 
 def _as_batch(x, dim):
@@ -237,40 +238,62 @@ def loss_and_grads(net, x):
 
 
 class AdamW:
-    """Adam with decoupled weight decay over a flat list of parameter arrays.
+    """Adam with decoupled weight decay over a list of parameter arrays, with
+    the structural re-mask folded in.
 
-    ``step`` updates in place through two scratch arrays per parameter, in the
-    operation order of p -= lr * (m_hat / (sqrt(v_hat) + eps) + wd * p).
+    ``masks`` is aligned with ``params``: a 0/1 array per masked weight and
+    None for an unmasked parameter (a bias); without it nothing is masked.
+    The moments live in flat float64 vectors over all parameters.  ``step``
+    gathers the current parameters and gradients into flat buffers, updates
+    them once in the operation order of
+    p -= lr * (m_hat / (sqrt(v_hat) + eps) + wd * p), multiplies the flat
+    mask in (1.0 for unmasked entries, exact for every float) and writes each
+    array back in place.  Adam is elementwise, so this is bitwise the
+    per-array update followed by ``W *= M``.
     """
 
     def __init__(self, params, learning_rate, weight_decay=0.0,
-                 beta1=0.9, beta2=0.999, epsilon=1e-8):
+                 beta1=0.9, beta2=0.999, epsilon=1e-8, masks=None):
         self.lr = learning_rate
         self.weight_decay = weight_decay
         self.beta1, self.beta2, self.epsilon = beta1, beta2, epsilon
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
-        self._scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
+        size = sum(p.size for p in params)
+        self.m, self.v = np.zeros(size), np.zeros(size)
+        # The parameters and two scratch vectors; the gradients are gathered
+        # into the second scratch vector, which is free until m_hat.
+        self._p, self._a, self._u = np.empty(size), np.empty(size), np.empty(size)
+        bounds = np.cumsum([0] + [p.size for p in params])
+        self._views = [self._p[lo:hi].reshape(p.shape)
+                       for p, lo, hi in zip(params, bounds[:-1], bounds[1:])]
+        self._mask = None if masks is None else np.concatenate(
+            [np.ones(p.size) if M is None else np.asarray(M, dtype=np.float64).ravel()
+             for p, M in zip(params, masks)])
         self.t = 0
 
     def step(self, params, grads):
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         c1, c2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
-        for p, g, m, v, (a, u) in zip(params, grads, self.m, self.v, self._scratch):
-            m *= b1
-            m += np.multiply(1.0 - b1, g, out=a)
-            v *= b2
-            np.multiply(1.0 - b2, g, out=a)
-            v += np.multiply(a, g, out=a)
-            np.divide(v, c2, out=a)
-            np.sqrt(a, out=a)
-            a += self.epsilon
-            np.divide(m, c1, out=u)
-            u /= a
-            u += np.multiply(self.weight_decay, p, out=a)
-            u *= self.lr
-            p -= u
+        p, m, v, a, u = self._p, self.m, self.v, self._a, self._u
+        np.concatenate([q.ravel() for q in params], out=p)
+        g = np.concatenate([q.ravel() for q in grads], out=u)
+        m *= b1
+        m += np.multiply(1.0 - b1, g, out=a)
+        v *= b2
+        np.multiply(1.0 - b2, g, out=a)
+        v += np.multiply(a, g, out=a)
+        np.divide(v, c2, out=a)
+        np.sqrt(a, out=a)
+        a += self.epsilon
+        np.divide(m, c1, out=u)
+        u /= a
+        u += np.multiply(self.weight_decay, p, out=a)
+        u *= self.lr
+        p -= u
+        if self._mask is not None:
+            p *= self._mask
+        for q, view in zip(params, self._views):
+            q[...] = view
 
 
 @dataclass
@@ -356,7 +379,7 @@ def _optimize(model, dataset, config, loss_and_grads, mean_nll):
     rng = np.random.default_rng(config.seed)
     params = model.params()
     opt = AdamW(params, config.learning_rate, config.weight_decay,
-                epsilon=config.epsilon)
+                epsilon=config.epsilon, masks=model.param_masks())
     train_x = dataset.train_x
     n = train_x.shape[0]
     history = []
@@ -369,7 +392,6 @@ def _optimize(model, dataset, config, loss_and_grads, mean_nll):
         for idx in _minibatches(n, config.batch_size, perm):
             _, grads = loss_and_grads(model, train_x[idx])
             opt.step(params, grads)
-            model.apply_masks()
         train_nll = mean_nll(model, train_x)
         val_nll = mean_nll(model, dataset.val_x)
         history.append((epoch, train_nll, val_nll, opt.lr))

@@ -323,6 +323,23 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert "data.txt" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("part", ["train", "val", "test"])
+    def test_empty_split_exits_two(self, tmp_path, capsys, part):
+        """An empty test split used to report a NaN test NLL, an empty val
+        split to train against NaN validation losses."""
+        data, adj = write_gaussian_dataset(tmp_path)
+        side = tmp_path / "data.txt.json"
+        sidecar = json.loads(side.read_text())
+        sidecar["splits"][part] = []
+        side.write_text(json.dumps(sidecar))
+        cfg = self.config_file(tmp_path, {"model": "flow", "dataset": data,
+                                          "adjacency": adj, "max_epochs": 2})
+        out = tmp_path / "o"
+        assert cli.main(["train", "--config", cfg, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {side}:1: sidecar split '{part}' is empty" in err
+        assert not (out / "summary.json").exists()
+
 
 class TestVerifyCommand:
     def test_clean_mlp_checkpoint(self, tmp_path, capsys):
@@ -562,6 +579,25 @@ class TestRejectedValues:
              "--sem", os.path.join(CAUSAL, "sem.json"), "--out", str(out),
              "--value-count", "2", flag, value], capsys, f"got {value}")
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--n-obs", "0"), ("--samples", "0"),
+                                             ("--value-count", "0"), ("--sem", "narrow")])
+    def test_causal_eval_checks_before_any_query(self, tmp_path, capsys, monkeypatch,
+                                                 flag, value):
+        """Every argument is checked before the first report runs a network."""
+        if value == "narrow":
+            sem = {"params": {"weights": [[0.0, 0.0], [0.5, 0.0]]}}
+            value = self.json_file(tmp_path, sem, "sem2.json")
+        calls = []
+        forward = neural.MaskedMLP.forward
+        monkeypatch.setattr(neural.MaskedMLP, "forward",
+                            lambda net, x: calls.append(1) or forward(net, x))
+        argv = ["causal-eval", "--flow", os.path.join(CAUSAL, "flow.txt"),
+                "--sem", os.path.join(CAUSAL, "sem.json"),
+                "--out", str(tmp_path / "m.json"), flag, value]
+        assert cli.main(argv) == 2
+        assert "error: " in capsys.readouterr().err
+        assert calls == []
 
     @pytest.mark.parametrize("where", ["verify", "causal-eval", "env", "train", "datagen"])
     def test_negative_seed(self, tmp_path, capsys, monkeypatch, where):

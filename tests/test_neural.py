@@ -9,7 +9,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strnn import adjacency, datagen, factorizer, neural
+from strnn import adjacency, datagen, factorizer, flow, neural
 from strnn.errors import (
     ConfigError,
     DimMismatchError,
@@ -264,17 +264,151 @@ class TestGradients:
 
     def test_masked_positions_stay_zero_through_updates(self):
         """Gradients are dense true derivatives; the invariant is restored by
-        re-masking after each optimizer step."""
+        the re-mask inside each optimizer step of ``train``."""
         A, net = build_net(5, [8], "binary", 9)
         x = (np.random.default_rng(0).random((16, 5)) < 0.5).astype(np.float64)
-        params = net.params()
-        opt = neural.AdamW(params, learning_rate=0.05)
-        for _ in range(3):
-            _, grads = neural.loss_and_grads(net, x)
-            opt.step(params, grads)
-            net.apply_masks()
+        _, grads = neural.loss_and_grads(net, x)
+        assert any(np.any(g * (1 - M)) for g, M in zip(grads, net.masks))
+        ds = neural.Dataset(x, "binary", np.arange(16), np.arange(8), np.arange(8, 16))
+        cfg = neural.TrainConfig(learning_rate=0.05, batch_size=4, max_epochs=3, seed=0)
+        net, _ = neural.train(net, ds, cfg)
         for W, M in zip(net.weights, net.masks):
             assert not np.any(W * (1 - M))
+
+
+class PerArrayAdamW:
+    """The reference for the flat masked step: AdamW applied array by array
+    through two scratch arrays each, then ``W *= M`` on the masked weights."""
+
+    def __init__(self, params, lr, wd, masks, b1=0.9, b2=0.999, eps=1e-8):
+        self.lr, self.wd, self.b1, self.b2, self.eps = lr, wd, b1, b2, eps
+        self.masks = masks
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+        self.scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
+        self.t = 0
+
+    def step(self, params, grads):
+        self.t += 1
+        b1, b2 = self.b1, self.b2
+        c1, c2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
+        for p, g, m, v, (a, u) in zip(params, grads, self.m, self.v, self.scratch):
+            m *= b1
+            m += np.multiply(1.0 - b1, g, out=a)
+            v *= b2
+            np.multiply(1.0 - b2, g, out=a)
+            v += np.multiply(a, g, out=a)
+            np.divide(v, c2, out=a)
+            np.sqrt(a, out=a)
+            a += self.eps
+            np.divide(m, c1, out=u)
+            u /= a
+            u += np.multiply(self.wd, p, out=a)
+            u *= self.lr
+            p -= u
+        for p, M in zip(params, self.masks):
+            if M is not None:
+                p *= M
+
+
+def assert_bytes_equal(actual, expected):
+    for a, b in zip(actual, expected, strict=True):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def run_masked_steps(model, loss_and_grads, x, lr, wd, steps=7, edit=None):
+    """``steps`` flat masked steps on ``model`` and the per-array reference
+    steps on a copy of its parameters, both fed the gradients at the flat
+    side's parameters; asserts bitwise equality after each step.  ``edit``
+    runs on both parameter lists between steps."""
+    params = model.params()
+    ref = [p.copy() for p in params]
+    opt = neural.AdamW(params, lr, wd, masks=model.param_masks())
+    ref_opt = PerArrayAdamW(ref, lr, wd, model.param_masks())
+    for k in range(steps):
+        _, grads = loss_and_grads(model, x)
+        opt.step(params, grads)
+        ref_opt.step(ref, grads)
+        assert_bytes_equal(params, ref)
+        if edit is not None:
+            edit(k, params)
+            edit(k, ref)
+    return params
+
+
+class TestFlatMaskedStep:
+    @pytest.mark.parametrize("head", ["binary", "gaussian"])
+    @pytest.mark.parametrize("hidden", [[8], [7, 6]])
+    @pytest.mark.parametrize("wd", [0.0, 0.01])
+    def test_matches_per_array_step_and_remask(self, head, hidden, wd):
+        rng = np.random.default_rng(41)
+        A, net = build_net(5, hidden, head, 13)
+        for W, M in zip(net.weights, net.masks):
+            W += 0.3 * rng.normal(size=W.shape) * M
+        if head == "binary":
+            x = (rng.random((24, 5)) < 0.5).astype(np.float64)
+        else:
+            x = rng.normal(size=(24, 5))
+        params = run_masked_steps(net, neural.loss_and_grads, x, 0.05, wd)
+        for W, M in zip(net.weights, net.masks):
+            assert not np.any(W * (1 - M))
+        assert params[0] is net.weights[0]
+
+    def test_flow_matches_per_array_step_and_remask(self):
+        rng = np.random.default_rng(43)
+        A = adjacency.gen_prev_k(5, 2)
+        fl = flow.AffineFlow.build(A, 3, [6], 17)
+        for net in fl.layers:
+            for W, M in zip(net.weights, net.masks):
+                W += 0.2 * rng.normal(size=W.shape) * M
+        run_masked_steps(fl, flow.loss_and_grads, rng.normal(size=(20, 5)), 0.02, 0.01)
+        for net in fl.layers:
+            for W, M in zip(net.weights, net.masks):
+                assert not np.any(W * (1 - M))
+
+    def test_edit_between_steps_is_what_the_next_step_updates(self):
+        """The step reads the parameters afresh: an edit made between two
+        steps is the value the next step starts from."""
+        rng = np.random.default_rng(47)
+        A, net = build_net(4, [6], "gaussian", 5)
+        x = rng.normal(size=(12, 4))
+
+        def edit(k, params):
+            params[0][...] = 0.5 * params[0]
+            params[-1][0] = 3.0 + k
+
+        run_masked_steps(net, neural.loss_and_grads, x, 0.05, 0.01, edit=edit)
+        p = np.array([2.0])
+        opt = neural.AdamW([p], learning_rate=0.0)
+        opt.step([p], [np.array([1.0])])
+        p[0] = -7.0
+        opt.step([p], [np.array([1.0])])
+        assert p[0] == -7.0
+
+    def test_special_biases_pass_the_remask_unchanged(self):
+        """The flat mask is 1.0 on every bias entry, which leaves NaN, +-inf
+        and -0.0 as the unmasked update leaves them."""
+        rng = np.random.default_rng(53)
+        A, net = build_net(4, [6], "gaussian", 7)
+        special = [np.nan, np.inf, -np.inf, -0.0]
+        net.biases[0][:4] = special
+        net.biases[-1][:4] = special
+        grads = [rng.normal(size=p.shape) for p in net.params()]
+        k = len(net.weights)
+        # 0 * inf is the one NaN the update itself makes, on both sides.
+        with np.errstate(invalid="ignore"):
+            for wd in (0.0, 0.01):
+                for lr in (0.0, 0.05):
+                    params = [p.copy() for p in net.params()]
+                    ref = [p.copy() for p in params]
+                    opt = neural.AdamW(params, lr, wd, masks=net.param_masks())
+                    opt.step(params, grads)
+                    PerArrayAdamW(ref, lr, wd, [None] * len(ref)).step(ref, grads)
+                    assert_bytes_equal(params[k:], ref[k:])
+            w, zero = np.ones(2), np.array([-0.0, np.nan])
+            opt = neural.AdamW([w, zero], learning_rate=0.0, masks=[np.ones(2), None])
+            opt.step([w, zero], [np.zeros(2), np.zeros(2)])
+        assert np.signbit(zero[0]) and zero[0] == 0.0 and np.isnan(zero[1])
 
 
 class TestAdamW:
@@ -666,9 +800,9 @@ class TestCheckpoint:
     def test_bitwise_roundtrip(self, head, tmp_path):
         A, net = build_net(5, [7, 6], head, 11)
         rng = np.random.default_rng(0)
-        for W in net.weights:
+        for W, M in zip(net.weights, net.masks):
             W += rng.normal(size=W.shape) * np.array(0.1)
-        net.apply_masks()
+            W *= M
         path = tmp_path / "net.txt"
         neural.save_mlp(net, path)
         loaded = neural.load_mlp(path)

@@ -17,7 +17,7 @@ from .errors import (
     InvalidThresholdError,
     NonBinaryEntryError,
     UpperTriangleNonZeroError,
-    check_field_types,
+    decode,
 )
 
 
@@ -171,19 +171,9 @@ class GeneratorSpec:
 
     @classmethod
     def from_dict(cls, cfg):
-        if not isinstance(cfg, dict):
-            raise ConfigError(f"adjacency spec must be an object, got {cfg!r}")
-        known = {"scheme", "d", "k", "threshold", "rows", "cols", "nbr_size", "seed"}
-        unknown = set(cfg) - known
-        if unknown:
-            raise ConfigError(f"unknown adjacency spec keys {sorted(unknown)}")
-        if "scheme" not in cfg:
-            raise ConfigError("adjacency spec needs a 'scheme' key")
-        if cfg["scheme"] not in cls._SCHEMES:
-            raise ConfigError(f"unknown scheme {cfg['scheme']!r}; "
-                              f"known: {cls._SCHEMES}")
-        spec = cls(**cfg)
-        check_field_types(spec, "adjacency spec ")
+        spec = decode(cls, cfg, "adjacency spec ")
+        if spec.scheme not in cls._SCHEMES:
+            raise ConfigError(f"unknown scheme {spec.scheme!r}; known: {cls._SCHEMES}")
         if spec.seed < 0:
             raise ConfigError("adjacency spec seed must be >= 0")
         return spec

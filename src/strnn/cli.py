@@ -11,11 +11,12 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import adjacency, causal, datagen, factorizer, flow, neural, textio
-from .errors import StrnnError, UsageError
+from .errors import StrnnError, UsageError, decode
 from .version import VERSION
 
 
@@ -117,93 +118,72 @@ def cmd_datagen(args):
 # ---------------------------------------------------------------------------
 # train
 
-_TRAIN_KEYS = {
-    "model", "dataset", "adjacency", "hidden", "method", "objective",
-    "flow_layers", "natural_ordering", "learning_rate", "weight_decay",
-    "batch_size", "max_epochs", "early_stop_patience", "seed", "lr_schedule",
-    "plateau_factor", "plateau_patience", "epsilon",
-}
+@dataclass(kw_only=True)
+class TrainRun(neural.TrainConfig):
+    """A ``strnn train`` config: the run's keys plus the TrainConfig fields."""
 
+    model: str
+    dataset: str
+    adjacency: str | None = None        # strnn and flow need it
+    hidden: list | None = None          # None: one layer of 2 * d units
+    method: str = "greedy"
+    objective: str = factorizer.MAX_CONNECTIONS
+    flow_layers: int = 5
+    natural_ordering: bool = True
+
+    def validate(self):
+        super().validate()
+        if self.objective not in factorizer.OBJECTIVES:
+            raise UsageError(f"objective must be one of {factorizer.OBJECTIVES}, "
+                             f"got {self.objective!r}")
+        if self.hidden is not None and not all(type(h) is int and h >= 1 for h in self.hidden):
+            raise UsageError(f"hidden must be a list of positive integers, "
+                             f"got {self.hidden!r}")
+        if self.model != "made" and self.adjacency is None:
+            raise UsageError(f"{self.model} training needs an 'adjacency' path")
+        return self
+
+
+# Each model's TrainConfig values where they differ from the dataclass defaults.
 _MODEL_DEFAULTS = {
-    "strnn": {"learning_rate": 1e-3, "batch_size": 200, "max_epochs": 5000,
-              "lr_schedule": "fixed"},
-    "made": {"learning_rate": 1e-3, "batch_size": 200, "max_epochs": 5000,
-             "lr_schedule": "fixed"},
-    "flow": {"learning_rate": 1e-3, "batch_size": 32, "max_epochs": 750,
-             "lr_schedule": "plateau"},
+    "strnn": {"max_epochs": 5000},
+    "made": {"max_epochs": 5000},
+    "flow": {"batch_size": 32, "max_epochs": 750, "lr_schedule": "plateau"},
 }
-
-
-def _train_config(cfg, model):
-    fields = ("learning_rate", "weight_decay", "batch_size", "max_epochs",
-              "early_stop_patience", "seed", "lr_schedule", "plateau_factor",
-              "plateau_patience", "epsilon")
-    defaults = dict(_MODEL_DEFAULTS[model])
-    kwargs = {}
-    for name in fields:
-        if name in cfg:
-            kwargs[name] = cfg[name]
-        elif name in defaults:
-            kwargs[name] = defaults[name]
-    return neural.TrainConfig(**kwargs).validate()
 
 
 def cmd_train(args):
     cfg = textio.read_json(args.config, "config")
-    unknown = set(cfg) - _TRAIN_KEYS
-    if unknown:
-        raise UsageError(f"unknown train config keys: {sorted(unknown)}")
-    model = cfg.get("model")
-    if model not in ("strnn", "made", "flow"):
-        raise UsageError(f"model must be strnn, made, or flow; got {model!r}")
-    if "dataset" not in cfg:
-        raise UsageError("train config needs a 'dataset' path")
     if "seed" not in cfg:
         cfg["seed"] = _seed()
-    if cfg.get("objective", factorizer.MAX_CONNECTIONS) not in factorizer.OBJECTIVES:
-        raise UsageError(f"objective must be one of {factorizer.OBJECTIVES}, "
-                         f"got {cfg['objective']!r}")
-    tc = _train_config(cfg, model)
-    gen, dataset = datagen.read_dataset(cfg["dataset"])
+    model = cfg.get("model")
+    if model not in tuple(_MODEL_DEFAULTS):     # a tuple: model may be unhashable
+        raise UsageError(f"model must be strnn, made, or flow; got {model!r}")
+    run = decode(TrainRun, {**_MODEL_DEFAULTS[model], **cfg}, "train config ").validate()
+    _, dataset = datagen.read_dataset(run.dataset)
     d = dataset.x.shape[1]
-    hidden = cfg.get("hidden", [2 * d])
-    if not (isinstance(hidden, list) and all(type(h) is int and h >= 1 for h in hidden)):
-        raise UsageError(f"hidden must be a list of positive integers, got {hidden!r}")
-    n_layers = cfg.get("flow_layers", 5)
-    if type(n_layers) is not int:
-        raise UsageError(f"flow_layers must be an integer, got {n_layers!r}")
-    natural = cfg.get("natural_ordering", True)
-    if type(natural) is not bool:
-        raise UsageError(f"natural_ordering must be true or false, got {natural!r}")
-    method = cfg.get("method", "greedy")
-    os.makedirs(args.out_dir, exist_ok=True)
-    ckpt_path = os.path.join(args.out_dir, "checkpoint.txt")
-    head = "binary" if dataset.kind == "binary" else "gaussian"
-
+    hidden = [2 * d] if run.hidden is None else run.hidden
     if model == "flow":
         if dataset.kind != "real":
             raise UsageError("flow training needs real-valued data")
-        if "adjacency" not in cfg:
-            raise UsageError("flow training needs an 'adjacency' path")
-        A = adjacency.read_matrix(cfg["adjacency"])
-        fl = flow.AffineFlow.build(A, n_layers, hidden, tc.seed, method)
-        fl, history = flow.train_flow(fl, dataset, tc)
-        per = flow.nll(fl, dataset.test_x)
-        flow.save_flow(fl, ckpt_path)
+        net = flow.AffineFlow.build(adjacency.read_matrix(run.adjacency), run.flow_layers,
+                                    hidden, run.seed, run.method)
+        fit, test_nll_of, save = flow.train_flow, flow.nll, flow.save_flow
     else:
         if model == "strnn":
-            if "adjacency" not in cfg:
-                raise UsageError("structured training needs an 'adjacency' path")
-            A = adjacency.read_matrix(cfg["adjacency"])
-            masks = factorizer.factor_multilayer(A, hidden, method,
-                                                 cfg.get("objective",
-                                                         factorizer.MAX_CONNECTIONS))
+            masks = factorizer.factor_multilayer(adjacency.read_matrix(run.adjacency),
+                                                 hidden, run.method, run.objective)
         else:
-            masks = factorizer.made_masks(d, hidden, tc.seed, natural_ordering=natural)
-        net = neural.MaskedMLP.from_masks(masks, head, tc.seed)
-        net, history = neural.train(net, dataset, tc)
-        per = neural.nll(net, dataset.test_x)
-        neural.save_mlp(net, ckpt_path)
+            masks = factorizer.made_masks(d, hidden, run.seed,
+                                          natural_ordering=run.natural_ordering)
+        head = "binary" if dataset.kind == "binary" else "gaussian"
+        net = neural.MaskedMLP.from_masks(masks, head, run.seed)
+        fit, test_nll_of, save = neural.train, neural.nll, neural.save_mlp
+    os.makedirs(args.out_dir, exist_ok=True)
+    net, history = fit(net, dataset, run)
+    per = test_nll_of(net, dataset.test_x)
+    ckpt_path = os.path.join(args.out_dir, "checkpoint.txt")
+    save(net, ckpt_path)
     test_nll, stderr = neural.test_summary(per)
 
     hist_path = os.path.join(args.out_dir, "history.csv")
@@ -213,7 +193,7 @@ def cmd_train(args):
             fh.write(f"{epoch},{tr!r},{va!r},{lr!r}\n")
     summary = {
         "tool": "strnn", "version": VERSION,
-        "config": {**cfg, "hidden": hidden, "method": method},
+        "config": {**cfg, "hidden": hidden, "method": run.method},
         "model": model,
         "test_nll": test_nll,
         "test_nll_stderr": stderr,
@@ -234,12 +214,11 @@ def cmd_train(args):
 # causal-eval
 
 def cmd_causal_eval(args):
-    sidecar = textio.read_json(args.sem, "sidecar")
-    params = sidecar.get("params", {})
-    if not isinstance(params, dict) or "weights" not in params:
+    weights = datagen.read_params(args.sem, textio.read_json(args.sem, "sidecar")).get("weights")
+    if weights is None:
         raise UsageError(f"{args.sem} carries no SEM weights "
                          "(expected a linear_sem dataset sidecar)")
-    sem = causal.LinearSEM(datagen._numeric_param(args.sem, "weights", params["weights"]))
+    sem = causal.LinearSEM(weights)
     fl = flow.load_flow(args.flow)
     seed = _seed(args.seed)
     for n in (args.samples, args.n_obs):
@@ -358,14 +337,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except StrnnError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

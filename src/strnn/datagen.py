@@ -8,13 +8,14 @@ and the frozen train/val/test split.
 """
 
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import adjacency as adjacency_mod
 from . import causal, neural, textio
-from .errors import ConfigError, InvalidDimError, ParseError, check_field_types
+from .errors import ConfigError, InvalidDimError, ParseError, check_field_types, decode
 from .version import VERSION
 
 
@@ -124,14 +125,22 @@ def true_nll_gaussian(gen, x):
     return neural.head_nll("gaussian", np.concatenate([mu, log_sigma], axis=-1), x)
 
 
+def _check_ratios(ratios):
+    """The split ratios as floats: three finite nonnegative numbers (not
+    bools) that sum to 1, else ConfigError."""
+    if not (isinstance(ratios, (list, tuple)) and len(ratios) == 3
+            and all(isinstance(r, numbers.Real) and not isinstance(r, bool)
+                    and 0 <= r <= sys.float_info.max for r in ratios)
+            and abs(sum(map(float, ratios)) - 1.0) <= 1e-9):
+        raise ConfigError(f"ratios must be three finite nonnegative numbers that sum to 1, "
+                          f"got {ratios!r}")
+    return tuple(float(r) for r in ratios)
+
+
 def split_indices(n, ratios, rng):
     """Shuffle 0..n-1 and cut contiguously; the first two ratios floor, the
     last takes the remainder (n=10 at 0.6/0.2/0.2 gives 6/2/2)."""
-    ratios = tuple(float(r) for r in ratios)
-    if len(ratios) != 3 or any(r < 0 for r in ratios):
-        raise ConfigError("ratios must be three nonnegative numbers")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ConfigError(f"ratios must sum to 1, got {sum(ratios)}")
+    ratios = _check_ratios(ratios)
     rng = np.random.default_rng(rng)
     perm = rng.permutation(n)
     n1 = int(n * ratios[0])
@@ -160,15 +169,12 @@ class SynthSpec:
     _FAMILIES = ("binary", "gaussian", "nonlinear_multimodal", "linear_sem")
 
     def validate(self):
+        check_field_types(self)
         if self.family not in self._FAMILIES:
             raise ConfigError(f"unknown family {self.family!r}; known: {self._FAMILIES}")
-        check_field_types(self)
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        if not (isinstance(self.ratios, (list, tuple)) and len(self.ratios) == 3
-                and all(isinstance(r, numbers.Real) and not isinstance(r, bool)
-                        for r in self.ratios)):
-            raise ConfigError(f"ratios must be three numbers, got {self.ratios!r}")
+        _check_ratios(self.ratios)
         if self.n < 1:
             raise ConfigError("n must be >= 1")
         if self.family in ("binary", "gaussian") and self.adjacency is None:
@@ -190,14 +196,7 @@ class SynthSpec:
 
     @classmethod
     def from_dict(cls, cfg):
-        known = {"family", "n", "seed", "d", "ratios", "adjacency", "threshold", "cutoff"}
-        unknown = set(cfg) - known
-        if unknown:
-            raise ConfigError(f"unknown dataset spec keys {sorted(unknown)}")
-        cfg = dict(cfg)
-        if isinstance(cfg.get("ratios"), list):
-            cfg["ratios"] = tuple(cfg["ratios"])
-        return cls(**cfg).validate()
+        return decode(cls, cfg, "dataset spec ").validate()
 
 
 def generate(spec):
@@ -244,14 +243,22 @@ def write_dataset(path, gen, dataset, spec=None, adjacency_path=None):
     textio.write_json(path + ".json", sidecar)
 
 
-def _numeric_param(side_path, name, value):
-    try:
-        a = np.asarray(value)
-    except ValueError:      # a ragged nested list
-        a = None
-    if a is None or a.dtype.kind not in "iuf":
-        raise ParseError(side_path, 1, f"sidecar params entry {name!r} is not numeric")
-    return a
+def read_params(side_path, sidecar):
+    """The ``params`` of the sidecar read from ``side_path`` as numeric arrays;
+    ParseError naming the sidecar unless they are an object of numbers."""
+    params = sidecar.get("params", {})
+    if not isinstance(params, dict):
+        raise ParseError(side_path, 1, "sidecar 'params' must be an object")
+    arrays = {}
+    for name, value in params.items():
+        try:
+            a = np.asarray(value)
+        except ValueError:      # a ragged nested list
+            a = None
+        if a is None or a.dtype.kind not in "iuf":
+            raise ParseError(side_path, 1, f"sidecar params entry {name!r} is not numeric")
+        arrays[name] = a
+    return arrays
 
 
 def read_dataset(path):
@@ -277,10 +284,7 @@ def read_dataset(path):
                                            f"integer row indices in 0..{n - 1}")
         if not idx:
             raise ParseError(side_path, 1, f"sidecar split {part!r} is empty")
-    params = sidecar.get("params", {})
-    if not isinstance(params, dict):
-        raise ParseError(side_path, 1, "sidecar 'params' must be an object")
-    params = {k: _numeric_param(side_path, k, v) for k, v in params.items()}
+    params = read_params(side_path, sidecar)
     coef = params.get("alpha", params.get("weights"))
     A = None if coef is None else (np.abs(coef) > 0).astype(np.int64)
     gen = GeneratedData(x, A, kind, sidecar.get("family", "unknown"), params)

@@ -1,11 +1,14 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and ``decode``: the one path
+from a JSON object to a config dataclass, whose fields declare its keys.
 
-Validation errors identify the offending location so callers can report
-precisely; the CLI maps every StrnnError to exit code 2.
+Validation errors name the offending key or location; the CLI maps every
+StrnnError to exit code 2.
 """
 
 import dataclasses
 import numbers
+import sys
+import typing
 
 
 class StrnnError(Exception):
@@ -79,12 +82,38 @@ class ConfigError(UsageError):
 
 
 def check_field_types(spec, where=""):
-    """Raise ConfigError naming the first int or float field of the dataclass
-    ``spec`` whose value has another type.  A bool is not a number here, and
-    an integer is a valid float."""
+    """Raise ConfigError naming the first field of the dataclass ``spec``
+    whose value is not of its declared type (a class, or ``T | None``).  A
+    bool is not a number here, an integer is a valid float, and a float must
+    be finite.  ``where`` prefixes the field name."""
     for f in dataclasses.fields(spec):
-        kind = {int: numbers.Integral, float: numbers.Real}.get(f.type)
         value = getattr(spec, f.name)
-        if kind and (isinstance(value, bool) or not isinstance(value, kind)):
-            raise ConfigError(f"{where}{f.name} must be of type {f.type.__name__}, "
-                              f"got {value!r}")
+        allowed = typing.get_args(f.type) or (f.type,)
+        kinds = tuple({int: numbers.Integral, float: numbers.Real}.get(t, t) for t in allowed)
+        if (isinstance(value, bool) and bool not in allowed) or not isinstance(value, kinds):
+            raise ConfigError(f"{where}{f.name} must be of type "
+                              f"{getattr(f.type, '__name__', f.type)}, got {value!r}")
+        # abs() <= max also rejects an int too large for a float
+        if float in allowed and value is not None and not abs(value) <= sys.float_info.max:
+            raise ConfigError(f"{where}{f.name} must be finite, got {value!r}")
+
+
+def decode(cls, cfg, where=""):
+    """Build the config dataclass ``cls`` from the JSON object ``cfg``: raise
+    ConfigError, prefixed by ``where``, for a non-object, a key that is not a
+    field of ``cls``, a missing field without a default, or a value that
+    fails ``check_field_types``.  A JSON array for a tuple field becomes a
+    tuple."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{where}must be an object, got {cfg!r}")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = set(cfg) - set(fields)
+    if unknown:
+        raise ConfigError(f"unknown {where}keys {sorted(unknown)}")
+    for name, f in fields.items():
+        if name not in cfg and f.default is f.default_factory is dataclasses.MISSING:
+            raise ConfigError(f"{where}is missing the key {name!r}")
+    spec = cls(**{k: tuple(v) if fields[k].type is tuple and isinstance(v, list) else v
+                  for k, v in cfg.items()})
+    check_field_types(spec, where)
+    return spec

@@ -16,6 +16,9 @@ from strnn import adjacency, causal, cli, datagen, factorizer, flow, neural
 # A small trained flow and the linear SEM of its data (tests/data/README.md).
 CAUSAL = os.path.join(os.path.dirname(__file__), "data", "causal_eval")
 
+# A parametrized value that stands for a key left out of the config.
+ABSENT = object()
+
 
 @pytest.fixture(autouse=True)
 def clean_env(monkeypatch):
@@ -627,13 +630,18 @@ class TestRejectedValues:
         ("hidden", 5), ("hidden", "ab"), ("hidden", [1.5]), ("learning_rate", "0.1"),
         ("batch_size", 2.5), ("max_epochs", 1.5), ("seed", "x"),
         ("early_stop_patience", None), ("objective", "bogus"), ("flow_layers", 2.5),
-        ("natural_ordering", "false")])
+        ("natural_ordering", "false"), ("learning_rate", np.nan), ("learning_rate", np.inf),
+        ("epsilon", np.nan), ("epsilon", np.inf), ("dataset", None), ("dataset", 5),
+        ("adjacency", None), ("adjacency", 5), ("method", []),
+        pytest.param("adjacency", ABSENT, id="adjacency-absent")])
     def test_train_config_value(self, tmp_path, capsys, key, value):
         data, adj = write_gaussian_dataset(tmp_path)
-        cfg = self.json_file(tmp_path, {"model": "flow" if key == "flow_layers" else "strnn",
-                                        "dataset": data, "adjacency": adj,
-                                        "max_epochs": 1, key: value}, "train.json")
-        self.assert_usage_error(["train", "--config", cfg, "--out-dir", str(tmp_path / "o")],
+        cfg = {"model": "flow" if key == "flow_layers" else "strnn",
+               "dataset": data, "adjacency": adj, "max_epochs": 1, key: value}
+        if value is ABSENT:
+            del cfg[key]
+        path = self.json_file(tmp_path, cfg, "train.json")
+        self.assert_usage_error(["train", "--config", path, "--out-dir", str(tmp_path / "o")],
                                 capsys, key)
         assert not (tmp_path / "o").exists()
 
@@ -643,7 +651,10 @@ class TestRejectedValues:
         ("d", {"family": "binary", "n": 20, "adjacency": {"scheme": "prev_k", "d": "5"}}),
         ("ratios", {"family": "linear_sem", "n": 20, "d": 3, "ratios": 1}),
         ("cutoff", {"family": "linear_sem", "n": 20, "d": 3, "cutoff": "x"}),
-        ("adjacency", {"family": "binary", "n": 20, "adjacency": 5})])
+        ("adjacency", {"family": "binary", "n": 20, "adjacency": 5}),
+        ("ratios", {"family": "linear_sem", "n": 20, "d": 3, "ratios": [np.nan, 0.5, 0.5]}),
+        ("cutoff", {"family": "linear_sem", "n": 20, "d": 3, "cutoff": np.nan}),
+        ("family", {"n": 20, "d": 3}), ("n", {"family": "linear_sem", "d": 3})])
     def test_dataset_spec_value(self, tmp_path, capsys, key, spec):
         path = self.json_file(tmp_path, spec, "spec.json")
         out = tmp_path / "d.txt"

@@ -201,7 +201,9 @@ class TestSplitIndices:
             np.testing.assert_array_equal(u, v)
 
     @pytest.mark.parametrize("ratios", [(0.5, 0.5), (0.6, 0.2, 0.3),
-                                        (-0.1, 0.6, 0.5), (1.0, 0.2, -0.2)])
+                                        (-0.1, 0.6, 0.5), (1.0, 0.2, -0.2),
+                                        (np.nan, 0.5, 0.5), (np.inf, 0.0, 0.0),
+                                        (10 ** 308, 10 ** 308, 10 ** 308)])
     def test_bad_ratios_rejected(self, ratios):
         with pytest.raises(ConfigError):
             datagen.split_indices(10, ratios, 0)

@@ -497,6 +497,10 @@ class TestTrainConfig:
         {"learning_rate": "0.1"},
         {"early_stop_patience": None},
         {"max_epochs": True},
+        {"learning_rate": np.nan},
+        {"learning_rate": np.inf},
+        {"weight_decay": np.inf},
+        {"epsilon": np.nan},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):

@@ -17,6 +17,7 @@ from .errors import (
     InvalidThresholdError,
     NonBinaryEntryError,
     UpperTriangleNonZeroError,
+    check_field_types,
     decode,
 )
 
@@ -169,11 +170,14 @@ class GeneratorSpec:
             out.update(rows=self.rows, cols=self.cols, nbr_size=self.nbr_size)
         return out
 
+    def validate(self):
+        check_field_types(self, "adjacency spec ")
+        if self.scheme not in self._SCHEMES:
+            raise ConfigError(f"unknown scheme {self.scheme!r}; known: {self._SCHEMES}")
+        if self.seed < 0:
+            raise ConfigError("adjacency spec seed must be >= 0")
+        return self
+
     @classmethod
     def from_dict(cls, cfg):
-        spec = decode(cls, cfg, "adjacency spec ")
-        if spec.scheme not in cls._SCHEMES:
-            raise ConfigError(f"unknown scheme {spec.scheme!r}; known: {cls._SCHEMES}")
-        if spec.seed < 0:
-            raise ConfigError("adjacency spec seed must be >= 0")
-        return spec
+        return decode(cls, cfg, "adjacency spec ").validate()

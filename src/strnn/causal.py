@@ -107,8 +107,8 @@ def flow_intervene_sample(fl, j, alpha, n, rng):
     pinned/upstream values through the conditioners.
     """
     z = np.random.default_rng(rng).standard_normal((n, fl.dim))
-    return flow_mod._reconstruct(fl, [z] + [np.zeros_like(z) for _ in fl.layers],
-                                 flow_mod._dependencies(fl), pin=(j, alpha))
+    return flow_mod._reconstruct(flow_mod._Plan(fl),
+                                 [z] + [np.zeros_like(z) for _ in fl.layers], pin=(j, alpha))
 
 
 def flow_counterfactual(fl, x_obs, j, alpha):
@@ -121,8 +121,7 @@ def flow_counterfactual(fl, x_obs, j, alpha):
     """
     x_obs, squeeze = neural._as_batch(x_obs, fl.dim)
     _, _, levels = flow_mod.to_noise(fl, x_obs, keep_levels=True)
-    x = flow_mod._reconstruct(fl, levels, flow_mod._dependencies(fl), start=j,
-                              pin=(j, alpha))
+    x = flow_mod._reconstruct(flow_mod._Plan(fl), levels, start=j, pin=(j, alpha))
     x[:, :j] = x_obs[:, :j]
     return x[0] if squeeze else x
 
@@ -191,12 +190,12 @@ def imse_report(fl, sem, value_count=8, n_samples=1000, rng=None, ground_truth="
 
     def answers(queries):
         streams = np.random.default_rng(rng).spawn(len(queries))
-        dep = flow_mod._dependencies(fl)
+        plan = flow_mod._Plan(fl)
         for (j, alpha), stream in zip(queries, streams):
             flow_rng, sem_rng = stream.spawn(2)
             z = flow_rng.standard_normal((n_samples, fl.dim))
-            xs = flow_mod._reconstruct(fl, [z] + [np.zeros_like(z) for _ in fl.layers],
-                                       dep, pin=(j, alpha))
+            xs = flow_mod._reconstruct(plan, [z] + [np.zeros_like(z) for _ in fl.layers],
+                                       pin=(j, alpha))
             if ground_truth == "exact":
                 gt = sem_intervene_mean_vector(sem, j, alpha)
             else:
@@ -221,10 +220,10 @@ def cmse_report(fl, sem, value_count=8, n_obs=1000, rng=None):
     def answers(queries):
         x_obs = sem_sample(sem, n_obs, rng)
         _, _, levels = flow_mod.to_noise(fl, x_obs, keep_levels=True)
-        dep = flow_mod._dependencies(fl)
+        plan = flow_mod._Plan(fl)
         for j, alpha in queries:
-            fc = flow_mod._reconstruct(fl, [lv.copy() for lv in levels], dep,
-                                       start=j, pin=(j, alpha))
+            fc = flow_mod._reconstruct(plan, [lv.copy() for lv in levels], start=j,
+                                       pin=(j, alpha))
             fc[:, :j] = x_obs[:, :j]
             yield sem_counterfactual(sem, x_obs, j, alpha), fc
 

@@ -162,7 +162,7 @@ class SynthSpec:
     seed: int = 0
     d: int = 0
     ratios: tuple = (0.6, 0.2, 0.2)
-    adjacency: dict | None = None     # GeneratorSpec fields, for binary/gaussian
+    adjacency: adjacency_mod.GeneratorSpec | None = None   # for binary/gaussian
     threshold: float = 0.8            # nonlinear_multimodal sparsity
     cutoff: float = 1.5               # linear_sem weight cutoff
 
@@ -179,6 +179,8 @@ class SynthSpec:
             raise ConfigError("n must be >= 1")
         if self.family in ("binary", "gaussian") and self.adjacency is None:
             raise ConfigError(f"family {self.family!r} needs an adjacency spec")
+        if self.adjacency is not None:
+            self.adjacency.validate()
         if self.family in ("nonlinear_multimodal", "linear_sem") and self.d < 1:
             raise ConfigError(f"family {self.family!r} needs d >= 1")
         return self
@@ -187,7 +189,7 @@ class SynthSpec:
         out = {"family": self.family, "n": self.n, "seed": self.seed,
                "ratios": list(self.ratios)}
         if self.adjacency is not None:
-            out["adjacency"] = dict(self.adjacency)
+            out["adjacency"] = self.adjacency.to_dict()
         if self.family == "nonlinear_multimodal":
             out.update(d=self.d, threshold=self.threshold)
         if self.family == "linear_sem":
@@ -204,7 +206,7 @@ def generate(spec):
     spec.validate()
     rng = np.random.default_rng(spec.seed)
     if spec.family in ("binary", "gaussian"):
-        A = adjacency_mod.GeneratorSpec.from_dict(spec.adjacency).generate()
+        A = spec.adjacency.generate()
         gen = (gen_binary if spec.family == "binary" else gen_gaussian)(A, spec.n, rng)
     elif spec.family == "nonlinear_multimodal":
         gen = gen_nonlinear_multimodal(spec.d, spec.n, rng, spec.threshold)

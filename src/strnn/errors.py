@@ -85,14 +85,17 @@ def check_field_types(spec, where=""):
     """Raise ConfigError naming the first field of the dataclass ``spec``
     whose value is not of its declared type (a class, or ``T | None``).  A
     bool is not a number here, an integer is a valid float, and a float must
-    be finite.  ``where`` prefixes the field name."""
+    be finite.  The error calls a dataclass type an object, as in JSON.
+    ``where`` prefixes the field name."""
     for f in dataclasses.fields(spec):
         value = getattr(spec, f.name)
         allowed = typing.get_args(f.type) or (f.type,)
         kinds = tuple({int: numbers.Integral, float: numbers.Real}.get(t, t) for t in allowed)
         if (isinstance(value, bool) and bool not in allowed) or not isinstance(value, kinds):
-            raise ConfigError(f"{where}{f.name} must be of type "
-                              f"{getattr(f.type, '__name__', f.type)}, got {value!r}")
+            names = ("None" if t is type(None) else "object" if dataclasses.is_dataclass(t)
+                     else t.__name__ for t in allowed)
+            raise ConfigError(f"{where}{f.name} must be of type {' | '.join(names)}, "
+                              f"got {value!r}")
         # abs() <= max also rejects an int too large for a float
         if float in allowed and value is not None and not abs(value) <= sys.float_info.max:
             raise ConfigError(f"{where}{f.name} must be finite, got {value!r}")
@@ -103,7 +106,8 @@ def decode(cls, cfg, where=""):
     ConfigError, prefixed by ``where``, for a non-object, a key that is not a
     field of ``cls``, a missing field without a default, or a value that
     fails ``check_field_types``.  A JSON array for a tuple field becomes a
-    tuple."""
+    tuple, and a JSON object for a dataclass field (or ``D | None``) is
+    decoded in turn, its errors prefixed by ``where`` and the field name."""
     if not isinstance(cfg, dict):
         raise ConfigError(f"{where}must be an object, got {cfg!r}")
     fields = {f.name: f for f in dataclasses.fields(cls)}
@@ -113,7 +117,14 @@ def decode(cls, cfg, where=""):
     for name, f in fields.items():
         if name not in cfg and f.default is f.default_factory is dataclasses.MISSING:
             raise ConfigError(f"{where}is missing the key {name!r}")
-    spec = cls(**{k: tuple(v) if fields[k].type is tuple and isinstance(v, list) else v
-                  for k, v in cfg.items()})
+
+    def value(name, v):
+        kind = fields[name].type
+        nested = [t for t in typing.get_args(kind) or (kind,) if dataclasses.is_dataclass(t)]
+        if nested and isinstance(v, dict):
+            return decode(nested[0], v, f"{where}{name} ")
+        return tuple(v) if kind is tuple and isinstance(v, list) else v
+
+    spec = cls(**{k: value(k, v) for k, v in cfg.items()})
     check_field_types(spec, where)
     return spec

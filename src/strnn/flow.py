@@ -11,10 +11,15 @@ evaluation NLL.  The noise-to-data direction takes one pass per DAG
 generation, where a generation is the set of coordinates whose parents are
 all already filled; ``_reconstruct`` is its one routine, shared by sampling
 and by the interventions and counterfactuals of ``causal``, which pin one
-coordinate to a value in data units.  An affine standardization
+coordinate to a value in data units.  It follows a ``_Plan`` built once per
+query or report, and each conditioner pass computes only the outputs its
+generation reads, into the plan's reused buffers, bitwise the full pass's
+values.  An affine standardization
 (train-split mean/std) sits outermost and its log-Jacobian is part of the
 density.
 """
+
+import functools
 
 import numpy as np
 
@@ -169,42 +174,112 @@ def _generations(dep, start):
     return [ks[depth == g] for g in range(depth.max(initial=-1) + 1)]
 
 
-def _reconstruct(flow, levels, dep, start=0, pin=None):
+class _Plan:
+    """The noise-to-data plan of one flow at its current weights, built once
+    per query or report: ``dep`` from ``_dependencies``, the generations of
+    each ``start``, how each conditioner computes each generation and the
+    activation buffers it writes into, by row count.  Like ``dep`` it is
+    never cached on the flow, because training changes the weights.
+    """
+
+    def __init__(self, flow):
+        self.flow = flow
+        self.dep = _dependencies(flow)
+        self._generations, self._steps, self._arrays = {}, {}, {}
+
+    def generations(self, start):
+        if start not in self._generations:
+            self._generations[start] = _generations(self.dep, start)
+        return self._generations[start]
+
+    def step(self, k, gen, n):
+        """(last, cols, work) for conditioner k on generation ``gen`` of n rows:
+        ``forward(x, last=last, work=work)`` gives the generation's shifts and
+        log-scales at ``cols`` of the output halves (``_split_gaussian``).
+
+        ``last`` holds contiguous copies of the output-layer rows ``gen`` and
+        ``d + gen``, so the pass computes those outputs only, unless the
+        generation is every coordinate or BLAS would round those rows
+        differently on their own (``_rows_exact``); then the whole layer runs.
+        """
+        key = (k, gen.tobytes(), n)
+        if key not in self._steps:
+            net, d = self.flow.layers[k], self.flow.dim
+            W, b = net.weights[-1], net.biases[-1]
+            rows = np.concatenate([gen, gen + d])
+            if gen.size < d and _rows_exact(n, W.shape, tuple(rows.tolist())):
+                last, cols, width = (W[rows], b[rows]), np.arange(gen.size), rows.size
+            else:
+                last, cols, width = None, gen, W.shape[0]
+            work = [self._array(n, i, V.shape[0]) for i, V in enumerate(net.weights[:-1])]
+            # Every conditioner's output goes to one buffer of 2d columns per n.
+            out = self._array(n, -1, 2 * d).ravel()[:n * width].reshape(n, width)
+            self._steps[key] = last, cols, work + [out]
+        return self._steps[key]
+
+    def _array(self, n, layer, width):
+        key = (n, layer, width)
+        if key not in self._arrays:
+            self._arrays[key] = np.empty((n, width))
+        return self._arrays[key]
+
+
+@functools.lru_cache(maxsize=1024)
+def _rows_exact(n, shape, rows):
+    """Whether BLAS computes rows ``rows`` (a tuple) of ``h @ W.T``, for h of
+    n rows and W of ``shape``, bitwise equal when W holds only those rows.
+    BLAS picks its kernels by shape, and some kernels round differently, so
+    the two are compared on seeded random data of these shapes, over at
+    least 256 outputs.  The answer depends on the shapes and the BLAS alone,
+    so each process computes it once per shape."""
+    rng, rows = np.random.default_rng(0), list(rows)
+    for _ in range(-(-256 // (n * len(rows)))):
+        h, W = rng.standard_normal((n, shape[1])), rng.standard_normal(shape)
+        if not np.array_equal((h @ W.T)[:, rows], h @ W[rows].T):
+            return False
+    return True
+
+
+def _reconstruct(plan, levels, start=0, pin=None):
     """Fill coordinates start..d-1 of every level in noise-to-data order,
-    given the flow's ``_dependencies`` ``dep``, and return the data.
+    following the ``_Plan`` of the flow, and return the data.
 
     ``levels`` is the [V_0 (noise), ..., V_K (standardized data)] list, edited
     in place.  Coordinates are filled one DAG generation at a time: each
-    layer's conditioner runs once on its level and the generation's free
-    columns push their noise up through the layers.  With ``pin=(j, alpha)``
+    layer's conditioner runs once on its level, computing the generation's
+    outputs only, into the plan's buffers, and the generation's free columns
+    push their noise up through the layers.  With ``pin=(j, alpha)``
     coordinate j is forced to alpha (data units) on the data side and
     inverted down through the layers with the same per-level shifts and
     scales, and column j of the returned data is alpha exactly.  A column's
     conditioner reads only its parents, which are final before its generation
-    starts, so columns not yet filled are harmless.
+    starts, so columns not yet filled are harmless.  The result is bitwise
+    that of full conditioner passes.
     """
+    flow = plan.flow
     j, alpha = (None, None) if pin is None else pin
     if pin is not None and not 0 <= j < flow.dim:
         raise InvalidPairError(f"intervention index {j} outside 0..{flow.dim - 1}")
-    K = len(flow.layers)
-    for gen in _generations(dep, start):
+    K, n = len(flow.layers), levels[0].shape[0]
+    for gen in plan.generations(start):
         at_pin = gen == j
-        # An index array, not the scalar j: the pinned t, s below are then
-        # copies, not views that keep each level's conditioner output alive.
+        # Index arrays, not the scalar j: the t, s below are then copies, not
+        # views of the plan's buffers, which the next pass overwrites.
         free, pinned = gen[~at_pin], gen[at_pin]
         down = []
-        for lvl in range(1, K + 1):
-            out = flow.layers[lvl - 1].forward(levels[lvl])
+        for lvl, net in enumerate(flow.layers, 1):
+            last, cols, work = plan.step(lvl - 1, gen, n)
+            out = net.forward(levels[lvl], last=last, work=work)
             if free.size:
-                t, s = neural._split_gaussian(out, free)
+                t, s = neural._split_gaussian(out, cols[~at_pin])
                 levels[lvl][:, free] = np.exp(s) * levels[lvl - 1][:, free] + t
             if pinned.size:
-                down.append(neural._split_gaussian(out, pinned))
+                down.append(neural._split_gaussian(out, cols[at_pin]))
         if pinned.size:
             # A pinned column that reads itself (only possible when the weights
             # break the mask) must see its forced value, so it reruns its
-            # conditioners on the way down.
-            rerun = dep[j, j]
+            # conditioners on the way down, in full.
+            rerun = plan.dep[j, j]
             levels[K][:, j] = (alpha - flow.mu[j]) / flow.sigma[j]
             for lvl in range(K, 0, -1):
                 t, s = (neural._split_gaussian(flow.layers[lvl - 1].forward(levels[lvl]),
@@ -221,8 +296,7 @@ def from_noise(flow, z):
     """Map base noise to data in one pass per DAG generation: each layer's
     conditioner runs once per generation."""
     z, squeeze = neural._as_batch(z, flow.dim)
-    x = _reconstruct(flow, [z.copy()] + [np.zeros_like(z) for _ in flow.layers],
-                     _dependencies(flow))
+    x = _reconstruct(_Plan(flow), [z.copy()] + [np.zeros_like(z) for _ in flow.layers])
     return x[0] if squeeze else x
 
 

@@ -89,14 +89,27 @@ class MaskedMLP:
             biases.append(np.zeros(M.shape[0]))
         return cls(weights, biases, masks, head, pattern)
 
-    def forward(self, x):
-        """Batch forward pass; 1-D input returns a 1-D output."""
+    def forward(self, x, *, last=None, work=None):
+        """Batch forward pass; 1-D input returns a 1-D output.
+
+        ``last=(W, b)`` stands in for the output layer, e.g. some of its rows
+        (the flow's inversion computes only the outputs a generation reads).
+        ``work`` holds one array per layer, of the batch's rows by the layer's
+        width: each layer's activations are written into it and the output
+        returned is the last one.  Without it, every call returns a fresh
+        array.
+        """
         x, squeeze = _as_batch(x, self.dim)
+        layers = list(zip(self.weights, self.biases))
+        if last is not None:
+            layers[-1] = last
         h = x
-        for W, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = np.maximum(h @ W.T + b, 0.0)
-        out = h @ self.weights[-1].T + self.biases[-1]
-        return out[0] if squeeze else out
+        for k, (W, b) in enumerate(layers):
+            h = np.matmul(h, W.T, out=None if work is None else work[k])
+            np.add(h, b, out=h)
+            if k < len(layers) - 1:
+                np.maximum(h, 0.0, out=h)
+        return h[0] if squeeze else h
 
     def forward_cached(self, x):
         """Forward pass that keeps layer inputs/pre-activations for backward."""
@@ -249,7 +262,10 @@ class AdamW:
     p -= lr * (m_hat / (sqrt(v_hat) + eps) + wd * p), multiplies the flat
     mask in (1.0 for unmasked entries, exact for every float) and writes each
     array back in place.  Adam is elementwise, so this is bitwise the
-    per-array update followed by ``W *= M``.
+    per-array update followed by ``W *= M``.  At weight decay 0 the decay
+    term is skipped, so an infinite parameter stays infinite instead of
+    turning NaN through 0 * inf; every other result is bitwise the same,
+    -0.0 included.
     """
 
     def __init__(self, params, learning_rate, weight_decay=0.0,
@@ -287,7 +303,8 @@ class AdamW:
         a += self.epsilon
         np.divide(m, c1, out=u)
         u /= a
-        u += np.multiply(self.weight_decay, p, out=a)
+        if self.weight_decay:
+            u += np.multiply(self.weight_decay, p, out=a)
         u *= self.lr
         p -= u
         if self._mask is not None:

@@ -38,7 +38,7 @@ def assert_parse_error_names(path, capsys):
 
 def write_gaussian_dataset(tmp_path, n=60, d=3, seed=3):
     spec = datagen.SynthSpec("gaussian", n, seed=seed,
-                             adjacency={"scheme": "prev_k", "d": d, "k": 2})
+                             adjacency=adjacency.GeneratorSpec("prev_k", d=d, k=2))
     gen, dataset = datagen.generate(spec)
     path = str(tmp_path / "data.txt")
     datagen.write_dataset(path, gen, dataset, spec=spec)
@@ -217,7 +217,7 @@ class TestTrainCommand:
 
     def test_made_model_on_binary_data(self, tmp_path):
         spec = datagen.SynthSpec("binary", 60, seed=4,
-                                 adjacency={"scheme": "prev_k", "d": 3, "k": 1})
+                                 adjacency=adjacency.GeneratorSpec("prev_k", d=3, k=1))
         gen, dataset = datagen.generate(spec)
         data = str(tmp_path / "b.txt")
         datagen.write_dataset(data, gen, dataset, spec=spec)
@@ -272,7 +272,7 @@ class TestTrainCommand:
 
     def test_flow_on_binary_data_exits_two(self, tmp_path):
         spec = datagen.SynthSpec("binary", 30, seed=4,
-                                 adjacency={"scheme": "prev_k", "d": 3, "k": 1})
+                                 adjacency=adjacency.GeneratorSpec("prev_k", d=3, k=1))
         gen, dataset = datagen.generate(spec)
         data = str(tmp_path / "b.txt")
         datagen.write_dataset(data, gen, dataset, spec=spec)

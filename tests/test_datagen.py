@@ -213,9 +213,9 @@ class TestSynthSpec:
     def test_round_trip_each_family(self):
         specs = [
             datagen.SynthSpec("binary", 50, seed=1,
-                              adjacency={"scheme": "prev_k", "d": 4, "k": 2}),
+                              adjacency=adjacency.GeneratorSpec("prev_k", d=4, k=2)),
             datagen.SynthSpec("gaussian", 50, seed=2,
-                              adjacency={"scheme": "dense", "d": 3}),
+                              adjacency=adjacency.GeneratorSpec("dense", d=3)),
             datagen.SynthSpec("nonlinear_multimodal", 50, seed=3, d=5,
                               threshold=0.7),
             datagen.SynthSpec("linear_sem", 50, seed=4, d=6, cutoff=1.2),
@@ -228,6 +228,19 @@ class TestSynthSpec:
         with pytest.raises(ConfigError):
             datagen.SynthSpec.from_dict({"family": "linear_sem", "n": 5,
                                          "d": 3, "bogus": 1})
+
+    @pytest.mark.parametrize("adj, match", [
+        ({"scheme": "prev_k", "d": 3, "bogus": 1},
+         r"unknown dataset spec adjacency keys \['bogus'\]"),
+        ({"scheme": "prev_k", "d": "3"}, "dataset spec adjacency d must be of type int"),
+        ({"scheme": "mystery", "d": 3}, "unknown scheme 'mystery'"),
+        ({"scheme": "random_sparse", "d": 3, "seed": -1}, "seed must be >= 0"),
+    ])
+    def test_nested_adjacency_spec_checked(self, adj, match):
+        """The adjacency spec is decoded and checked with the dataset spec,
+        not first when the dataset is generated."""
+        with pytest.raises(ConfigError, match=match):
+            datagen.SynthSpec.from_dict({"family": "binary", "n": 5, "adjacency": adj})
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ConfigError):
@@ -249,7 +262,7 @@ class TestSynthSpec:
 class TestGenerate:
     def test_deterministic_end_to_end(self):
         spec = datagen.SynthSpec("gaussian", 40, seed=6,
-                                 adjacency={"scheme": "prev_k", "d": 4, "k": 1})
+                                 adjacency=adjacency.GeneratorSpec("prev_k", d=4, k=1))
         g1, d1 = datagen.generate(spec)
         g2, d2 = datagen.generate(spec)
         np.testing.assert_array_equal(g1.x, g2.x)
@@ -257,7 +270,7 @@ class TestGenerate:
 
     def test_binary_family_dataset_kind(self):
         spec = datagen.SynthSpec("binary", 30, seed=7,
-                                 adjacency={"scheme": "every_other", "d": 5})
+                                 adjacency=adjacency.GeneratorSpec("every_other", d=5))
         gen, dataset = datagen.generate(spec)
         assert dataset.kind == "binary"
         assert gen.x.shape == (30, 5)
@@ -280,7 +293,7 @@ class TestDatasetFiles:
 
     def test_binary_rows_are_integer_tokens(self, tmp_path):
         spec = datagen.SynthSpec("binary", 6, seed=9,
-                                 adjacency={"scheme": "prev_k", "d": 3, "k": 1})
+                                 adjacency=adjacency.GeneratorSpec("prev_k", d=3, k=1))
         gen, dataset = datagen.generate(spec)
         path = str(tmp_path / "b.txt")
         datagen.write_dataset(path, gen, dataset, spec=spec)
@@ -293,7 +306,7 @@ class TestDatasetFiles:
 
     def test_sidecar_contents(self, tmp_path):
         spec = datagen.SynthSpec("gaussian", 10, seed=11,
-                                 adjacency={"scheme": "prev_k", "d": 3, "k": 2})
+                                 adjacency=adjacency.GeneratorSpec("prev_k", d=3, k=2))
         gen, dataset = datagen.generate(spec)
         path = str(tmp_path / "g.txt")
         datagen.write_dataset(path, gen, dataset, spec=spec,
@@ -309,7 +322,7 @@ class TestDatasetFiles:
 
     def test_adjacency_reconstructed_from_params(self, tmp_path):
         spec = datagen.SynthSpec("binary", 8, seed=12,
-                                 adjacency={"scheme": "dense", "d": 4})
+                                 adjacency=adjacency.GeneratorSpec("dense", d=4))
         gen, dataset = datagen.generate(spec)
         path = str(tmp_path / "a.txt")
         datagen.write_dataset(path, gen, dataset, spec=spec)
@@ -336,7 +349,7 @@ class TestDatasetFiles:
 
     def write_small(self, tmp_path):
         spec = datagen.SynthSpec("gaussian", 10, seed=14,
-                                 adjacency={"scheme": "prev_k", "d": 3, "k": 1})
+                                 adjacency=adjacency.GeneratorSpec("prev_k", d=3, k=1))
         gen, dataset = datagen.generate(spec)
         path = str(tmp_path / "s.txt")
         datagen.write_dataset(path, gen, dataset, spec=spec)
@@ -425,7 +438,7 @@ class TestDatasetFiles:
 
     def test_true_nll_survives_round_trip(self, tmp_path):
         spec = datagen.SynthSpec("gaussian", 15, seed=13,
-                                 adjacency={"scheme": "prev_k", "d": 3, "k": 1})
+                                 adjacency=adjacency.GeneratorSpec("prev_k", d=3, k=1))
         gen, dataset = datagen.generate(spec)
         path = str(tmp_path / "n.txt")
         datagen.write_dataset(path, gen, dataset, spec=spec)

@@ -22,6 +22,11 @@ class Toy:
     pair: tuple = (1, 2)
 
 
+@dataclass
+class Outer:
+    toy: Toy | None = None
+
+
 class TestDecode:
     def test_builds_the_dataclass(self):
         toy = decode(Toy, {"name": "a", "count": 3, "rate": 2, "flag": True,
@@ -52,6 +57,21 @@ class TestDecode:
 
     def test_none_where_the_type_allows_it(self):
         assert decode(Toy, {"name": "a", "items": None}).items is None
+
+    def test_decodes_a_nested_dataclass(self):
+        toy = decode(Outer, {"toy": {"name": "a", "pair": [5, 6]}}).toy
+        assert toy == Toy("a", pair=(5, 6))
+        assert decode(Outer, {"toy": None}) == decode(Outer, {}) == Outer()
+
+    @pytest.mark.parametrize("cfg, match", [
+        ({"toy": {"name": "a", "other": 1}}, r"unknown outer toy keys \['other'\]"),
+        ({"toy": {}}, "outer toy is missing the key 'name'"),
+        ({"toy": {"name": "a", "rate": np.nan}}, "outer toy rate must be finite"),
+        ({"toy": [1]}, r"outer toy must be of type object \| None, got \[1\]"),
+    ])
+    def test_rejects_nested(self, cfg, match):
+        with pytest.raises(ConfigError, match=match):
+            decode(Outer, cfg, "outer ")
 
 
 # ---------------------------------------------------------------------------

@@ -176,6 +176,52 @@ def reconstruct_per_coordinate(fl, levels, pin, start):
     return x
 
 
+def reconstruct_full_passes(fl, levels, dep, start=0, pin=None):
+    """Oracle: the generation-by-generation inversion as it was before the
+    inversion plan, with every conditioner pass a plain full forward.  The
+    planned ``flow._reconstruct`` must match it bitwise, levels and data."""
+    j, alpha = (None, None) if pin is None else pin
+    K = len(fl.layers)
+    for gen in flow._generations(dep, start):
+        at_pin = gen == j
+        free, pinned = gen[~at_pin], gen[at_pin]
+        down = []
+        for lvl in range(1, K + 1):
+            out = fl.layers[lvl - 1].forward(levels[lvl])
+            if free.size:
+                t, s = neural._split_gaussian(out, free)
+                levels[lvl][:, free] = np.exp(s) * levels[lvl - 1][:, free] + t
+            if pinned.size:
+                down.append(neural._split_gaussian(out, pinned))
+        if pinned.size:
+            rerun = dep[j, j]
+            levels[K][:, j] = (alpha - fl.mu[j]) / fl.sigma[j]
+            for lvl in range(K, 0, -1):
+                t, s = (neural._split_gaussian(fl.layers[lvl - 1].forward(levels[lvl]),
+                                               pinned)
+                        if rerun else down[lvl - 1])
+                levels[lvl - 1][:, pinned] = (levels[lvl][:, pinned] - t) * np.exp(-s)
+    x = levels[K] * fl.sigma + fl.mu
+    if pin is not None:
+        x[:, j] = alpha
+    return x
+
+
+def break_mask(net, reader, source):
+    """Make output ``reader`` (shift and log-scale) read input ``source``
+    through hidden unit 0 of every layer, whatever the mask says."""
+    W, d = net.weights, net.dim
+    W[0][0, :] = 0.0
+    W[0][0, source] = 0.7
+    for V in W[1:-1]:
+        V[:, 0] = 0.0
+        V[0, :] = 0.0
+        V[0, 0] = 0.5
+    W[-1][:, 0] = 0.0
+    W[-1][reader, 0] = 0.4
+    W[-1][d + reader, 0] = 0.3
+
+
 def n_generations(A):
     depth = np.zeros(A.shape[0], dtype=np.int64)
     for k in range(A.shape[0]):
@@ -189,9 +235,9 @@ def count_forwards(monkeypatch):
     calls = []
     forward = neural.MaskedMLP.forward
 
-    def counted(net, x):
+    def counted(net, x, *args, **kwargs):
         calls.append(1)
-        return forward(net, x)
+        return forward(net, x, *args, **kwargs)
 
     monkeypatch.setattr(neural.MaskedMLP, "forward", counted)
     return calls
@@ -200,7 +246,7 @@ def count_forwards(monkeypatch):
 def assert_same_inversion(fl, levels, pin, start):
     ours = [lv.copy() for lv in levels]
     ref = [lv.copy() for lv in levels]
-    ours.append(flow._reconstruct(fl, ours, flow._dependencies(fl), start, pin))
+    ours.append(flow._reconstruct(flow._Plan(fl), ours, start, pin))
     ref.append(reconstruct_per_coordinate(fl, ref, pin, start))
     for a, b in zip(ours, ref):
         assert a.tobytes() == b.tobytes()
@@ -226,6 +272,49 @@ class TestGenerationInversion:
         pin = data.draw(st.sampled_from([None, (j, data.draw(st.floats(-3, 3)))]))
         start = data.draw(st.sampled_from([0, j]))
         assert_same_inversion(fl, levels, pin, start)
+
+    @settings(max_examples=60)
+    @given(data=st.data(), d=st.integers(1, 6), K=st.sampled_from([1, 2, 3]),
+           hidden=st.lists(st.sampled_from([0, 8, 40]), min_size=1, max_size=2),
+           seed=st.integers(0, 2**16), observed=st.booleans(),
+           ns=st.lists(st.sampled_from([1, 2, 7, 1000]), min_size=1, max_size=3),
+           defect=st.sampled_from([None, "upper", "self"]))
+    def test_plan_matches_full_passes(self, data, d, K, hidden, seed, observed, ns,
+                                      defect):
+        """One plan serves every row count in turn; each run equals the full
+        pass inversion bitwise, on the data and on every level it edits.
+        "upper" breaks the mask so that every coordinate is its own
+        generation; "self" makes the pinned coordinate read itself."""
+        A = np.zeros((d, d), dtype=np.int64)
+        below = np.tril_indices(d, -1)
+        A[below] = data.draw(st.lists(st.booleans(), min_size=len(below[0]),
+                                      max_size=len(below[0])))
+        # Width 0 stands for d + 1, the narrowest that carries every pattern.
+        hidden = [w or d + 1 for w in hidden]
+        fl = jitter_flow(flow.AffineFlow.build(A, K, hidden, seed), seed + 1)
+        rng = np.random.default_rng(seed)
+        fl.mu, fl.sigma = rng.normal(size=d), rng.uniform(0.5, 2.0, size=d)
+        j = data.draw(st.integers(0, d - 1))
+        net = fl.layers[data.draw(st.integers(0, K - 1))]
+        if defect == "self":
+            break_mask(net, j, j)
+        elif defect == "upper" and d > 1:
+            reader = data.draw(st.integers(0, d - 2))
+            break_mask(net, reader, data.draw(st.integers(reader + 1, d - 1)))
+        pin = data.draw(st.sampled_from([None, (j, data.draw(st.floats(-3, 3)))]))
+        start = data.draw(st.integers(0, j))
+        plan = flow._Plan(fl)
+        for n in ns:
+            if observed:
+                _, _, levels = flow.to_noise(fl, rng.normal(size=(n, d)), keep_levels=True)
+            else:
+                levels = [rng.normal(size=(n, d))] + [np.zeros((n, d)) for _ in range(K)]
+            ours = [lv.copy() for lv in levels]
+            ref = [lv.copy() for lv in levels]
+            ours.append(flow._reconstruct(plan, ours, start, pin))
+            ref.append(reconstruct_full_passes(fl, ref, plan.dep, start, pin))
+            for a, b in zip(ours, ref):
+                assert np.array_equal(a, b) and a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("direction", ["lower", "upper", "self"])
     def test_weights_outside_adjacency(self, direction):
@@ -275,6 +364,43 @@ class TestGenerationInversion:
         calls = count_forwards(monkeypatch)
         flow.from_noise(fl, np.random.default_rng(0).normal(size=(10, A.shape[0])))
         assert len(calls) == n_generations(A) * K
+
+    def test_from_noise_returns_independent_arrays(self, monkeypatch):
+        A = adjacency.gen_random_sparse(6, 0.5, 3)
+        fl = jitter_flow(flow.AffineFlow.build(A, 2, [8], 1), 2)
+        plans = []
+        Plan = flow._Plan
+        monkeypatch.setattr(flow, "_Plan", lambda fl: plans.append(Plan(fl)) or plans[-1])
+        z = np.random.default_rng(0).normal(size=(9, 6))
+        a, b = flow.from_noise(fl, z), flow.from_noise(fl, z)
+        assert a.tobytes() == b.tobytes() and not np.shares_memory(a, b)
+        buffers = [buf for plan in plans for buf in plan._arrays.values()]
+        assert len(plans) == 2 and buffers
+        for x in (a, b):
+            assert not any(np.shares_memory(x, buf) for buf in buffers)
+
+    def test_plain_forward_returns_a_fresh_array(self):
+        net = flow.AffineFlow.build(adjacency.gen_prev_k(4, 1), 1, [5, 6], 0).layers[0]
+        x = np.random.default_rng(1).normal(size=(3, 4))
+        work = [np.empty((3, 5)), np.empty((3, 6)), np.empty((3, 8))]
+        first, second = net.forward(x), net.forward(x)
+        assert not np.shares_memory(first, second) and not np.shares_memory(first, x)
+        assert net.forward(x, work=work) is work[-1]
+        assert work[-1].tobytes() == first.tobytes()
+        assert not any(np.shares_memory(net.forward(x), buf) for buf in work)
+
+    def test_one_plan_serves_both_report_sizes(self):
+        sem = causal.gen_linear_sem(5, cutoff=0.5, rng=3)
+        fl = jitter_flow(flow.AffineFlow.build(sem.adjacency(), 2, [40], 0), 1)
+        plan = flow._Plan(fl)
+        rng = np.random.default_rng(2)
+        for n, start in ((20, 0), (33, 2), (20, 1)):
+            _, _, levels = flow.to_noise(fl, causal.sem_sample(sem, n, rng), keep_levels=True)
+            ours = flow._reconstruct(plan, [lv.copy() for lv in levels], start, (start, 0.5))
+            ref = reconstruct_full_passes(fl, [lv.copy() for lv in levels], plan.dep, start,
+                                          (start, 0.5))
+            assert ours.tobytes() == ref.tobytes()
+        assert {key[0] for key in plan._arrays} == {20, 33}
 
     def test_cmse_report_abducts_once(self, monkeypatch):
         sem = causal.gen_linear_sem(5, rng=3)

@@ -303,7 +303,8 @@ class PerArrayAdamW:
             a += self.eps
             np.divide(m, c1, out=u)
             u /= a
-            u += np.multiply(self.wd, p, out=a)
+            if self.wd:
+                u += np.multiply(self.wd, p, out=a)
             u *= self.lr
             p -= u
         for p, M in zip(params, self.masks):
@@ -395,19 +396,28 @@ class TestFlatMaskedStep:
         net.biases[-1][:4] = special
         grads = [rng.normal(size=p.shape) for p in net.params()]
         k = len(net.weights)
-        # 0 * inf is the one NaN the update itself makes, on both sides.
+
+        def check(wd, lr):
+            params = [p.copy() for p in net.params()]
+            ref = [p.copy() for p in params]
+            opt = neural.AdamW(params, lr, wd, masks=net.param_masks())
+            opt.step(params, grads)
+            PerArrayAdamW(ref, lr, wd, [None] * len(ref)).step(ref, grads)
+            assert_bytes_equal(params[k:], ref[k:])
+            return params[k:]
+
+        # Without weight decay the update makes no NaN: +-inf stay +-inf.
+        for lr in (0.0, 0.05):
+            for b in check(0.0, lr):
+                assert b[1] == np.inf and b[2] == -np.inf
+        # An infinite parameter's decay term is infinite, so with decay both
+        # sides make 0 * inf or inf - inf.
         with np.errstate(invalid="ignore"):
-            for wd in (0.0, 0.01):
-                for lr in (0.0, 0.05):
-                    params = [p.copy() for p in net.params()]
-                    ref = [p.copy() for p in params]
-                    opt = neural.AdamW(params, lr, wd, masks=net.param_masks())
-                    opt.step(params, grads)
-                    PerArrayAdamW(ref, lr, wd, [None] * len(ref)).step(ref, grads)
-                    assert_bytes_equal(params[k:], ref[k:])
-            w, zero = np.ones(2), np.array([-0.0, np.nan])
-            opt = neural.AdamW([w, zero], learning_rate=0.0, masks=[np.ones(2), None])
-            opt.step([w, zero], [np.zeros(2), np.zeros(2)])
+            for lr in (0.0, 0.05):
+                check(0.01, lr)
+        w, zero = np.ones(2), np.array([-0.0, np.nan])
+        opt = neural.AdamW([w, zero], learning_rate=0.0, masks=[np.ones(2), None])
+        opt.step([w, zero], [np.zeros(2), np.zeros(2)])
         assert np.signbit(zero[0]) and zero[0] == 0.0 and np.isnan(zero[1])
 
 
@@ -473,6 +483,15 @@ class TestAdamW:
         opt = neural.AdamW([p], learning_rate=0.0, weight_decay=0.3)
         opt.step([p], [np.array([5.0])])
         np.testing.assert_allclose(p, [3.0])
+
+    @pytest.mark.parametrize("lr", [0.0, 0.1])
+    def test_zero_decay_keeps_infinite_parameters(self, lr):
+        """Without weight decay no 0 * inf enters the update, so +-inf stay
+        +-inf and no invalid-value warning is raised."""
+        p = np.array([np.inf, -np.inf, 1.0])
+        opt = neural.AdamW([p], learning_rate=lr)
+        opt.step([p], [np.ones(3)])
+        assert p[0] == np.inf and p[1] == -np.inf and np.isfinite(p[2])
 
 
 class TestTrainConfig:

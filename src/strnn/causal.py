@@ -7,7 +7,7 @@ call the flow's one noise-to-data routine, ``flow._reconstruct``, which takes
 one pass per DAG generation: the intervened coordinate is pinned on the data
 side (its intermediate values are derived by inverting its per-coordinate
 affine chain), all other coordinates push their noise forward, a generation
-at a time.  ``imse_report`` and ``cmse_report`` score every (j, alpha) query
+at a time.  ``imse_report`` and ``cmse_report`` score the (j, alpha) queries
 through one loop, ``_report``.
 """
 
@@ -158,17 +158,19 @@ def _report(fl, sem, value_count, n, answers):
 
     The queries are every (j, alpha), j over the coordinates and alpha over
     ``intervention_values(value_count)``.  ``answers(queries)`` yields, per
-    query, the SEM's values and the flow's (one row each, or a batch of ``n``
-    matching rows); each downstream target i > j scores the mean squared gap
+    query with j < d - 1, the SEM's values and the flow's (one row each, or
+    a batch of ``n`` rows); each target i > j scores the mean squared gap
     between their column i.  The total divides by value_count * d * (d+1) / 2.
     ``check_queries`` runs before ``answers``.
     """
     check_queries(fl, sem, value_count, n)
     d = sem.dim
     queries = [(j, float(a)) for j in range(d) for a in intervention_values(value_count)]
+    answered = answers([(j, alpha) for j, alpha in queries if j < d - 1])
     total = 0.0
     breakdown = []
-    for (j, alpha), (truth, model) in zip(queries, answers(queries)):
+    for j, alpha in queries:
+        truth, model = next(answered) if j < d - 1 else (None, None)
         errs = {i: float(np.mean((truth[..., i] - model[..., i]) ** 2))
                 for i in range(j + 1, d)}
         total += sum(errs.values())
@@ -189,7 +191,7 @@ def imse_report(fl, sem, value_count=8, n_samples=1000, rng=None, ground_truth="
         raise InvalidDimError(f"unknown ground_truth mode {ground_truth!r}")
 
     def answers(queries):
-        streams = np.random.default_rng(rng).spawn(len(queries))
+        streams = np.random.default_rng(rng).spawn(value_count * fl.dim)
         plan = flow_mod._Plan(fl)
         for (j, alpha), stream in zip(queries, streams):
             flow_rng, sem_rng = stream.spawn(2)

@@ -271,7 +271,9 @@ def read_dataset(path):
         raise reader.error(f"header must be 'n d kind' with kind binary or real, "
                            f"got {' '.join(head)!r}")
     (n, d), kind = reader.dims(head[:2]), head[2]
-    x = reader.block(n, d)
+    binary = kind == "binary"
+    x = reader.block(n, d, valid=(lambda a: (a == 0) | (a == 1)) if binary else np.isfinite,
+                     why=f"{kind} dataset entries must be {'0 or 1' if binary else 'finite'}")
     reader.finish(f"the {n} rows")
     side_path = path + ".json"
     sidecar = textio.read_json(side_path, "sidecar")

@@ -5,16 +5,16 @@ Each sub-flow applies the per-coordinate affine map
 gaussian-head masked network built from the shared adjacency, so s_j and t_j
 read only the declared parents of j (a parentless coordinate gets learned
 constants).  The data-to-noise direction evaluates in one parallel pass per
-layer; ``to_noise``, ``nll`` and training (``loss_and_grads``) share that
-pass and the standard-normal base density, so the training loss is the
-evaluation NLL.  The noise-to-data direction takes one pass per DAG
-generation, where a generation is the set of coordinates whose parents are
-all already filled; ``_reconstruct`` is its one routine, shared by sampling
-and by the interventions and counterfactuals of ``causal``, which pin one
-coordinate to a value in data units.  It follows a ``_Plan`` built once per
-query or report, and each conditioner pass computes only the outputs its
-generation reads, into the plan's reused buffers, bitwise the full pass's
-values.  An affine standardization
+layer; ``to_noise``, ``nll`` and training (``loss_and_grads``, into buffers
+reused from step to step) share that pass and the standard-normal base
+density, so the training loss is the evaluation NLL.  The noise-to-data
+direction takes one pass per DAG generation, where a generation is the set
+of coordinates whose parents are all already filled; ``_reconstruct`` is its
+one routine, shared by sampling and by the interventions and counterfactuals
+of ``causal``, which pin one coordinate to a value in data units.  It
+follows a ``_Plan`` built once per query or report, and each conditioner
+pass computes only the outputs its generation reads, into the plan's reused
+buffers, bitwise the full pass's values.  An affine standardization
 (train-split mean/std) sits outermost and its log-Jacobian is part of the
 density.
 """
@@ -81,29 +81,26 @@ class AffineFlow:
         return [M for net in self.layers for M in net.param_masks()]
 
 
-def _to_noise(flow, x, keep_levels, tape=None):
+def _to_noise(flow, x, keep_levels, work=None, tape=None):
     """The data-to-noise pass of a batch: (levels, log_det).
 
     ``levels`` is [z, ..., u] (noise side first) with keep_levels, else [z];
     log_det is the per-sample log |det dz/dx|, including the standardization
-    Jacobian.  Given a list ``tape``, each layer, data side first, appends
-    its forward cache, log-scales s and exp(-s) for the backward pass; only
-    training keeps these.
+    Jacobian.  Training passes ``work``, each conditioner's layer buffers,
+    and a list ``tape`` that each layer, data side first, appends its
+    log-scales s and exp(-s) to for the backward pass.
     """
     u = (x - flow.mu) / flow.sigma
     log_det = np.full(x.shape[0], -float(np.sum(np.log(flow.sigma))))
     levels = [u]
-    for net in reversed(flow.layers):
-        if tape is None:
-            out = net.forward(levels[-1])
-        else:
-            out, cache = net.forward_cached(levels[-1])
+    for k in reversed(range(len(flow.layers))):
+        out = flow.layers[k].forward(levels[-1], work=None if work is None else work[k])
         t, s = neural._split_gaussian(out)
         e = np.exp(-s)
         v = (levels[-1] - t) * e
         log_det -= s.sum(axis=1)
         if tape is not None:
-            tape.append((cache, s, e))
+            tape.append((s, e))
         if keep_levels:
             levels.append(v)
         else:
@@ -185,7 +182,7 @@ class _Plan:
     def __init__(self, flow):
         self.flow = flow
         self.dep = _dependencies(flow)
-        self._generations, self._steps, self._arrays = {}, {}, {}
+        self._generations, self._steps, self._buffers = {}, {}, {}
 
     def generations(self, start):
         if start not in self._generations:
@@ -207,21 +204,15 @@ class _Plan:
             net, d = self.flow.layers[k], self.flow.dim
             W, b = net.weights[-1], net.biases[-1]
             rows = np.concatenate([gen, gen + d])
-            if gen.size < d and _rows_exact(n, W.shape, tuple(rows.tolist())):
+            if n and gen.size < d and _rows_exact(n, W.shape, tuple(rows.tolist())):
                 last, cols, width = (W[rows], b[rows]), np.arange(gen.size), rows.size
             else:
                 last, cols, width = None, gen, W.shape[0]
-            work = [self._array(n, i, V.shape[0]) for i, V in enumerate(net.weights[:-1])]
-            # Every conditioner's output goes to one buffer of 2d columns per n.
-            out = self._array(n, -1, 2 * d).ravel()[:n * width].reshape(n, width)
-            self._steps[key] = last, cols, work + [out]
+            # A sliced output layer writes into the front of the full one's buffer.
+            work = neural.layer_buffers(self._buffers, "plan", net, n)
+            out = work[-1].ravel()[:n * width].reshape(n, width)
+            self._steps[key] = last, cols, work[:-1] + [out]
         return self._steps[key]
-
-    def _array(self, n, layer, width):
-        key = (n, layer, width)
-        if key not in self._arrays:
-            self._arrays[key] = np.empty((n, width))
-        return self._arrays[key]
 
 
 @functools.lru_cache(maxsize=1024)
@@ -314,22 +305,24 @@ def sample(flow, n, rng):
     return from_noise(flow, rng.standard_normal((n, flow.dim)))
 
 
-def loss_and_grads(flow, x):
+def loss_and_grads(flow, x, buffers):
     """Mean NLL of the batch and gradients for every conditioner parameter,
-    aligned with ``flow.params()``.  The loss is ``mean_nll(flow, x)``
-    exactly."""
+    aligned with ``flow.params()``, from passes into ``neural.layer_buffers``.
+    The loss is ``mean_nll(flow, x)`` exactly."""
     x, _ = neural._as_batch(x, flow.dim)
     n = x.shape[0]
+    work = [neural.layer_buffers(buffers, k, net, n) for k, net in enumerate(flow.layers)]
     tape = []
-    levels, log_det = _to_noise(flow, x, keep_levels=True, tape=tape)
+    levels, log_det = _to_noise(flow, x, keep_levels=True, work=work, tape=tape)
     loss = float(np.mean(_nll(levels[0], log_det)))
     grads = []
     g = levels[0] / n
     # Layer k maps levels[k + 1] to levels[k]; the tape runs data side first.
-    for k, (net, (cache, s, e)) in enumerate(zip(flow.layers, reversed(tape))):
+    for k, (net, (s, e)) in enumerate(zip(flow.layers, reversed(tape))):
         g_t = -g * e
         g_s = (-g * levels[k] + 1.0 / n) * (np.abs(s) < neural.LOG_SIGMA_CLAMP)
-        (gW, gb), g_in = net.backward(cache, np.concatenate([g_t, g_s], axis=1))
+        (gW, gb), g_in = net.backward([levels[k + 1]] + work[k][:-1],
+                                      np.concatenate([g_t, g_s], axis=1))
         grads += gW + gb
         g = g * e + g_in
     return loss, grads

@@ -9,10 +9,11 @@ Hidden layers use ReLU; the head is either ``binary`` (d logits) or
 ``gaussian`` (2d outputs: means then log-sigmas, the final mask stacked twice
 vertically).  Each head has one likelihood, ``head_nll`` of the raw outputs:
 evaluation (``nll``), training (``loss_and_grads``) and the data generators'
-exact oracles all go through it.  Evaluation runs the network in blocks of
-EVAL_BLOCK rows, so the hidden activations stay in cache; each sample's NLL is
-bitwise the one an unblocked pass gives.  Checkpoints use the text format
-defined in ``textio``.
+exact oracles all go through it.  ``MaskedMLP.forward`` is the one layer
+loop; training runs it into buffers reused across steps (``layer_buffers``).
+Evaluation runs in blocks of EVAL_BLOCK rows, so the hidden activations stay
+in cache; each sample's NLL is bitwise the one an unblocked pass gives.
+Checkpoints use the text format defined in ``textio``.
 """
 
 from dataclasses import dataclass
@@ -111,29 +112,15 @@ class MaskedMLP:
                 np.maximum(h, 0.0, out=h)
         return h[0] if squeeze else h
 
-    def forward_cached(self, x):
-        """Forward pass that keeps layer inputs/pre-activations for backward."""
-        x, _ = _as_batch(x, self.dim)
-        inputs, preacts = [], []
-        h = x
-        for W, b in zip(self.weights[:-1], self.biases[:-1]):
-            inputs.append(h)
-            z = h @ W.T + b
-            preacts.append(z)
-            h = np.maximum(z, 0.0)
-        inputs.append(h)
-        out = h @ self.weights[-1].T + self.biases[-1]
-        return out, (inputs, preacts)
-
-    def backward(self, cache, grad_out, input_grad=True):
-        """Reverse-mode pass from an output gradient.
-
-        Returns ((weight_grads, bias_grads), grad_input).  Gradients are dense;
-        masked positions are irrelevant because updates get re-masked.  With
-        ``input_grad=False`` the layer-0 product ``delta @ W[0]`` is skipped and
-        grad_input is None; the parameter gradients are unchanged.
+    def backward(self, inputs, grad_out, input_grad=True):
+        """Reverse-mode pass from an output gradient, given each layer's input
+        ``[x] + work[:-1]`` of ``forward(x, work=work)``; a ReLU passes
+        gradient where its output max(z, 0), hence z, is positive.  Returns
+        ((weight_grads, bias_grads), grad_input), new arrays.  Gradients are
+        dense; masked positions are irrelevant because updates get re-masked.
+        With ``input_grad=False`` the layer-0 product ``delta @ W[0]`` is
+        skipped and grad_input is None; the parameter gradients are unchanged.
         """
-        inputs, preacts = cache
         weight_grads = [None] * len(self.weights)
         bias_grads = [None] * len(self.biases)
         delta = np.asarray(grad_out, dtype=np.float64)
@@ -141,7 +128,7 @@ class MaskedMLP:
             weight_grads[layer] = delta.T @ inputs[layer]
             bias_grads[layer] = delta.sum(axis=0)
             if layer:
-                delta = (delta @ self.weights[layer]) * (preacts[layer - 1] > 0.0)
+                delta = (delta @ self.weights[layer]) * (inputs[layer] > 0.0)
         grad_input = delta @ self.weights[0] if input_grad else None
         return (weight_grads, bias_grads), grad_input
 
@@ -151,6 +138,15 @@ class MaskedMLP:
     def param_masks(self):
         """The structural masks aligned with ``params()``: None per bias."""
         return self.masks + [None] * len(self.biases)
+
+
+def layer_buffers(buffers, key, net, n):
+    """``forward``'s ``work`` for ``net`` on n rows, kept under ``key`` in the
+    caller's dict ``buffers``: a later request gets the same arrays back."""
+    key = (key, n, tuple(len(b) for b in net.biases))
+    if key not in buffers:
+        buffers[key] = [np.empty((n, len(b))) for b in net.biases]
+    return buffers[key]
 
 
 def _as_batch(x, dim):
@@ -230,12 +226,14 @@ def mean_nll(net, x):
     return float(np.mean(nll(net, x)))
 
 
-def loss_and_grads(net, x):
+def loss_and_grads(net, x, buffers):
     """Mean NLL over the batch and its gradients, aligned with
-    ``net.params()``.  The loss is ``mean_nll(net, x)`` exactly."""
+    ``net.params()``, from a pass into ``layer_buffers(buffers, ...)``.  The
+    loss is ``mean_nll(net, x)`` exactly."""
     x = _targets(net.head, x)
     n = x.shape[0]
-    out, cache = net.forward_cached(x)
+    work = layer_buffers(buffers, "net", net, n)
+    out = net.forward(x, work=work)
     loss = float(np.mean(head_nll(net.head, out, x)))
     if net.head == "binary":
         grad_out = (sigmoid(out) - x) / n
@@ -246,7 +244,7 @@ def loss_and_grads(net, x):
         in_range = np.abs(log_sigma) < LOG_SIGMA_CLAMP
         g_log_sigma = (1.0 - (x - mu) ** 2 * inv_var) * in_range / n
         grad_out = np.concatenate([g_mu, g_log_sigma], axis=1)
-    (weight_grads, bias_grads), _ = net.backward(cache, grad_out, input_grad=False)
+    (weight_grads, bias_grads), _ = net.backward([x] + work[:-1], grad_out, input_grad=False)
     return loss, weight_grads + bias_grads
 
 
@@ -372,11 +370,6 @@ class Dataset:
         return self.x[self.idx_test]
 
 
-def _minibatches(n, batch_size, perm):
-    for start in range(0, n, batch_size):
-        yield perm[start:start + batch_size]
-
-
 def train(net, dataset, config):
     """AdamW training on the head NLL with optional plateau schedule and
     early stopping.
@@ -391,10 +384,11 @@ def train(net, dataset, config):
 
 def _optimize(model, dataset, config, loss_and_grads, mean_nll):
     """The training loop behind ``train`` and ``flow.train_flow``, given the
-    model's ``loss_and_grads(model, x)`` and ``mean_nll(model, x)``."""
+    model's ``loss_and_grads(model, x, buffers)`` and ``mean_nll(model, x)``."""
     config.validate()
     rng = np.random.default_rng(config.seed)
     params = model.params()
+    buffers = {}
     opt = AdamW(params, config.learning_rate, config.weight_decay,
                 epsilon=config.epsilon, masks=model.param_masks())
     train_x = dataset.train_x
@@ -406,8 +400,8 @@ def _optimize(model, dataset, config, loss_and_grads, mean_nll):
     plateau_stall = 0
     for epoch in range(1, config.max_epochs + 1):
         perm = rng.permutation(n)
-        for idx in _minibatches(n, config.batch_size, perm):
-            _, grads = loss_and_grads(model, train_x[idx])
+        for idx in np.split(perm, range(config.batch_size, n, config.batch_size)):
+            _, grads = loss_and_grads(model, train_x[idx], buffers)
             opt.step(params, grads)
         train_nll = mean_nll(model, train_x)
         val_nll = mean_nll(model, dataset.val_x)

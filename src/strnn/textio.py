@@ -5,7 +5,7 @@ block is r lines of c numbers written with ``repr``, so it reads back bitwise.
 
 - Matrix: a header ``d`` (square) or ``rows cols``, then a block of integers.
 - Dataset: a header ``n d kind`` (``binary`` or ``real``), then an n x d
-  block (binary rows as integers), plus a JSON sidecar.
+  block of finite values (binary: integers 0 and 1), plus a JSON sidecar.
 - Checkpoint: ``strnn-checkpoint 1``, ``kind <kind>``, ``<name> <value>``
   fields and named blocks (``<name>``, ``rows cols``, rows of floats; a 1-D
   array is one row), then ``end``.
@@ -74,11 +74,13 @@ class Reader:
         """The value of a ``<name> <n>`` line, a positive integer."""
         return self.dims([self.field(name)])[0]
 
-    def block(self, r, c, dtype=np.float64):
-        """The next r lines of c numbers as an (r, c) array."""
-        what, rows = f"{r} rows of {c} values", []
+    def block(self, r, c, dtype=np.float64, valid=None, why=None):
+        """The next r lines of c numbers as an (r, c) array; the first row
+        where the elementwise test ``valid`` fails raises ParseError ``why``."""
+        what, rows, line_nos = f"{r} rows of {c} values", [], []
         for _ in range(r):
             row = self.line(what)
+            line_nos.append(self.line_no)
             if len(row) != c:
                 raise self.error(f"expected {c} values, found {len(row)}")
             try:
@@ -86,7 +88,11 @@ class Reader:
             except (ValueError, OverflowError):
                 kind = "integer" if dtype == np.int64 else "numeric"
                 raise self.error(f"non-{kind} token in {' '.join(row)!r}") from None
-        return np.array(rows)
+        a = np.array(rows)
+        if valid is not None and not (ok := valid(a).all(axis=1)).all():
+            self.line_no = line_nos[np.argmin(ok)]
+            raise self.error(why)
+        return a
 
     def named_block(self, name, rows=None, cols=None):
         """A checkpoint block; ``rows`` and ``cols``, if given, are its shape."""

@@ -326,6 +326,37 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert "data.txt" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("kind, value", [("real", "nan"), ("real", "-inf"),
+                                             ("binary", "2"), ("binary", "0.5"),
+                                             ("binary", "nan")])
+    def test_malformed_dataset_value_names_its_line(self, tmp_path, capsys, kind, value):
+        """A non-finite value, or an entry outside {0, 1} in a binary
+        dataset, is a parse error at its line, raised before --out-dir is
+        made."""
+        if kind == "real":
+            data, adj = write_gaussian_dataset(tmp_path)
+        else:
+            spec = datagen.SynthSpec("binary", 40, seed=2,
+                                     adjacency=adjacency.GeneratorSpec("prev_k", d=3, k=2))
+            gen, dataset = datagen.generate(spec)
+            data = str(tmp_path / "data.txt")
+            datagen.write_dataset(data, gen, dataset, spec=spec)
+            adj = write_adjacency(tmp_path, gen.adjacency)
+        lines = (tmp_path / "data.txt").read_text().split("\n")
+        # Line 1 is the header; a blank line before row 7 puts it on line 10.
+        row = lines[8].split()
+        row[1] = value
+        lines[8] = "\n" + " ".join(row)
+        (tmp_path / "data.txt").write_text("\n".join(lines))
+        cfg = self.config_file(tmp_path, {"model": "strnn", "dataset": data,
+                                          "adjacency": adj, "max_epochs": 2})
+        out = tmp_path / "o"
+        assert cli.main(["train", "--config", cfg, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {data}:10: ") and "Traceback" not in err
+        assert ("must be 0 or 1" if kind == "binary" else "must be finite") in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("part", ["train", "val", "test"])
     def test_empty_split_exits_two(self, tmp_path, capsys, part):
         """An empty test split used to report a NaN test NLL, an empty val

@@ -365,6 +365,35 @@ class TestGenerationInversion:
         flow.from_noise(fl, np.random.default_rng(0).normal(size=(10, A.shape[0])))
         assert len(calls) == n_generations(A) * K
 
+    def test_zero_rows(self):
+        """A batch of no rows comes back as no rows of width d, also when the
+        flow has more than one generation."""
+        fl = jitter_flow(flow.AffineFlow.build(adjacency.gen_prev_k(6, 2), 2, [8], 0), 1)
+        assert len(flow._generations(flow._dependencies(fl), 0)) > 1
+        assert flow.sample(fl, 0, 0).shape == (0, 6)
+        assert causal.flow_intervene_sample(fl, 2, 1.0, 0, 0).shape == (0, 6)
+        assert causal.flow_counterfactual(fl, np.zeros((0, 6)), 2, 1.0).shape == (0, 6)
+
+    @pytest.mark.parametrize("report", ["imse", "cmse"])
+    def test_reports_run_no_pass_for_unscored_queries(self, monkeypatch, report):
+        """A query at j = d - 1 has no target i > j to score, so a report
+        runs no conditioner pass for it: imse_report one pass per layer and
+        generation for each other query, cmse_report one per layer and
+        generation from j on, after one abduction."""
+        sem = causal.gen_linear_sem(5, cutoff=0.5, rng=3)
+        fl = jitter_flow(flow.AffineFlow.build(sem.adjacency(), 2, [8], 0), 1)
+        dep = flow._dependencies(fl)
+        value_count, K = 3, len(fl.layers)
+        calls = count_forwards(monkeypatch)
+        if report == "imse":
+            causal.imse_report(fl, sem, value_count=value_count, n_samples=10, rng=4)
+            abduction, starts = 0, [0] * 4
+        else:
+            causal.cmse_report(fl, sem, value_count=value_count, n_obs=10, rng=4)
+            abduction, starts = K, range(4)
+        passes = sum(len(flow._generations(dep, start)) * K for start in starts)
+        assert len(calls) == abduction + value_count * passes
+
     def test_from_noise_returns_independent_arrays(self, monkeypatch):
         A = adjacency.gen_random_sparse(6, 0.5, 3)
         fl = jitter_flow(flow.AffineFlow.build(A, 2, [8], 1), 2)
@@ -374,7 +403,7 @@ class TestGenerationInversion:
         z = np.random.default_rng(0).normal(size=(9, 6))
         a, b = flow.from_noise(fl, z), flow.from_noise(fl, z)
         assert a.tobytes() == b.tobytes() and not np.shares_memory(a, b)
-        buffers = [buf for plan in plans for buf in plan._arrays.values()]
+        buffers = [buf for plan in plans for work in plan._buffers.values() for buf in work]
         assert len(plans) == 2 and buffers
         for x in (a, b):
             assert not any(np.shares_memory(x, buf) for buf in buffers)
@@ -400,7 +429,7 @@ class TestGenerationInversion:
             ref = reconstruct_full_passes(fl, [lv.copy() for lv in levels], plan.dep, start,
                                           (start, 0.5))
             assert ours.tobytes() == ref.tobytes()
-        assert {key[0] for key in plan._arrays} == {20, 33}
+        assert {key[1] for key in plan._buffers} == {20, 33}
 
     def test_cmse_report_abducts_once(self, monkeypatch):
         sem = causal.gen_linear_sem(5, rng=3)
@@ -431,6 +460,15 @@ class TestGenerationInversion:
         assert len(calls) == 5
 
 
+def hidden_preacts(net, x):
+    """The pre-activations of each hidden layer of ``net`` at ``x``."""
+    preacts, h = [], x
+    for W, b in zip(net.weights[:-1], net.biases[:-1]):
+        preacts.append(h @ W.T + b)
+        h = np.maximum(preacts[-1], 0.0)
+    return preacts
+
+
 def well_conditioned_flow(x, d, n_layers, hidden, margin=1e-3):
     """Search for a jittered flow whose ReLU kinks, scale clamp, and overall
     magnitudes leave finite differences trustworthy at x."""
@@ -443,9 +481,7 @@ def well_conditioned_flow(x, d, n_layers, hidden, margin=1e-3):
             continue
         ok = True
         for k, net in enumerate(fl.layers):
-            _, cache = net.forward_cached(levels[k + 1])
-            _, preacts = cache
-            if any(np.abs(p).min() <= margin for p in preacts):
+            if any(np.abs(p).min() <= margin for p in hidden_preacts(net, levels[k + 1])):
                 ok = False
                 break
             out = net.forward(levels[k + 1])
@@ -461,7 +497,7 @@ class TestFlowGradients:
     def test_matches_finite_differences(self):
         x = np.random.default_rng(23).normal(size=(6, 4))
         fl = well_conditioned_flow(x, 4, 2, [5])
-        loss, analytic = flow.loss_and_grads(fl, x)
+        loss, analytic = flow.loss_and_grads(fl, x, {})
         assert loss == flow.mean_nll(fl, x)
         params = fl.params()
         eps = 1e-6

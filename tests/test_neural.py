@@ -34,11 +34,88 @@ def well_conditioned_net(d, hidden, head, x, margin=1e-3, start=0):
             W += 0.3 * jitter.normal(size=W.shape) * M
         for b in net.biases:
             b += 0.3 * jitter.normal(size=b.shape)
-        _, cache = net.forward_cached(x)
-        _, preacts = cache  # hidden-layer pre-activations only
+        _, (_, preacts) = forward_cached_reference(net, x)
         if all(np.abs(p).min() > margin for p in preacts):
             return net
     raise AssertionError("no well-conditioned draw found")
+
+
+# The training pass as it was written before it went through ``forward``:
+# a second layer loop that keeps every hidden pre-activation, and a backward
+# pass that gates each ReLU on them.  The tests hold the one-loop step to
+# these bitwise.
+
+def forward_cached_reference(net, x):
+    """(out, (layer inputs, hidden pre-activations))."""
+    x, _ = neural._as_batch(x, net.dim)
+    inputs, preacts = [], []
+    h = x
+    for W, b in zip(net.weights[:-1], net.biases[:-1]):
+        inputs.append(h)
+        z = h @ W.T + b
+        preacts.append(z)
+        h = np.maximum(z, 0.0)
+    inputs.append(h)
+    out = h @ net.weights[-1].T + net.biases[-1]
+    return out, (inputs, preacts)
+
+
+def backward_reference(net, cache, grad_out, input_grad=True):
+    inputs, preacts = cache
+    weight_grads = [None] * len(net.weights)
+    bias_grads = [None] * len(net.biases)
+    delta = np.asarray(grad_out, dtype=np.float64)
+    for layer in range(len(net.weights) - 1, -1, -1):
+        weight_grads[layer] = delta.T @ inputs[layer]
+        bias_grads[layer] = delta.sum(axis=0)
+        if layer:
+            delta = (delta @ net.weights[layer]) * (preacts[layer - 1] > 0.0)
+    grad_input = delta @ net.weights[0] if input_grad else None
+    return (weight_grads, bias_grads), grad_input
+
+
+def loss_and_grads_reference(net, x, buffers=None):
+    x = neural._targets(net.head, x)
+    n = x.shape[0]
+    out, cache = forward_cached_reference(net, x)
+    loss = float(np.mean(neural.head_nll(net.head, out, x)))
+    if net.head == "binary":
+        grad_out = (neural.sigmoid(out) - x) / n
+    else:
+        mu, log_sigma = neural._split_gaussian(out)
+        inv_var = np.exp(-2.0 * log_sigma)
+        g_mu = (mu - x) * inv_var / n
+        in_range = np.abs(log_sigma) < neural.LOG_SIGMA_CLAMP
+        g_log_sigma = (1.0 - (x - mu) ** 2 * inv_var) * in_range / n
+        grad_out = np.concatenate([g_mu, g_log_sigma], axis=1)
+    (weight_grads, bias_grads), _ = backward_reference(net, cache, grad_out, input_grad=False)
+    return loss, weight_grads + bias_grads
+
+
+def flow_loss_and_grads_reference(fl, x, buffers=None):
+    x, _ = neural._as_batch(x, fl.dim)
+    n = x.shape[0]
+    levels = [(x - fl.mu) / fl.sigma]
+    log_det = np.full(n, -float(np.sum(np.log(fl.sigma))))
+    tape = []
+    for net in reversed(fl.layers):
+        out, cache = forward_cached_reference(net, levels[-1])
+        t, s = neural._split_gaussian(out)
+        e = np.exp(-s)
+        levels.append((levels[-1] - t) * e)
+        log_det -= s.sum(axis=1)
+        tape.append((cache, s, e))
+    levels.reverse()
+    loss = float(np.mean(flow._nll(levels[0], log_det)))
+    grads = []
+    g = levels[0] / n
+    for k, (net, (cache, s, e)) in enumerate(zip(fl.layers, reversed(tape))):
+        g_t = -g * e
+        g_s = (-g * levels[k] + 1.0 / n) * (np.abs(s) < neural.LOG_SIGMA_CLAMP)
+        (gW, gb), g_in = backward_reference(net, cache, np.concatenate([g_t, g_s], axis=1))
+        grads += gW + gb
+        g = g * e + g_in
+    return loss, grads
 
 
 def numerical_grad(f, arrays, eps=1e-6):
@@ -227,7 +304,7 @@ class TestGradients:
         x = (rng.random((5, 4)) < 0.5).astype(np.float64) if head == "binary" \
             else rng.normal(size=(5, 4))
         net = well_conditioned_net(4, [6], head, x)
-        loss, analytic = neural.loss_and_grads(net, x)
+        loss, analytic = neural.loss_and_grads(net, x, {})
         assert loss == neural.mean_nll(net, x)
         numeric = numerical_grad(lambda: neural.mean_nll(net, x),
                                  net.params())
@@ -243,8 +320,9 @@ class TestGradients:
         def f():
             return float(np.sum(net.forward(x) * c))
 
-        out, cache = net.forward_cached(x)
-        _, grad_in = net.backward(cache, c)
+        work = neural.layer_buffers({}, "net", net, len(x))
+        net.forward(x, work=work)
+        _, grad_in = net.backward([x] + work[:-1], c)
         numeric = numerical_grad(f, [x])[0]
         np.testing.assert_allclose(grad_in, numeric, atol=5e-7)
 
@@ -254,10 +332,12 @@ class TestGradients:
         A, net = build_net(4, hidden, "gaussian", 3)
         for W, M in zip(net.weights, net.masks):
             W += 0.3 * rng.normal(size=W.shape) * M
-        _, cache = net.forward_cached(rng.normal(size=(9, 4)))
+        x = rng.normal(size=(9, 4))
+        work = neural.layer_buffers({}, "net", net, 9)
+        net.forward(x, work=work)
         c = rng.normal(size=(9, net.out_dim))
-        (gW, gb), grad_in = net.backward(cache, c)
-        (gW2, gb2), none = net.backward(cache, c, input_grad=False)
+        (gW, gb), grad_in = net.backward([x] + work[:-1], c)
+        (gW2, gb2), none = net.backward([x] + work[:-1], c, input_grad=False)
         assert grad_in.shape == (9, 4) and none is None
         for a, b in zip(gW + gb, gW2 + gb2):
             np.testing.assert_array_equal(a, b)
@@ -267,13 +347,156 @@ class TestGradients:
         the re-mask inside each optimizer step of ``train``."""
         A, net = build_net(5, [8], "binary", 9)
         x = (np.random.default_rng(0).random((16, 5)) < 0.5).astype(np.float64)
-        _, grads = neural.loss_and_grads(net, x)
+        _, grads = neural.loss_and_grads(net, x, {})
         assert any(np.any(g * (1 - M)) for g, M in zip(grads, net.masks))
         ds = neural.Dataset(x, "binary", np.arange(16), np.arange(8), np.arange(8, 16))
         cfg = neural.TrainConfig(learning_rate=0.05, batch_size=4, max_epochs=3, seed=0)
         net, _ = neural.train(net, ds, cfg)
         for W, M in zip(net.weights, net.masks):
             assert not np.any(W * (1 - M))
+
+
+def jittered(model, seed, scale=0.3):
+    """``model`` (a network or a flow) with every weight and bias moved off
+    its initial value, masked weights kept at zero."""
+    rng = np.random.default_rng(seed)
+    for net in getattr(model, "layers", [model]):
+        for W, M in zip(net.weights, net.masks):
+            W += scale * rng.normal(size=W.shape) * M
+        for b in net.biases:
+            b += scale * rng.normal(size=b.shape)
+    return model
+
+
+def batch(head, rng, n, d):
+    x = rng.normal(size=(n, d))
+    return (x < 0.0).astype(np.float64) if head == "binary" else x
+
+
+def assert_same_step(got, want):
+    (loss, grads), (ref_loss, ref_grads) = got, want
+    assert loss == ref_loss or (np.isnan(loss) and np.isnan(ref_loss))
+    assert_bytes_equal(grads, ref_grads)
+
+
+class TestOneLoopStep:
+    """``loss_and_grads`` runs ``forward`` into reused buffers and gates each
+    ReLU on its activations; it must give bitwise what the pass with a
+    pre-activation cache gave."""
+
+    @pytest.mark.parametrize("head", ["binary", "gaussian"])
+    @pytest.mark.parametrize("hidden", [[], [6], [7, 5]])
+    def test_matches_forward_cached_oracle(self, head, hidden):
+        rng = np.random.default_rng(61)
+        A, net = build_net(5, hidden, head, 21)
+        jittered(net, 22)
+        buffers = {}
+        # One set of buffers over batches of several sizes, back and forth.
+        for n in (24, 24, 7, 1, 24, 7):
+            x = batch(head, rng, n, 5)
+            assert_same_step(neural.loss_and_grads(net, x, buffers),
+                             loss_and_grads_reference(net, x))
+        assert {key[1] for key in buffers} == {24, 7, 1}
+
+    @pytest.mark.parametrize("hidden", [[], [6], [7, 5]])
+    def test_flow_matches_forward_cached_oracle(self, hidden):
+        rng = np.random.default_rng(63)
+        fl = jittered(flow.AffineFlow.build(adjacency.gen_prev_k(5, 2), 3, hidden, 23), 24)
+        fl.mu, fl.sigma = rng.normal(size=5), rng.uniform(0.5, 2.0, size=5)
+        buffers = {}
+        for n in (20, 20, 3, 20):
+            x = rng.normal(size=(n, 5))
+            assert_same_step(flow.loss_and_grads(fl, x, buffers),
+                             flow_loss_and_grads_reference(fl, x))
+        # One set of buffers per conditioner and row count.
+        assert sorted((key[0], key[1]) for key in buffers) == [
+            (k, n) for k in range(3) for n in (3, 20)]
+
+    @pytest.mark.parametrize("kind", ["binary", "real", "flow"])
+    def test_training_with_a_short_trailing_minibatch(self, monkeypatch, kind):
+        """54 training rows in batches of 8, so every epoch ends on 6 rows:
+        the run and a run through the oracle step agree bitwise."""
+        A, ds = toy_dataset(7, kind="binary" if kind == "binary" else "real")
+        assert len(ds.idx_train) % 8 == 6
+        cfg = neural.TrainConfig(learning_rate=0.02, batch_size=8, max_epochs=4, seed=3)
+        module, fit, reference = {
+            "flow": (flow, flow.train_flow, flow_loss_and_grads_reference),
+        }.get(kind, (neural, neural.train, loss_and_grads_reference))
+        runs = []
+        for step in ("one loop", "oracle"):
+            if step == "oracle":
+                monkeypatch.setattr(module, "loss_and_grads", reference)
+            if kind == "flow":
+                model = flow.AffineFlow.build(A, 2, [6], 4)
+            else:
+                masks = factorizer.factor_multilayer(A, [6], "greedy")
+                model = neural.MaskedMLP.from_masks(
+                    masks, "binary" if kind == "binary" else "gaussian", 4)
+            model, history = fit(model, ds, cfg)
+            runs.append((history, [p.copy() for p in model.params()]))
+        assert runs[0][0] == runs[1][0]
+        assert_bytes_equal(runs[0][1], runs[1][1])
+
+    @pytest.mark.parametrize("head", ["binary", "gaussian"])
+    @pytest.mark.parametrize("bias", [0.0, -0.0, np.nan, -1e300])
+    def test_hidden_unit_forced_through_its_bias(self, head, bias):
+        """A hidden unit that reads nothing has the pre-activation
+        0.0 + bias on every row: +0.0 for either zero, NaN, or a large
+        negative number."""
+        rng = np.random.default_rng(65)
+        A, net = build_net(4, [6, 5], head, 25)
+        jittered(net, 26)
+        for layer in (0, 1):
+            net.weights[layer][2] = 0.0
+            net.biases[layer][2] = bias
+        x = batch(head, rng, 9, 4)
+        with np.errstate(invalid="ignore"):
+            assert_same_step(neural.loss_and_grads(net, x, {}),
+                             loss_and_grads_reference(net, x, {}))
+
+    def test_gate_on_activations_equals_gate_on_preactivations(self):
+        """max(z, 0) > 0 exactly where z > 0, for the floats where that could
+        go wrong, so ``backward`` from the layer inputs is bitwise the
+        backward from the pre-activations."""
+        rng = np.random.default_rng(67)
+        A, net = build_net(3, [7], "gaussian", 27)
+        jittered(net, 28)
+        special = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324])
+        x = rng.normal(size=(4, 3))
+        z = rng.normal(size=(4, 7))
+        z[:, :special.size] = special
+        c = rng.normal(size=(4, net.out_dim))
+        with np.errstate(invalid="ignore"):
+            got = net.backward([x, np.maximum(z, 0.0)], c)
+            want = backward_reference(net, ([x, np.maximum(z, 0.0)], [z]), c)
+        assert_bytes_equal(got[0][0] + got[0][1] + [got[1]],
+                           want[0][0] + want[0][1] + [want[1]])
+
+    @pytest.mark.parametrize("kind", ["network", "flow"])
+    def test_reused_buffers_do_not_alias(self, kind):
+        """Two steps on different batches with one set of buffers give the
+        gradients fresh buffers give, and the first step's gradients do not
+        change when the second step overwrites the buffers."""
+        rng = np.random.default_rng(69)
+        if kind == "flow":
+            model = jittered(flow.AffineFlow.build(adjacency.gen_prev_k(5, 2), 2, [8], 29), 30)
+            step = flow.loss_and_grads
+        else:
+            model = jittered(build_net(5, [8, 6], "gaussian", 29)[1], 30)
+            step = neural.loss_and_grads
+        xa, xb = rng.normal(size=(16, 5)), rng.normal(size=(16, 5))
+        buffers = {}
+        first = step(model, xa, buffers)
+        kept = [g.copy() for g in first[1]]
+        arrays = [a for work in buffers.values() for a in work]
+        second = step(model, xb, buffers)
+        again = [a for work in buffers.values() for a in work]
+        assert len(again) == len(arrays) and all(a is b for a, b in zip(again, arrays))
+        assert_same_step(first, step(model, xa, {}))
+        assert_same_step(second, step(model, xb, {}))
+        assert_bytes_equal(first[1], kept)
+        for g in first[1] + second[1]:
+            assert not any(np.shares_memory(g, a) for a in arrays)
 
 
 class PerArrayAdamW:
@@ -327,7 +550,7 @@ def run_masked_steps(model, loss_and_grads, x, lr, wd, steps=7, edit=None):
     opt = neural.AdamW(params, lr, wd, masks=model.param_masks())
     ref_opt = PerArrayAdamW(ref, lr, wd, model.param_masks())
     for k in range(steps):
-        _, grads = loss_and_grads(model, x)
+        _, grads = loss_and_grads(model, x, {})
         opt.step(params, grads)
         ref_opt.step(ref, grads)
         assert_bytes_equal(params, ref)

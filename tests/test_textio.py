@@ -50,11 +50,26 @@ def test_golden_matrix(name, arrays, tmp_path):
 
 @pytest.mark.parametrize("name", ["binary", "real"])
 def test_golden_dataset(name, arrays, tmp_path):
+    """The rows read back bitwise and write back to the same bytes.  The
+    rows of real.txt carry inf and -inf, which the text format keeps but a
+    dataset may not hold, so read_dataset stops at its line 2; that file's
+    rows are read as a plain block."""
     path = golden(f"{name}.txt")
-    gen, dataset = datagen.read_dataset(path)
-    assert_bitwise(gen.x, arrays[f"{name}_x"])
     with open(path + ".json") as fh:
         side = json.load(fh)
+    if name == "real":
+        with pytest.raises(ParseError, match=r"real\.txt:2: real dataset entries must be finite"):
+            datagen.read_dataset(path)
+        reader = textio.Reader(path)
+        n, d = reader.dims(reader.line("header")[:2])
+        x = reader.block(n, d)
+        gen = datagen.GeneratedData(x, None, "real", side["family"],
+                                    datagen.read_params(path + ".json", side))
+        dataset = neural.Dataset(x, "real", *(np.asarray(side["splits"][part])
+                                              for part in ("train", "val", "test")))
+    else:
+        gen, dataset = datagen.read_dataset(path)
+    assert_bitwise(gen.x, arrays[f"{name}_x"])
     out = str(tmp_path / f"{name}.txt")
     spec = datagen.SynthSpec.from_dict(side["spec"])
     datagen.write_dataset(out, gen, dataset, spec=spec, adjacency_path=side["adjacency_file"])

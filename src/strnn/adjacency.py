@@ -35,7 +35,7 @@ def validate(A):
     bad = (A != 0) & (A != 1)
     if bad.any():
         i, j = np.argwhere(bad)[0]
-        raise NonBinaryEntryError(int(i), int(j), A[i, j])
+        raise NonBinaryEntryError(int(i), int(j), A[i, j].item())
     A = A.astype(np.int64)
     upper = np.triu(A) != 0
     if upper.any():
@@ -116,15 +116,24 @@ def write_matrix(M, path):
         textio.write_rows(fh, M)
 
 
-def read_matrix(path):
-    """Read a plain-text matrix as an int64 array; ``validate`` checks it as
-    an adjacency.  Malformed content raises ParseError naming the line."""
+def _adjacency_entries(A):
+    """Where square A holds an adjacency's entries: 0, or 1 below the diagonal."""
+    return (A == 0) | np.tri(len(A), k=-1, dtype=bool) & (A == 1)
+
+
+def read_matrix(path, adjacency=False):
+    """Read a plain-text matrix as an int64 array.  With ``adjacency`` it must
+    also pass ``validate``: square, 0/1 and strictly lower triangular.
+    Malformed content raises ParseError naming the line."""
     reader = textio.Reader(path)
     head = reader.dims(reader.line("the 'd' or 'rows cols' header"))
     if len(head) > 2:
         raise reader.error(f"header must hold 1 or 2 integers, got {len(head)}")
     r, c = head if len(head) == 2 else (head[0], head[0])
-    M = reader.block(r, c, dtype=np.int64)
+    if adjacency and r != c:
+        raise reader.error(f"an adjacency must be square, got {r} x {c}")
+    M = reader.block(r, c, dtype=np.int64, valid=_adjacency_entries if adjacency else None,
+                     why="adjacency entries must be 0 or 1, and 0 on or above the diagonal")
     reader.finish(f"the {r} rows")
     return M
 

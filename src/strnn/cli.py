@@ -52,7 +52,7 @@ def _parse_widths(text):
 # factor
 
 def cmd_factor(args):
-    A = adjacency.read_matrix(args.adjacency)
+    A = adjacency.read_matrix(args.adjacency, adjacency=True)
     widths = _parse_widths(args.widths)
     os.makedirs(args.out_dir, exist_ok=True)
     config = {"adjacency": args.adjacency, "widths": widths, "method": args.method,
@@ -166,13 +166,13 @@ def cmd_train(args):
     if model == "flow":
         if dataset.kind != "real":
             raise UsageError("flow training needs real-valued data")
-        net = flow.AffineFlow.build(adjacency.read_matrix(run.adjacency), run.flow_layers,
-                                    hidden, run.seed, run.method)
+        A = adjacency.read_matrix(run.adjacency, adjacency=True)
+        net = flow.AffineFlow.build(A, run.flow_layers, hidden, run.seed, run.method)
         fit, test_nll_of, save = flow.train_flow, flow.nll, flow.save_flow
     else:
         if model == "strnn":
-            masks = factorizer.factor_multilayer(adjacency.read_matrix(run.adjacency),
-                                                 hidden, run.method, run.objective)
+            A = adjacency.read_matrix(run.adjacency, adjacency=True)
+            masks = factorizer.factor_multilayer(A, hidden, run.method, run.objective)
         else:
             masks = factorizer.made_masks(d, hidden, run.seed,
                                           natural_ordering=run.natural_ordering)

@@ -317,14 +317,18 @@ def loss_and_grads(flow, x, buffers):
     loss = float(np.mean(_nll(levels[0], log_det)))
     grads = []
     g = levels[0] / n
+    last = len(flow.layers) - 1
     # Layer k maps levels[k + 1] to levels[k]; the tape runs data side first.
+    # The data side's input gradient is unread: mu and sigma are frozen.
     for k, (net, (s, e)) in enumerate(zip(flow.layers, reversed(tape))):
         g_t = -g * e
         g_s = (-g * levels[k] + 1.0 / n) * (np.abs(s) < neural.LOG_SIGMA_CLAMP)
         (gW, gb), g_in = net.backward([levels[k + 1]] + work[k][:-1],
-                                      np.concatenate([g_t, g_s], axis=1))
+                                      np.concatenate([g_t, g_s], axis=1),
+                                      input_grad=k < last)
         grads += gW + gb
-        g = g * e + g_in
+        if k < last:
+            g = g * e + g_in
     return loss, grads
 
 

@@ -128,7 +128,8 @@ class MaskedMLP:
             weight_grads[layer] = delta.T @ inputs[layer]
             bias_grads[layer] = delta.sum(axis=0)
             if layer:
-                delta = (delta @ self.weights[layer]) * (inputs[layer] > 0.0)
+                delta = delta @ self.weights[layer]
+                np.multiply(delta, inputs[layer] > 0.0, out=delta)
         grad_input = delta @ self.weights[0] if input_grad else None
         return (weight_grads, bias_grads), grad_input
 

@@ -11,6 +11,8 @@ block is r lines of c numbers written with ``repr``, so it reads back bitwise.
   array is one row), then ``end``.
 
 Malformed content, JSON included, raises ParseError naming the file and line.
+A float block is parsed in one ``np.loadtxt`` pass; the per-line reader runs
+when that pass fails, to name the faulty line, and for integer blocks.
 """
 
 import json
@@ -76,7 +78,21 @@ class Reader:
 
     def block(self, r, c, dtype=np.float64, valid=None, why=None):
         """The next r lines of c numbers as an (r, c) array; the first row
-        where the elementwise test ``valid`` fails raises ParseError ``why``."""
+        where the elementwise test ``valid`` fails raises ParseError ``why``.
+
+        r non-blank lines of floats are parsed in one ``np.loadtxt`` pass.
+        The per-line loop, which names the faulty line, runs for the rest: a
+        blank line, a failed pass, a shape other than (r, c), a failed
+        ``valid``, and integers (numpy 1.x ``loadtxt`` takes "1.0" as 1)."""
+        lines = self.lines[self.line_no:self.line_no + r]
+        if dtype == np.float64 and len(lines) == r and all(map(str.strip, lines)):
+            try:
+                a = np.loadtxt(lines, dtype=dtype, comments=None, ndmin=2)
+            except (ValueError, OverflowError):
+                a = None
+            if a is not None and a.shape == (r, c) and (valid is None or valid(a).all()):
+                self.line_no += r
+                return a
         what, rows, line_nos = f"{r} rows of {c} values", [], []
         for _ in range(r):
             row = self.line(what)

@@ -11,6 +11,7 @@ from strnn.errors import (
     NonBinaryEntryError,
     ParseError,
     UpperTriangleNonZeroError,
+    UsageError,
 )
 
 
@@ -35,6 +36,7 @@ class TestValidate:
         with pytest.raises(NonBinaryEntryError) as exc:
             adjacency.validate(A)
         assert exc.value.i == 1 and exc.value.j == 0
+        assert str(exc.value) == "non-binary entry 2 at (1, 0)"
 
     def test_rejects_diagonal_entry(self):
         A = np.array([[1, 0], [0, 0]])
@@ -199,6 +201,24 @@ class TestMatrixIO:
         assert M[0, 1] == 1
         with pytest.raises(UpperTriangleNonZeroError):
             adjacency.validate(M)
+
+    def test_adjacency_read_names_the_line(self, tmp_path):
+        """An adjacency read takes exactly what ``validate`` takes, but names
+        the line; a plain read still takes any integers."""
+        path = tmp_path / "A.txt"
+        A = adjacency.gen_random_sparse(6, 0.4, 2)
+        adjacency.write_matrix(A, path)
+        np.testing.assert_array_equal(adjacency.read_matrix(path, adjacency=True), A)
+        for i, j, value in [(3, 1, 2), (3, 1, -1), (2, 2, 1), (1, 4, 1)]:
+            B = A.copy()
+            B[i, j] = value
+            adjacency.write_matrix(B, path)
+            with pytest.raises(UsageError):
+                adjacency.validate(B)
+            with pytest.raises(ParseError, match="adjacency entries") as exc:
+                adjacency.read_matrix(path, adjacency=True)
+            assert exc.value.line_no == i + 2
+            np.testing.assert_array_equal(adjacency.read_matrix(path), B)
 
 
 class TestGeneratorSpec:

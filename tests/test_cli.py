@@ -100,6 +100,22 @@ class TestFactorCommand:
         assert cli.main(["factor", "--adjacency", str(tmp_path / "none.txt"),
                          "--widths", "4", "--out-dir", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("text, line_no", [
+        ("3\n0 0 0\n2 0 0\n1 1 0\n", 3),        # not 0 or 1
+        ("3\n0 0 0\n1 0 1\n1 1 0\n", 3),        # above the diagonal
+        ("3\n\n1 0 0\n0 0 0\n1 1 0\n", 3),      # on it, after a blank line
+        ("2 3\n0 0 0\n1 0 0\n", 1),              # not square
+    ])
+    def test_bad_adjacency_names_its_line(self, tmp_path, capsys, text, line_no):
+        adj = tmp_path / "m.txt"
+        adj.write_text(text)
+        out = tmp_path / "o"
+        assert cli.main(["factor", "--adjacency", str(adj), "--widths", "4",
+                         "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {adj}:{line_no}: ") and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestDatagenCommand:
     def spec_file(self, tmp_path, cfg, name="spec.json"):
@@ -288,6 +304,18 @@ class TestTrainCommand:
                                           "max_epochs": 2})
         assert cli.main(["train", "--config", cfg,
                          "--out-dir", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("model", ["strnn", "flow"])
+    def test_upper_adjacency_entry_names_its_line(self, tmp_path, capsys, model):
+        data, adj = write_gaussian_dataset(tmp_path)
+        with open(adj, "w") as fh:
+            fh.write("3\n0 0 0\n1 0 0\n1 1 1\n")
+        cfg = self.config_file(tmp_path, {"model": model, "dataset": data,
+                                          "adjacency": adj, "max_epochs": 2})
+        assert cli.main(["train", "--config", cfg,
+                         "--out-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {adj}:4: ") and "Traceback" not in err
 
     def test_non_object_config_exits_two(self, tmp_path, capsys):
         cfg = self.config_file(tmp_path, [1, 2])

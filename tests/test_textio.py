@@ -1,13 +1,15 @@
 """The text formats: golden-file compatibility, real line numbers in errors,
-checkpoint structure checks, and fuzzed readers."""
+checkpoint structure checks, and fuzzed readers checked against the
+per-line block parse as the oracle."""
 
 import json
 import os
 import shutil
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from strnn import adjacency, datagen, flow, neural, textio
@@ -245,24 +247,120 @@ def mutations(draw, text):
     return data
 
 
+def reference_block(self, r, c, dtype=np.float64, valid=None, why=None):
+    """``Reader.block`` as a plain loop of one ``np.array`` per line: the
+    oracle of the one-pass read, for arrays, errors and line numbers."""
+    what, rows, line_nos = f"{r} rows of {c} values", [], []
+    for _ in range(r):
+        row = self.line(what)
+        line_nos.append(self.line_no)
+        if len(row) != c:
+            raise self.error(f"expected {c} values, found {len(row)}")
+        try:
+            rows.append(np.array(row, dtype=dtype))
+        except (ValueError, OverflowError):
+            kind = "integer" if dtype == np.int64 else "numeric"
+            raise self.error(f"non-{kind} token in {' '.join(row)!r}") from None
+    a = np.array(rows)
+    if valid is not None and not (ok := valid(a).all(axis=1)).all():
+        self.line_no = line_nos[np.argmin(ok)]
+        raise self.error(why)
+    return a
+
+
+def state(obj):
+    """What a read produced, comparable with ==: arrays by dtype, shape and
+    bytes, objects by their fields, scalars by repr (so NaN equals NaN)."""
+    if isinstance(obj, np.ndarray):
+        return obj.dtype.str, obj.shape, obj.tobytes()
+    if isinstance(obj, (list, tuple)):
+        return tuple(map(state, obj))
+    if isinstance(obj, dict):
+        return tuple((k, state(v)) for k, v in sorted(obj.items()))
+    if hasattr(obj, "__dict__"):
+        return type(obj).__name__, state(vars(obj))
+    return repr(obj)
+
+
+def outcome(read):
+    """``state`` of what ``read()`` returns, or the StrnnError it raises."""
+    try:
+        return "ok", state(read())
+    except StrnnError as exc:
+        return "error", type(exc).__name__, str(exc), getattr(exc, "line_no", None)
+
+
+def same_as_reference(read):
+    """``read()`` gives the same result or error with ``Reader.block`` as with
+    the per-line oracle; a read may only fail with a StrnnError."""
+    with mock.patch.object(textio.Reader, "block", reference_block):
+        expected = outcome(read)
+    assert outcome(read) == expected
+
+
+ODD_TOKENS = ["1_0", "nan", "-0", "1e400", "\u0967", "9223372036854775808",
+              "0", "1", "2.5", "-inf", "x", "1.0", "+1", "0x1"]
+SEPARATORS = [" ", "\t", "\r", "\x0b", "\x1c", "\xa0", "\x00"]
+VALID = {"none": None, "finite": np.isfinite, "binary": lambda a: (a == 0) | (a == 1)}
+
+
+@st.composite
+def block_lines(draw):
+    """(r, c, lines) for a block that may be blank in places, ragged or short."""
+    r, c = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    lines = [""] * draw(st.integers(0, 1))
+    for _ in range(draw(st.integers(0, r + 1))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\x0b", "\xa0\x1c"])))
+        n = max(1, c + draw(st.sampled_from([0, 0, 0, 0, -1, 1])))
+        toks = draw(st.lists(st.sampled_from(ODD_TOKENS), min_size=n, max_size=n))
+        seps = draw(st.lists(st.sampled_from(SEPARATORS), min_size=n, max_size=n))
+        line = "".join(sep + t for sep, t in zip(seps, toks))
+        lines.append(line if draw(st.booleans()) else line[1:])     # a leading separator?
+    return r, c, lines
+
+
+@settings(max_examples=600)
+@given(block=block_lines(), dtype=st.sampled_from([np.float64, np.int64]),
+       valid=st.sampled_from(sorted(VALID)))
+@example(block=(1, 2, ["1.0"]), dtype=np.float64, valid="none")            # too few
+@example(block=(2, 1, ["1", "2 3"]), dtype=np.float64, valid="none")       # ragged
+@example(block=(2, 1, ["1", " ", "2"]), dtype=np.float64, valid="none")    # blank inside
+@example(block=(1, 1, ["\x0b"]), dtype=np.float64, valid="none")           # blank only
+@example(block=(2, 1, ["1"]), dtype=np.float64, valid="none")              # short file
+@example(block=(1, 2, ["1\r2"]), dtype=np.float64, valid="none")           # \r separates
+@example(block=(1, 1, ["1_0"]), dtype=np.float64, valid="none")            # Python-only
+@example(block=(2, 2, ["0 1", "1 nan"]), dtype=np.float64, valid="binary")
+def test_block_matches_per_line_reference(block, dtype, valid):
+    """Bytes, dtype and shape of the array, the ParseError and its line, and
+    the line the cursor ends on are those of the per-line parse."""
+    r, c, lines = block
+
+    def read():
+        reader = textio.Reader.__new__(textio.Reader)
+        reader.path, reader.line_no, reader.lines = "b.txt", 0, list(lines)
+        return reader.block(r, c, dtype, VALID[valid], "invalid entry"), reader.line_no
+
+    same_as_reference(read)
+
+
 def fuzz(name, load, tmp_path, data):
-    """Load a mutated copy of a golden file: it loads or raises StrnnError."""
+    """Load a mutated copy of a golden file: it loads or raises StrnnError,
+    the same with the one-pass block read as with the per-line oracle."""
     src = golden(name)
     path = str(tmp_path / name)
     if os.path.exists(src + ".json"):
         shutil.copyfile(src + ".json", path + ".json")
     with open(path, "wb") as fh:
         fh.write(data.draw(mutations(read_bytes(src).decode())))
-    try:
-        load(path)
-    except StrnnError:
-        pass
+    same_as_reference(lambda: load(path))
 
 
 @FUZZ
 @given(data=st.data(), name=st.sampled_from(["square.txt", "rect.txt"]))
 def test_fuzzed_matrix_loads_or_raises_strnn_error(data, name, tmp_path):
-    fuzz(name, adjacency.read_matrix, tmp_path, data)
+    as_adjacency = data.draw(st.booleans())
+    fuzz(name, lambda path: adjacency.read_matrix(path, as_adjacency), tmp_path, data)
 
 
 @FUZZ

@@ -8,6 +8,7 @@ variable is used as a global fallback.
 """
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -300,18 +301,15 @@ def build_parser():
     p.add_argument("--out-dir", required=True)
     p.add_argument("--compare", action="store_true",
                    help="also emit greedy/exact/zuko objective comparison")
-    p.set_defaults(func=cmd_factor)
 
     p = sub.add_parser("datagen", help="generate a synthetic dataset")
     p.add_argument("--spec", required=True, help="JSON dataset spec")
     p.add_argument("--out", required=True, help="dataset file to write")
     p.add_argument("--adjacency-out", default=None)
-    p.set_defaults(func=cmd_datagen)
 
     p = sub.add_parser("train", help="train a structured net, baseline, or flow")
     p.add_argument("--config", required=True, help="JSON training config")
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("causal-eval", help="score a flow against SEM ground truth")
     p.add_argument("--flow", required=True, help="flow checkpoint path")
@@ -322,21 +320,26 @@ def build_parser():
     p.add_argument("--n-obs", type=int, default=1000)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--ground-truth", default="exact", choices=("exact", "sample"))
-    p.set_defaults(func=cmd_causal_eval)
 
     p = sub.add_parser("verify", help="audit a checkpoint's structural independence")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", default=None, help="optional report JSON path")
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_verify)
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser, built once per process."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # Looked up per call, so that a replaced ``cmd_<name>`` is the one that runs.
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

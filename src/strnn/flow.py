@@ -5,9 +5,9 @@ Each sub-flow applies the per-coordinate affine map
 gaussian-head masked network built from the shared adjacency, so s_j and t_j
 read only the declared parents of j (a parentless coordinate gets learned
 constants).  The data-to-noise direction evaluates in one parallel pass per
-layer; ``to_noise``, ``nll`` and training (``loss_and_grads``, into buffers
-reused from step to step) share that pass and the standard-normal base
-density, so the training loss is the evaluation NLL.  The noise-to-data
+layer; ``to_noise``, ``nll`` and training (``gradients``, into buffers
+reused from step to step) share that pass, so training differentiates the
+evaluation NLL, whose value it does not compute.  The noise-to-data
 direction takes one pass per DAG generation, where a generation is the set
 of coordinates whose parents are all already filled; ``_reconstruct`` is its
 one routine, shared by sampling and by the interventions and counterfactuals
@@ -77,6 +77,12 @@ class AffineFlow:
     def params(self):
         return [p for net in self.layers for p in net.params()]
 
+    def set_params(self, params):
+        for net in self.layers:
+            k = len(net.weights) + len(net.biases)
+            net.set_params(params[:k])
+            params = params[k:]
+
     def param_masks(self):
         return [M for net in self.layers for M in net.param_masks()]
 
@@ -88,18 +94,22 @@ def _to_noise(flow, x, keep_levels, work=None, tape=None):
     log_det is the per-sample log |det dz/dx|, including the standardization
     Jacobian.  Training passes ``work``, each conditioner's layer buffers,
     and a list ``tape`` that each layer, data side first, appends its
-    log-scales s and exp(-s) to for the backward pass.
+    log-scales s and exp(-s) to for the backward pass; it gets None for
+    log_det, which only the loss reads.
     """
     u = (x - flow.mu) / flow.sigma
-    log_det = np.full(x.shape[0], -float(np.sum(np.log(flow.sigma))))
+    log_det = None
+    if tape is None:
+        log_det = np.full(x.shape[0], -float(np.sum(np.log(flow.sigma))))
     levels = [u]
     for k in reversed(range(len(flow.layers))):
         out = flow.layers[k].forward(levels[-1], work=None if work is None else work[k])
         t, s = neural._split_gaussian(out)
         e = np.exp(-s)
         v = (levels[-1] - t) * e
-        log_det -= s.sum(axis=1)
-        if tape is not None:
+        if tape is None:
+            log_det -= s.sum(axis=1)
+        else:
             tape.append((s, e))
         if keep_levels:
             levels.append(v)
@@ -305,16 +315,16 @@ def sample(flow, n, rng):
     return from_noise(flow, rng.standard_normal((n, flow.dim)))
 
 
-def loss_and_grads(flow, x, buffers):
-    """Mean NLL of the batch and gradients for every conditioner parameter,
-    aligned with ``flow.params()``, from passes into ``neural.layer_buffers``.
-    The loss is ``mean_nll(flow, x)`` exactly."""
+def gradients(flow, x, buffers, out=None):
+    """The gradients of ``mean_nll(flow, x)`` for every conditioner
+    parameter, aligned with ``flow.params()``, from passes into
+    ``neural.layer_buffers``.  They are written into ``out`` when it is given
+    (see ``MaskedMLP.backward``); the loss itself is not computed."""
     x, _ = neural._as_batch(x, flow.dim)
     n = x.shape[0]
     work = [neural.layer_buffers(buffers, k, net, n) for k, net in enumerate(flow.layers)]
     tape = []
-    levels, log_det = _to_noise(flow, x, keep_levels=True, work=work, tape=tape)
-    loss = float(np.mean(_nll(levels[0], log_det)))
+    levels, _ = _to_noise(flow, x, keep_levels=True, work=work, tape=tape)
     grads = []
     g = levels[0] / n
     last = len(flow.layers) - 1
@@ -323,13 +333,15 @@ def loss_and_grads(flow, x, buffers):
     for k, (net, (s, e)) in enumerate(zip(flow.layers, reversed(tape))):
         g_t = -g * e
         g_s = (-g * levels[k] + 1.0 / n) * (np.abs(s) < neural.LOG_SIGMA_CLAMP)
+        size = len(net.weights) + len(net.biases)
+        part = None if out is None else out[len(grads):len(grads) + size]
         (gW, gb), g_in = net.backward([levels[k + 1]] + work[k][:-1],
                                       np.concatenate([g_t, g_s], axis=1),
-                                      input_grad=k < last)
+                                      input_grad=k < last, out=part)
         grads += gW + gb
         if k < last:
             g = g * e + g_in
-    return loss, grads
+    return grads
 
 
 def train_flow(flow, dataset, config):
@@ -339,10 +351,10 @@ def train_flow(flow, dataset, config):
     first step and folded into the density.  Scheduling, early stopping, and
     determinism match network training.  Returns (flow, history).
     """
-    train_x = dataset.train_x
+    train_x, _ = neural._splits(dataset)
     flow.mu = train_x.mean(axis=0)
     flow.sigma = np.maximum(train_x.std(axis=0), 1e-8)
-    return neural._optimize(flow, dataset, config, loss_and_grads, mean_nll)
+    return neural._optimize(flow, dataset, config, gradients, mean_nll)
 
 
 def audit_flow(flow, rng):

@@ -3,14 +3,17 @@
 The effective weight of every layer is weight * mask, maintained as an
 invariant: weights are masked at initialization and every ``AdamW`` step
 multiplies the masks from ``param_masks()`` back in, so structural zeros stay
-exactly zero through training.  The step updates all parameters of a model
-(every conditioner of a flow) as one flat vector.
+exactly zero through training.  A training run keeps all parameters of a
+model (every conditioner of a flow) in one flat vector and their gradients in
+another: each weight and bias becomes a view into the first, ``backward``
+writes into views of the second, and the step updates the first in place.
 Hidden layers use ReLU; the head is either ``binary`` (d logits) or
 ``gaussian`` (2d outputs: means then log-sigmas, the final mask stacked twice
 vertically).  Each head has one likelihood, ``head_nll`` of the raw outputs:
-evaluation (``nll``), training (``loss_and_grads``) and the data generators'
-exact oracles all go through it.  ``MaskedMLP.forward`` is the one layer
-loop; training runs it into buffers reused across steps (``layer_buffers``).
+evaluation (``nll``) and the data generators' exact oracles go through it,
+and training (``gradients``) differentiates it without evaluating it.
+``MaskedMLP.forward`` is the one layer loop; training runs it into buffers
+reused across steps (``layer_buffers``).
 Evaluation runs in blocks of EVAL_BLOCK rows, so the hidden activations stay
 in cache; each sample's NLL is bitwise the one an unblocked pass gives.
 Checkpoints use the text format defined in ``textio``.
@@ -112,21 +115,25 @@ class MaskedMLP:
                 np.maximum(h, 0.0, out=h)
         return h[0] if squeeze else h
 
-    def backward(self, inputs, grad_out, input_grad=True):
+    def backward(self, inputs, grad_out, *, input_grad=True, out=None):
         """Reverse-mode pass from an output gradient, given each layer's input
         ``[x] + work[:-1]`` of ``forward(x, work=work)``; a ReLU passes
-        gradient where its output max(z, 0), hence z, is positive.  Returns
-        ((weight_grads, bias_grads), grad_input), new arrays.  Gradients are
-        dense; masked positions are irrelevant because updates get re-masked.
-        With ``input_grad=False`` the layer-0 product ``delta @ W[0]`` is
-        skipped and grad_input is None; the parameter gradients are unchanged.
+        gradient where its output max(z, 0), hence z, is positive.  The
+        parameter gradients are written into ``out``, arrays aligned with
+        ``params()`` (training passes views of ``AdamW.grads``), or into new
+        arrays without it.  Returns ((weight_grads, bias_grads), grad_input).
+        Gradients are dense; masked positions are irrelevant because updates
+        get re-masked.  With ``input_grad=False`` the layer-0 product
+        ``delta @ W[0]`` is skipped and grad_input is None; the parameter
+        gradients are unchanged.
         """
-        weight_grads = [None] * len(self.weights)
-        bias_grads = [None] * len(self.biases)
+        if out is None:
+            out = [np.empty(p.shape) for p in self.params()]
+        weight_grads, bias_grads = out[:len(self.weights)], out[len(self.weights):]
         delta = np.asarray(grad_out, dtype=np.float64)
         for layer in range(len(self.weights) - 1, -1, -1):
-            weight_grads[layer] = delta.T @ inputs[layer]
-            bias_grads[layer] = delta.sum(axis=0)
+            np.matmul(delta.T, inputs[layer], out=weight_grads[layer])
+            np.sum(delta, axis=0, out=bias_grads[layer])
             if layer:
                 delta = delta @ self.weights[layer]
                 np.multiply(delta, inputs[layer] > 0.0, out=delta)
@@ -135,6 +142,11 @@ class MaskedMLP:
 
     def params(self):
         return self.weights + self.biases
+
+    def set_params(self, params):
+        """Take the arrays ``params``, aligned with ``params()``, as the
+        weights and biases (training binds views of ``AdamW.params``)."""
+        self.weights, self.biases = params[:len(self.weights)], params[len(self.weights):]
 
     def param_masks(self):
         """The structural masks aligned with ``params()``: None per bias."""
@@ -174,10 +186,18 @@ def _targets(head, x):
 
 def sigmoid(t):
     """The logistic function 1 / (1 + exp(-t)).  Below t = -700, where that
-    form would overflow and 1 + exp(t) rounds to 1, it is exp(t)."""
+    form would overflow and 1 + exp(t) rounds to 1, it is exp(t), computed at
+    those entries only."""
     t = np.asarray(t, dtype=np.float64)
-    return np.where(t < -700.0, np.exp(np.minimum(t, -700.0)),
-                    1.0 / (1.0 + np.exp(-np.maximum(t, -700.0))))
+    p = np.maximum(t, -700.0, out=np.empty(t.shape))
+    np.negative(p, out=p)
+    np.exp(p, out=p)
+    p += 1.0
+    np.divide(1.0, p, out=p)
+    low = t < -700.0
+    if low.any():
+        p[low] = np.exp(t[low])
+    return p
 
 
 def _split_gaussian(out, cols=slice(None)):
@@ -227,44 +247,45 @@ def mean_nll(net, x):
     return float(np.mean(nll(net, x)))
 
 
-def loss_and_grads(net, x, buffers):
-    """Mean NLL over the batch and its gradients, aligned with
-    ``net.params()``, from a pass into ``layer_buffers(buffers, ...)``.  The
-    loss is ``mean_nll(net, x)`` exactly."""
+def gradients(net, x, buffers, out=None):
+    """The gradients of ``mean_nll(net, x)``, the batch's mean NLL, aligned
+    with ``net.params()``, from a pass into ``layer_buffers(buffers, ...)``.
+    They are written into ``out`` when it is given (see ``backward``); the
+    loss itself is not computed."""
     x = _targets(net.head, x)
     n = x.shape[0]
     work = layer_buffers(buffers, "net", net, n)
-    out = net.forward(x, work=work)
-    loss = float(np.mean(head_nll(net.head, out, x)))
+    y = net.forward(x, work=work)
     if net.head == "binary":
-        grad_out = (sigmoid(out) - x) / n
+        grad_out = (sigmoid(y) - x) / n
     else:
-        mu, log_sigma = _split_gaussian(out)
+        mu, log_sigma = _split_gaussian(y)
         inv_var = np.exp(-2.0 * log_sigma)
         g_mu = (mu - x) * inv_var / n
         in_range = np.abs(log_sigma) < LOG_SIGMA_CLAMP
         g_log_sigma = (1.0 - (x - mu) ** 2 * inv_var) * in_range / n
         grad_out = np.concatenate([g_mu, g_log_sigma], axis=1)
-    (weight_grads, bias_grads), _ = net.backward([x] + work[:-1], grad_out, input_grad=False)
-    return loss, weight_grads + bias_grads
+    (weight_grads, bias_grads), _ = net.backward([x] + work[:-1], grad_out,
+                                                 input_grad=False, out=out)
+    return weight_grads + bias_grads
 
 
 class AdamW:
-    """Adam with decoupled weight decay over a list of parameter arrays, with
-    the structural re-mask folded in.
+    """Adam with decoupled weight decay over one flat parameter vector ``p``
+    and one flat gradient vector ``g``, with the structural re-mask folded in.
 
-    ``masks`` is aligned with ``params``: a 0/1 array per masked weight and
-    None for an unmasked parameter (a bias); without it nothing is masked.
-    The moments live in flat float64 vectors over all parameters.  ``step``
-    gathers the current parameters and gradients into flat buffers, updates
-    them once in the operation order of
-    p -= lr * (m_hat / (sqrt(v_hat) + eps) + wd * p), multiplies the flat
-    mask in (1.0 for unmasked entries, exact for every float) and writes each
-    array back in place.  Adam is elementwise, so this is bitwise the
-    per-array update followed by ``W *= M``.  At weight decay 0 the decay
-    term is skipped, so an infinite parameter stays infinite instead of
-    turning NaN through 0 * inf; every other result is bitwise the same,
-    -0.0 included.
+    ``p`` starts as a copy of the arrays ``params``, in order, and ``g`` at
+    zero; ``self.params`` and ``self.grads`` are views into ``p`` and ``g``
+    shaped like ``params``.  ``masks`` is aligned with ``params``: a 0/1 array
+    per masked weight and None for an unmasked parameter (a bias); without it
+    nothing is masked.  The moments live in flat float64 vectors too.  Each
+    ``step()`` reads ``g`` and updates ``p`` in place, once, in the operation
+    order of p -= lr * (m_hat / (sqrt(v_hat) + eps) + wd * p), then
+    multiplies the flat mask in (1.0 for unmasked entries, exact for every
+    float).  Adam is elementwise, so this is bitwise the per-array update
+    followed by ``W *= M``.  At weight decay 0 the decay term is skipped, so
+    an infinite parameter stays infinite instead of turning NaN through
+    0 * inf; every other result is bitwise the same, -0.0 included.
     """
 
     def __init__(self, params, learning_rate, weight_decay=0.0,
@@ -272,26 +293,25 @@ class AdamW:
         self.lr = learning_rate
         self.weight_decay = weight_decay
         self.beta1, self.beta2, self.epsilon = beta1, beta2, epsilon
-        size = sum(p.size for p in params)
+        size = sum(q.size for q in params)
+        self.p, self.g = np.empty(size), np.zeros(size)
+        np.concatenate([q.ravel() for q in params], out=self.p)
         self.m, self.v = np.zeros(size), np.zeros(size)
-        # The parameters and two scratch vectors; the gradients are gathered
-        # into the second scratch vector, which is free until m_hat.
-        self._p, self._a, self._u = np.empty(size), np.empty(size), np.empty(size)
-        bounds = np.cumsum([0] + [p.size for p in params])
-        self._views = [self._p[lo:hi].reshape(p.shape)
-                       for p, lo, hi in zip(params, bounds[:-1], bounds[1:])]
+        self._a, self._u = np.empty(size), np.empty(size)
+        bounds = np.cumsum([0] + [q.size for q in params])
+        spans = list(zip(params, bounds[:-1], bounds[1:]))
+        self.params = [self.p[lo:hi].reshape(q.shape) for q, lo, hi in spans]
+        self.grads = [self.g[lo:hi].reshape(q.shape) for q, lo, hi in spans]
         self._mask = None if masks is None else np.concatenate(
-            [np.ones(p.size) if M is None else np.asarray(M, dtype=np.float64).ravel()
-             for p, M in zip(params, masks)])
+            [np.ones(q.size) if M is None else np.asarray(M, dtype=np.float64).ravel()
+             for q, M in zip(params, masks)])
         self.t = 0
 
-    def step(self, params, grads):
+    def step(self):
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         c1, c2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
-        p, m, v, a, u = self._p, self.m, self.v, self._a, self._u
-        np.concatenate([q.ravel() for q in params], out=p)
-        g = np.concatenate([q.ravel() for q in grads], out=u)
+        p, g, m, v, a, u = self.p, self.g, self.m, self.v, self._a, self._u
         m *= b1
         m += np.multiply(1.0 - b1, g, out=a)
         v *= b2
@@ -308,8 +328,6 @@ class AdamW:
         p -= u
         if self._mask is not None:
             p *= self._mask
-        for q, view in zip(params, self._views):
-            q[...] = view
 
 
 @dataclass
@@ -380,36 +398,48 @@ def train(net, dataset, config):
     Deterministic given (seed, config, dataset).  Returns (net, history)
     where history rows are (epoch, train_nll, val_nll, lr).
     """
-    return _optimize(net, dataset, config, loss_and_grads, mean_nll)
+    return _optimize(net, dataset, config, gradients, mean_nll)
 
 
-def _optimize(model, dataset, config, loss_and_grads, mean_nll):
+def _splits(dataset):
+    """The training and validation rows of ``dataset``; training needs rows
+    in both (without validation rows no epoch would count as the best)."""
+    train_x, val_x = dataset.train_x, dataset.val_x
+    for name, x in (("training", train_x), ("validation", val_x)):
+        if not len(x):
+            raise ConfigError(f"the dataset's {name} split is empty")
+    return train_x, val_x
+
+
+def _optimize(model, dataset, config, gradients, mean_nll):
     """The training loop behind ``train`` and ``flow.train_flow``, given the
-    model's ``loss_and_grads(model, x, buffers)`` and ``mean_nll(model, x)``."""
+    model's ``gradients(model, x, buffers, out)`` and ``mean_nll(model, x)``.
+    The model's weights and biases become views into the optimizer's flat
+    parameter vector, and stay so after the run."""
     config.validate()
+    train_x, val_x = _splits(dataset)
     rng = np.random.default_rng(config.seed)
-    params = model.params()
-    buffers = {}
-    opt = AdamW(params, config.learning_rate, config.weight_decay,
+    opt = AdamW(model.params(), config.learning_rate, config.weight_decay,
                 epsilon=config.epsilon, masks=model.param_masks())
-    train_x = dataset.train_x
+    model.set_params(opt.params)
+    buffers = {}
     n = train_x.shape[0]
     history = []
     best_val = np.inf
-    best = [p.copy() for p in params]
+    best = opt.p.copy()
     stall = 0
     plateau_stall = 0
     for epoch in range(1, config.max_epochs + 1):
         perm = rng.permutation(n)
         for idx in np.split(perm, range(config.batch_size, n, config.batch_size)):
-            _, grads = loss_and_grads(model, train_x[idx], buffers)
-            opt.step(params, grads)
+            gradients(model, train_x[idx], buffers, opt.grads)
+            opt.step()
         train_nll = mean_nll(model, train_x)
-        val_nll = mean_nll(model, dataset.val_x)
+        val_nll = mean_nll(model, val_x)
         history.append((epoch, train_nll, val_nll, opt.lr))
         if val_nll < best_val:
             best_val = val_nll
-            best = [p.copy() for p in params]
+            np.copyto(best, opt.p)
             stall = 0
             plateau_stall = 0
         else:
@@ -420,8 +450,7 @@ def _optimize(model, dataset, config, loss_and_grads, mean_nll):
             plateau_stall = 0
         if stall >= config.early_stop_patience:
             break
-    for p, b in zip(params, best):
-        p[...] = b
+    np.copyto(opt.p, best)
     return model, history
 
 

@@ -615,6 +615,37 @@ class TestParser:
                       "--method", "psychic", "--out-dir", str(tmp_path / "o")])
         assert exc.value.code == 2
 
+    def test_parser_is_built_once(self, monkeypatch, tmp_path):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        path = str(tmp_path / "ck.txt")
+        neural.save_mlp(neural.MaskedMLP.from_masks([np.ones((2, 2))], "binary", 0), path)
+        try:
+            assert cli.main(["verify", "--checkpoint", path]) == 0
+            assert cli.main(["verify", "--checkpoint", path]) == 0
+        finally:
+            cli._parser.cache_clear()
+        assert built == [1]
+
+    def test_command_is_looked_up_when_it_runs(self, monkeypatch):
+        """A replaced ``cmd_verify`` (a test double, a tracer's wrapper) is
+        the one a parser built before the replacement runs."""
+        cli.main(["verify", "--checkpoint", os.devnull])
+        seen = []
+        monkeypatch.setattr(cli, "cmd_verify", lambda args: seen.append(args.checkpoint) or 7)
+        assert cli.main(["verify", "--checkpoint", "x.txt"]) == 7
+        assert seen == ["x.txt"]
+
+    def test_valid_call_after_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify"])
+        assert exc.value.code == 2
+        path = str(tmp_path / "ck.txt")
+        neural.save_mlp(neural.MaskedMLP.from_masks([np.ones((2, 2))], "binary", 0), path)
+        assert cli.main(["verify", "--checkpoint", path]) == 0
+
 
 class TestRejectedValues:
     """Sample counts below 1, negative seeds and wrong-typed config or spec

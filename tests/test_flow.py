@@ -497,8 +497,7 @@ class TestFlowGradients:
     def test_matches_finite_differences(self):
         x = np.random.default_rng(23).normal(size=(6, 4))
         fl = well_conditioned_flow(x, 4, 2, [5])
-        loss, analytic = flow.loss_and_grads(fl, x, {})
-        assert loss == flow.mean_nll(fl, x)
+        analytic = flow.gradients(fl, x, {})
         params = fl.params()
         eps = 1e-6
         for pi, p in enumerate(params):

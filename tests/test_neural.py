@@ -74,39 +74,44 @@ def backward_reference(net, cache, grad_out, input_grad=True):
     return (weight_grads, bias_grads), grad_input
 
 
-def loss_and_grads_reference(net, x, buffers=None):
+def copied_into(grads, out):
+    """An oracle's gradients, copied into the step's ``out`` views if given."""
+    if out is None:
+        return grads
+    for view, g in zip(out, grads, strict=True):
+        view[...] = g
+    return out
+
+
+def gradients_reference(net, x, buffers=None, out=None):
     x = neural._targets(net.head, x)
     n = x.shape[0]
-    out, cache = forward_cached_reference(net, x)
-    loss = float(np.mean(neural.head_nll(net.head, out, x)))
+    y, cache = forward_cached_reference(net, x)
     if net.head == "binary":
-        grad_out = (neural.sigmoid(out) - x) / n
+        grad_out = (neural.sigmoid(y) - x) / n
     else:
-        mu, log_sigma = neural._split_gaussian(out)
+        mu, log_sigma = neural._split_gaussian(y)
         inv_var = np.exp(-2.0 * log_sigma)
         g_mu = (mu - x) * inv_var / n
         in_range = np.abs(log_sigma) < neural.LOG_SIGMA_CLAMP
         g_log_sigma = (1.0 - (x - mu) ** 2 * inv_var) * in_range / n
         grad_out = np.concatenate([g_mu, g_log_sigma], axis=1)
     (weight_grads, bias_grads), _ = backward_reference(net, cache, grad_out, input_grad=False)
-    return loss, weight_grads + bias_grads
+    return copied_into(weight_grads + bias_grads, out)
 
 
-def flow_loss_and_grads_reference(fl, x, buffers=None):
+def flow_gradients_reference(fl, x, buffers=None, out=None):
     x, _ = neural._as_batch(x, fl.dim)
     n = x.shape[0]
     levels = [(x - fl.mu) / fl.sigma]
-    log_det = np.full(n, -float(np.sum(np.log(fl.sigma))))
     tape = []
     for net in reversed(fl.layers):
-        out, cache = forward_cached_reference(net, levels[-1])
-        t, s = neural._split_gaussian(out)
+        y, cache = forward_cached_reference(net, levels[-1])
+        t, s = neural._split_gaussian(y)
         e = np.exp(-s)
         levels.append((levels[-1] - t) * e)
-        log_det -= s.sum(axis=1)
         tape.append((cache, s, e))
     levels.reverse()
-    loss = float(np.mean(flow._nll(levels[0], log_det)))
     grads = []
     g = levels[0] / n
     for k, (net, (cache, s, e)) in enumerate(zip(fl.layers, reversed(tape))):
@@ -115,7 +120,7 @@ def flow_loss_and_grads_reference(fl, x, buffers=None):
         (gW, gb), g_in = backward_reference(net, cache, np.concatenate([g_t, g_s], axis=1))
         grads += gW + gb
         g = g * e + g_in
-    return loss, grads
+    return copied_into(grads, out)
 
 
 def numerical_grad(f, arrays, eps=1e-6):
@@ -284,7 +289,29 @@ class TestBlockedEvaluation:
         assert seen == rows
 
 
+def sigmoid_reference(t):
+    """``sigmoid`` as it was written with two full ``exp`` passes."""
+    t = np.asarray(t, dtype=np.float64)
+    return np.where(t < -700.0, np.exp(np.minimum(t, -700.0)),
+                    1.0 / (1.0 + np.exp(-np.maximum(t, -700.0))))
+
+
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, np.inf, -np.inf, np.nan,
+                  -700.0, np.nextafter(-700.0, 0.0), np.nextafter(-700.0, -np.inf)]
+
+
 class TestSigmoid:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.floats(), st.floats(-760.0, -690.0),
+                              st.sampled_from(SPECIAL_FLOATS)), min_size=1, max_size=40))
+    def test_bitwise_the_two_exp_form(self, values):
+        """One ``exp`` per entry, and one more at the entries below -700,
+        gives bitwise the two full passes, for every float and shape."""
+        for t in (np.array(values), np.array(values[0]), np.array([values, values[::-1]])):
+            got, want = neural.sigmoid(t), sigmoid_reference(t)
+            assert isinstance(got, np.ndarray) and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
     def test_bitwise_the_plain_form_up_to_700(self):
         t = np.concatenate([np.linspace(-700.0, 700.0, 20001), [-700.0, -699.9999, 0.0]])
         np.testing.assert_array_equal(neural.sigmoid(t), 1.0 / (1.0 + np.exp(-t)))
@@ -304,8 +331,7 @@ class TestGradients:
         x = (rng.random((5, 4)) < 0.5).astype(np.float64) if head == "binary" \
             else rng.normal(size=(5, 4))
         net = well_conditioned_net(4, [6], head, x)
-        loss, analytic = neural.loss_and_grads(net, x, {})
-        assert loss == neural.mean_nll(net, x)
+        analytic = neural.gradients(net, x, {})
         numeric = numerical_grad(lambda: neural.mean_nll(net, x),
                                  net.params())
         for a, n_ in zip(analytic, numeric):
@@ -347,7 +373,7 @@ class TestGradients:
         the re-mask inside each optimizer step of ``train``."""
         A, net = build_net(5, [8], "binary", 9)
         x = (np.random.default_rng(0).random((16, 5)) < 0.5).astype(np.float64)
-        _, grads = neural.loss_and_grads(net, x, {})
+        grads = neural.gradients(net, x, {})
         assert any(np.any(g * (1 - M)) for g, M in zip(grads, net.masks))
         ds = neural.Dataset(x, "binary", np.arange(16), np.arange(8), np.arange(8, 16))
         cfg = neural.TrainConfig(learning_rate=0.05, batch_size=4, max_epochs=3, seed=0)
@@ -373,14 +399,8 @@ def batch(head, rng, n, d):
     return (x < 0.0).astype(np.float64) if head == "binary" else x
 
 
-def assert_same_step(got, want):
-    (loss, grads), (ref_loss, ref_grads) = got, want
-    assert loss == ref_loss or (np.isnan(loss) and np.isnan(ref_loss))
-    assert_bytes_equal(grads, ref_grads)
-
-
 class TestOneLoopStep:
-    """``loss_and_grads`` runs ``forward`` into reused buffers and gates each
+    """``gradients`` runs ``forward`` into reused buffers and gates each
     ReLU on its activations; it must give bitwise what the pass with a
     pre-activation cache gave."""
 
@@ -394,8 +414,8 @@ class TestOneLoopStep:
         # One set of buffers over batches of several sizes, back and forth.
         for n in (24, 24, 7, 1, 24, 7):
             x = batch(head, rng, n, 5)
-            assert_same_step(neural.loss_and_grads(net, x, buffers),
-                             loss_and_grads_reference(net, x))
+            assert_bytes_equal(neural.gradients(net, x, buffers),
+                               gradients_reference(net, x))
         assert {key[1] for key in buffers} == {24, 7, 1}
 
     @pytest.mark.parametrize("hidden", [[], [6], [7, 5]])
@@ -406,8 +426,8 @@ class TestOneLoopStep:
         buffers = {}
         for n in (20, 20, 3, 20):
             x = rng.normal(size=(n, 5))
-            assert_same_step(flow.loss_and_grads(fl, x, buffers),
-                             flow_loss_and_grads_reference(fl, x))
+            assert_bytes_equal(flow.gradients(fl, x, buffers),
+                               flow_gradients_reference(fl, x))
         # One set of buffers per conditioner and row count.
         assert sorted((key[0], key[1]) for key in buffers) == [
             (k, n) for k in range(3) for n in (3, 20)]
@@ -420,12 +440,12 @@ class TestOneLoopStep:
         assert len(ds.idx_train) % 8 == 6
         cfg = neural.TrainConfig(learning_rate=0.02, batch_size=8, max_epochs=4, seed=3)
         module, fit, reference = {
-            "flow": (flow, flow.train_flow, flow_loss_and_grads_reference),
-        }.get(kind, (neural, neural.train, loss_and_grads_reference))
+            "flow": (flow, flow.train_flow, flow_gradients_reference),
+        }.get(kind, (neural, neural.train, gradients_reference))
         runs = []
         for step in ("one loop", "oracle"):
             if step == "oracle":
-                monkeypatch.setattr(module, "loss_and_grads", reference)
+                monkeypatch.setattr(module, "gradients", reference)
             if kind == "flow":
                 model = flow.AffineFlow.build(A, 2, [6], 4)
             else:
@@ -451,8 +471,8 @@ class TestOneLoopStep:
             net.biases[layer][2] = bias
         x = batch(head, rng, 9, 4)
         with np.errstate(invalid="ignore"):
-            assert_same_step(neural.loss_and_grads(net, x, {}),
-                             loss_and_grads_reference(net, x, {}))
+            assert_bytes_equal(neural.gradients(net, x, {}),
+                               gradients_reference(net, x, {}))
 
     def test_gate_on_activations_equals_gate_on_preactivations(self):
         """max(z, 0) > 0 exactly where z > 0, for the floats where that could
@@ -474,28 +494,30 @@ class TestOneLoopStep:
 
     @pytest.mark.parametrize("kind", ["network", "flow"])
     def test_reused_buffers_do_not_alias(self, kind):
-        """Two steps on different batches with one set of buffers give the
-        gradients fresh buffers give, and the first step's gradients do not
-        change when the second step overwrites the buffers."""
+        """Two steps on different batches with one set of activation buffers
+        and one set of gradient views into a flat vector, as in training,
+        give the gradients that fresh arrays give.  The gradients land in the
+        views, which share no memory with the activation buffers."""
         rng = np.random.default_rng(69)
         if kind == "flow":
             model = jittered(flow.AffineFlow.build(adjacency.gen_prev_k(5, 2), 2, [8], 29), 30)
-            step = flow.loss_and_grads
+            step = flow.gradients
         else:
             model = jittered(build_net(5, [8, 6], "gaussian", 29)[1], 30)
-            step = neural.loss_and_grads
+            step = neural.gradients
+        out = neural.AdamW(model.params(), 0.0).grads
         xa, xb = rng.normal(size=(16, 5)), rng.normal(size=(16, 5))
         buffers = {}
-        first = step(model, xa, buffers)
-        kept = [g.copy() for g in first[1]]
+        first = step(model, xa, buffers, out)
+        assert all(g is view for g, view in zip(first, out, strict=True))
+        assert_bytes_equal(first, step(model, xa, {}))
         arrays = [a for work in buffers.values() for a in work]
-        second = step(model, xb, buffers)
+        second = step(model, xb, buffers, out)
         again = [a for work in buffers.values() for a in work]
         assert len(again) == len(arrays) and all(a is b for a, b in zip(again, arrays))
-        assert_same_step(first, step(model, xa, {}))
-        assert_same_step(second, step(model, xb, {}))
-        assert_bytes_equal(first[1], kept)
-        for g in first[1] + second[1]:
+        assert all(g is view for g, view in zip(second, out, strict=True))
+        assert_bytes_equal(second, step(model, xb, {}))
+        for g in out:
             assert not any(np.shares_memory(g, a) for a in arrays)
 
 
@@ -540,18 +562,29 @@ def assert_bytes_equal(actual, expected):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def run_masked_steps(model, loss_and_grads, x, lr, wd, steps=7, edit=None):
-    """``steps`` flat masked steps on ``model`` and the per-array reference
-    steps on a copy of its parameters, both fed the gradients at the flat
-    side's parameters; asserts bitwise equality after each step.  ``edit``
-    runs on both parameter lists between steps."""
+def adamw_step(opt, grads):
+    """Write ``grads`` into the optimizer's gradient views, step, and return
+    its parameter views."""
+    for view, g in zip(opt.grads, grads, strict=True):
+        view[...] = g
+    opt.step()
+    return opt.params
+
+
+def run_masked_steps(model, gradients, x, lr, wd, steps=7, edit=None):
+    """``steps`` flat masked steps on ``model``, bound to the optimizer's
+    parameter views as in training, and the per-array reference steps on a
+    copy of its parameters, both fed the gradients at the flat side's
+    parameters; asserts bitwise equality after each step.  ``edit`` runs on
+    both parameter lists between steps."""
+    opt = neural.AdamW(model.params(), lr, wd, masks=model.param_masks())
+    model.set_params(opt.params)
     params = model.params()
     ref = [p.copy() for p in params]
-    opt = neural.AdamW(params, lr, wd, masks=model.param_masks())
     ref_opt = PerArrayAdamW(ref, lr, wd, model.param_masks())
     for k in range(steps):
-        _, grads = loss_and_grads(model, x, {})
-        opt.step(params, grads)
+        grads = gradients(model, x, {}, opt.grads)
+        opt.step()
         ref_opt.step(ref, grads)
         assert_bytes_equal(params, ref)
         if edit is not None:
@@ -573,7 +606,7 @@ class TestFlatMaskedStep:
             x = (rng.random((24, 5)) < 0.5).astype(np.float64)
         else:
             x = rng.normal(size=(24, 5))
-        params = run_masked_steps(net, neural.loss_and_grads, x, 0.05, wd)
+        params = run_masked_steps(net, neural.gradients, x, 0.05, wd)
         for W, M in zip(net.weights, net.masks):
             assert not np.any(W * (1 - M))
         assert params[0] is net.weights[0]
@@ -585,7 +618,7 @@ class TestFlatMaskedStep:
         for net in fl.layers:
             for W, M in zip(net.weights, net.masks):
                 W += 0.2 * rng.normal(size=W.shape) * M
-        run_masked_steps(fl, flow.loss_and_grads, rng.normal(size=(20, 5)), 0.02, 0.01)
+        run_masked_steps(fl, flow.gradients, rng.normal(size=(20, 5)), 0.02, 0.01)
         for net in fl.layers:
             for W, M in zip(net.weights, net.masks):
                 assert not np.any(W * (1 - M))
@@ -601,12 +634,11 @@ class TestFlatMaskedStep:
             params[0][...] = 0.5 * params[0]
             params[-1][0] = 3.0 + k
 
-        run_masked_steps(net, neural.loss_and_grads, x, 0.05, 0.01, edit=edit)
-        p = np.array([2.0])
-        opt = neural.AdamW([p], learning_rate=0.0)
-        opt.step([p], [np.array([1.0])])
+        run_masked_steps(net, neural.gradients, x, 0.05, 0.01, edit=edit)
+        opt = neural.AdamW([np.array([2.0])], learning_rate=0.0)
+        (p,) = adamw_step(opt, [np.array([1.0])])
         p[0] = -7.0
-        opt.step([p], [np.array([1.0])])
+        adamw_step(opt, [np.array([1.0])])
         assert p[0] == -7.0
 
     def test_special_biases_pass_the_remask_unchanged(self):
@@ -621,10 +653,9 @@ class TestFlatMaskedStep:
         k = len(net.weights)
 
         def check(wd, lr):
-            params = [p.copy() for p in net.params()]
-            ref = [p.copy() for p in params]
-            opt = neural.AdamW(params, lr, wd, masks=net.param_masks())
-            opt.step(params, grads)
+            ref = [p.copy() for p in net.params()]
+            opt = neural.AdamW(net.params(), lr, wd, masks=net.param_masks())
+            params = adamw_step(opt, grads)
             PerArrayAdamW(ref, lr, wd, [None] * len(ref)).step(ref, grads)
             assert_bytes_equal(params[k:], ref[k:])
             return params[k:]
@@ -638,9 +669,9 @@ class TestFlatMaskedStep:
         with np.errstate(invalid="ignore"):
             for lr in (0.0, 0.05):
                 check(0.01, lr)
-        w, zero = np.ones(2), np.array([-0.0, np.nan])
-        opt = neural.AdamW([w, zero], learning_rate=0.0, masks=[np.ones(2), None])
-        opt.step([w, zero], [np.zeros(2), np.zeros(2)])
+        opt = neural.AdamW([np.ones(2), np.array([-0.0, np.nan])], learning_rate=0.0,
+                           masks=[np.ones(2), None])
+        _, zero = adamw_step(opt, [np.zeros(2), np.zeros(2)])
         assert np.signbit(zero[0]) and zero[0] == 0.0 and np.isnan(zero[1])
 
 
@@ -661,10 +692,9 @@ class TestAdamW:
             v_hat = v / (1 - b2 ** t)
             ref = ref - lr * (m_hat / (np.sqrt(v_hat) + eps) + wd * ref)
 
-        actual = p.copy()
-        opt = neural.AdamW([actual], lr, wd)
+        opt = neural.AdamW([p], lr, wd)
         for g in grads:
-            opt.step([actual], [g])
+            (actual,) = adamw_step(opt, [g])
         np.testing.assert_allclose(actual, ref, rtol=1e-12)
 
     @pytest.mark.parametrize("wd", [0.0, 0.01])
@@ -681,7 +711,7 @@ class TestAdamW:
         opt = neural.AdamW(params, lr, wd, epsilon=eps)
         for t in range(1, 8):
             grads = [rng.normal(size=s) * 10.0 ** rng.integers(-6, 2) for s in shapes]
-            opt.step(params, grads)
+            params = adamw_step(opt, grads)
             for p, g, m_, v_ in zip(ref, grads, m, v):
                 m_ *= b1
                 m_ += (1.0 - b1) * g
@@ -696,24 +726,21 @@ class TestAdamW:
     def test_decay_is_decoupled(self):
         """With zero gradient the update is pure shrinkage, untouched by the
         adaptive denominators."""
-        p = np.array([10.0])
-        opt = neural.AdamW([p], learning_rate=0.1, weight_decay=0.5)
-        opt.step([p], [np.zeros(1)])
+        opt = neural.AdamW([np.array([10.0])], learning_rate=0.1, weight_decay=0.5)
+        (p,) = adamw_step(opt, [np.zeros(1)])
         np.testing.assert_allclose(p, [10.0 - 0.1 * 0.5 * 10.0])
 
     def test_zero_learning_rate_freezes(self):
-        p = np.array([3.0])
-        opt = neural.AdamW([p], learning_rate=0.0, weight_decay=0.3)
-        opt.step([p], [np.array([5.0])])
+        opt = neural.AdamW([np.array([3.0])], learning_rate=0.0, weight_decay=0.3)
+        (p,) = adamw_step(opt, [np.array([5.0])])
         np.testing.assert_allclose(p, [3.0])
 
     @pytest.mark.parametrize("lr", [0.0, 0.1])
     def test_zero_decay_keeps_infinite_parameters(self, lr):
         """Without weight decay no 0 * inf enters the update, so +-inf stay
         +-inf and no invalid-value warning is raised."""
-        p = np.array([np.inf, -np.inf, 1.0])
-        opt = neural.AdamW([p], learning_rate=lr)
-        opt.step([p], [np.ones(3)])
+        opt = neural.AdamW([np.array([np.inf, -np.inf, 1.0])], learning_rate=lr)
+        (p,) = adamw_step(opt, [np.ones(3)])
         assert p[0] == np.inf and p[1] == -np.inf and np.isfinite(p[2])
 
 
@@ -834,6 +861,41 @@ class TestTraining:
         best = min(row[2] for row in history)
         np.testing.assert_allclose(neural.mean_nll(net, ds.val_x), best,
                                    rtol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["network", "flow"])
+    @pytest.mark.parametrize("empty", ["training", "validation"])
+    def test_empty_split_is_rejected_before_the_first_step(self, monkeypatch, kind, empty):
+        """No rows to step on, or none to pick the best epoch by: without
+        validation rows no epoch would be the best, and the run would
+        restore its initial parameters."""
+        rng = np.random.default_rng(71)
+        A = adjacency.gen_prev_k(3, 1)
+        rows = np.arange(5), np.arange(0), np.arange(5, 10)
+        if empty == "training":
+            rows = rows[1], rows[0], rows[2]
+        cfg = neural.TrainConfig(batch_size=4, max_epochs=2, seed=0)
+        monkeypatch.setattr(neural.AdamW, "step", None)   # any step fails
+        with pytest.raises(ConfigError, match=f"{empty} split is empty"):
+            if kind == "flow":
+                ds = neural.Dataset(rng.normal(size=(10, 3)), "real", *rows)
+                flow.train_flow(flow.AffineFlow.build(A, 2, [4], 0), ds, cfg)
+            else:
+                ds = neural.Dataset((rng.random((10, 3)) < 0.5).astype(float), "binary", *rows)
+                masks = factorizer.factor_multilayer(A, [4], "greedy")
+                neural.train(neural.MaskedMLP.from_masks(masks, "binary", 0), ds, cfg)
+
+    def test_parameters_stay_views_of_one_flat_vector(self):
+        """Training binds every weight and bias to a view of one flat vector,
+        in ``params()`` order, and leaves them bound to it."""
+        A, ds = toy_dataset(8, kind="real")
+        fl = flow.AffineFlow.build(A, 2, [6], 0)
+        fl, _ = flow.train_flow(fl, ds, neural.TrainConfig(batch_size=16, max_epochs=2))
+        params = fl.params()
+        flat = params[0].base
+        assert flat is not None and flat.ndim == 1
+        assert flat.size == sum(p.size for p in params)
+        np.testing.assert_array_equal(flat, np.concatenate([p.ravel() for p in params]))
+        assert all(p.base is flat for p in params)
 
     def test_history_row_shape(self):
         A, ds = toy_dataset(6)

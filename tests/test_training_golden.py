@@ -2,10 +2,12 @@
 
 ``tests/data/train_<kind>/`` holds the ``history.csv`` and ``checkpoint.txt``
 that ``train_run(kind, ...)`` wrote before training was sped up (row-blocked
-evaluation, no unused input gradient, in-place AdamW).  Each run takes a few
-epochs, halves its learning rate on a plateau and restores its best epoch;
-its train split ends in a short minibatch and a short evaluation block.  A
-speed change that moves any bit of training fails here.
+evaluation, no unused input gradient, in-place AdamW); the ``gaussian`` run's
+files were written before training moved onto one flat parameter vector and
+one flat gradient vector.  Each run takes a few epochs, halves its learning
+rate on a plateau and restores its best epoch; its train split ends in a
+short minibatch and a short evaluation block.  A speed change that moves any
+bit of training fails here.
 """
 
 import json
@@ -34,6 +36,15 @@ RUNS = {
               "learning_rate": 0.1, "lr_schedule": "plateau", "plateau_factor": 0.5,
               "plateau_patience": 1, "max_epochs": 7, "early_stop_patience": 10,
               "seed": 5}),
+    # The gaussian head of the density experiments, two hidden layers and no
+    # weight decay.  920 rows split 552/184/184 as for "mlp".
+    "gaussian": ({"family": "gaussian", "n": 920, "seed": 6,
+                  "adjacency": {"scheme": "random_sparse", "d": 8, "threshold": 0.5,
+                                "seed": 7}},
+                 {"model": "strnn", "hidden": [24, 16], "method": "greedy",
+                  "batch_size": 64, "learning_rate": 0.1, "lr_schedule": "plateau",
+                  "plateau_factor": 0.5, "plateau_patience": 1, "max_epochs": 10,
+                  "early_stop_patience": 10, "seed": 8}),
 }
 
 

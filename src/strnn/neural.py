@@ -1,12 +1,13 @@
 """Masked feedforward networks with hand-rolled reverse-mode gradients.
 
 The effective weight of every layer is weight * mask, maintained as an
-invariant: weights are masked at initialization and every ``AdamW`` step
-multiplies the masks from ``param_masks()`` back in, so structural zeros stay
-exactly zero through training.  A training run keeps all parameters of a
-model (every conditioner of a flow) in one flat vector and their gradients in
-another: each weight and bias becomes a view into the first, ``backward``
-writes into views of the second, and the step updates the first in place.
+invariant: weights are masked at initialization, ``AdamW`` sets every weight
+that the masks from ``param_masks()`` exclude to +0.0 and steps only the free
+entries, so structural zeros stay exactly +0.0 through training.  A training
+run keeps all parameters of a model (every conditioner of a flow) in one
+flat vector and their gradients in another: each weight and bias becomes a
+view into the first, ``backward`` writes into views of the second, and the
+step updates the free entries of the first in place.
 Hidden layers use ReLU; the head is either ``binary`` (d logits) or
 ``gaussian`` (2d outputs: means then log-sigmas, the final mask stacked twice
 vertically).  Each head has one likelihood, ``head_nll`` of the raw outputs:
@@ -122,8 +123,8 @@ class MaskedMLP:
         parameter gradients are written into ``out``, arrays aligned with
         ``params()`` (training passes views of ``AdamW.grads``), or into new
         arrays without it.  Returns ((weight_grads, bias_grads), grad_input).
-        Gradients are dense; masked positions are irrelevant because updates
-        get re-masked.  With ``input_grad=False`` the layer-0 product
+        Gradients are dense; masked positions are irrelevant because the
+        optimizer never steps them.  With ``input_grad=False`` the layer-0 product
         ``delta @ W[0]`` is skipped and grad_input is None; the parameter
         gradients are unchanged.
         """
@@ -133,7 +134,7 @@ class MaskedMLP:
         delta = np.asarray(grad_out, dtype=np.float64)
         for layer in range(len(self.weights) - 1, -1, -1):
             np.matmul(delta.T, inputs[layer], out=weight_grads[layer])
-            np.sum(delta, axis=0, out=bias_grads[layer])
+            np.add.reduce(delta, axis=0, out=bias_grads[layer])
             if layer:
                 delta = delta @ self.weights[layer]
                 np.multiply(delta, inputs[layer] > 0.0, out=delta)
@@ -272,20 +273,23 @@ def gradients(net, x, buffers, out=None):
 
 class AdamW:
     """Adam with decoupled weight decay over one flat parameter vector ``p``
-    and one flat gradient vector ``g``, with the structural re-mask folded in.
+    and one flat gradient vector ``g``, stepping only the free entries.
 
     ``p`` starts as a copy of the arrays ``params``, in order, and ``g`` at
     zero; ``self.params`` and ``self.grads`` are views into ``p`` and ``g``
-    shaped like ``params``.  ``masks`` is aligned with ``params``: a 0/1 array
+    shaped like ``params``.  ``masks`` is aligned with ``params``: an array
     per masked weight and None for an unmasked parameter (a bias); without it
-    nothing is masked.  The moments live in flat float64 vectors too.  Each
-    ``step()`` reads ``g`` and updates ``p`` in place, once, in the operation
-    order of p -= lr * (m_hat / (sqrt(v_hat) + eps) + wd * p), then
-    multiplies the flat mask in (1.0 for unmasked entries, exact for every
-    float).  Adam is elementwise, so this is bitwise the per-array update
-    followed by ``W *= M``.  At weight decay 0 the decay term is skipped, so
+    every entry is free.  An entry is free when it is unmasked or its mask
+    entry is nonzero.  Every masked entry of ``p`` is set to +0.0 here and
+    never written again, so structural zeros stay exactly +0.0.  The moments
+    and scratch vectors hold one entry per free parameter.  Each ``step()``
+    gathers the free entries of ``g`` and ``p`` (afresh, so an edit made
+    between steps is what the next step starts from), updates them in the
+    operation order of p -= lr * (m_hat / (sqrt(v_hat) + eps) + wd * p) and
+    scatters them back.  Adam is elementwise, so every free entry is bitwise
+    the per-array update's.  At weight decay 0 the decay term is skipped, so
     an infinite parameter stays infinite instead of turning NaN through
-    0 * inf; every other result is bitwise the same, -0.0 included.
+    0 * inf.
     """
 
     def __init__(self, params, learning_rate, weight_decay=0.0,
@@ -296,22 +300,28 @@ class AdamW:
         size = sum(q.size for q in params)
         self.p, self.g = np.empty(size), np.zeros(size)
         np.concatenate([q.ravel() for q in params], out=self.p)
-        self.m, self.v = np.zeros(size), np.zeros(size)
-        self._a, self._u = np.empty(size), np.empty(size)
         bounds = np.cumsum([0] + [q.size for q in params])
         spans = list(zip(params, bounds[:-1], bounds[1:]))
         self.params = [self.p[lo:hi].reshape(q.shape) for q, lo, hi in spans]
         self.grads = [self.g[lo:hi].reshape(q.shape) for q, lo, hi in spans]
-        self._mask = None if masks is None else np.concatenate(
-            [np.ones(q.size) if M is None else np.asarray(M, dtype=np.float64).ravel()
-             for q, M in zip(params, masks)])
+        if masks is None:
+            masks = [None] * len(params)
+        free = np.concatenate([np.ones(q.size, dtype=bool) if M is None
+                               else np.asarray(M).ravel() != 0
+                               for q, M in zip(params, masks)])
+        self.p[~free] = 0.0
+        self._free = np.flatnonzero(free)
+        n = self._free.size
+        self.m, self.v = np.zeros(n), np.zeros(n)
+        self._a, self._u = np.empty(n), np.empty(n)
         self.t = 0
 
     def step(self):
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         c1, c2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
-        p, g, m, v, a, u = self.p, self.g, self.m, self.v, self._a, self._u
+        m, v, a, u, free = self.m, self.v, self._a, self._u, self._free
+        g, p = self.g[free], self.p[free]
         m *= b1
         m += np.multiply(1.0 - b1, g, out=a)
         v *= b2
@@ -326,8 +336,7 @@ class AdamW:
             u += np.multiply(self.weight_decay, p, out=a)
         u *= self.lr
         p -= u
-        if self._mask is not None:
-            p *= self._mask
+        self.p[free] = p
 
 
 @dataclass

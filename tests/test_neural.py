@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from strnn import adjacency, datagen, factorizer, flow, neural
@@ -522,8 +522,9 @@ class TestOneLoopStep:
 
 
 class PerArrayAdamW:
-    """The reference for the flat masked step: AdamW applied array by array
-    through two scratch arrays each, then ``W *= M`` on the masked weights."""
+    """The reference for the free-parameter step: AdamW applied array by
+    array through two scratch arrays each, then ``W *= M`` on the masked
+    weights."""
 
     def __init__(self, params, lr, wd, masks, b1=0.9, b2=0.999, eps=1e-8):
         self.lr, self.wd, self.b1, self.b2, self.eps = lr, wd, b1, b2, eps
@@ -562,6 +563,15 @@ def assert_bytes_equal(actual, expected):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def assert_free_step(actual, expected, masks):
+    """The free entries (unmasked, or with a nonzero mask entry) of
+    ``actual`` are bitwise those of ``expected``; the masked ones are +0.0."""
+    for a, b, M in zip(actual, expected, masks, strict=True):
+        free = np.ones(a.shape, dtype=bool) if M is None else M != 0
+        assert a.shape == b.shape and a[free].tobytes() == b[free].tobytes()
+        assert (a[~free] == 0.0).all() and not np.signbit(a[~free]).any()
+
+
 def adamw_step(opt, grads):
     """Write ``grads`` into the optimizer's gradient views, step, and return
     its parameter views."""
@@ -572,21 +582,23 @@ def adamw_step(opt, grads):
 
 
 def run_masked_steps(model, gradients, x, lr, wd, steps=7, edit=None):
-    """``steps`` flat masked steps on ``model``, bound to the optimizer's
+    """``steps`` free-parameter steps on ``model``, bound to the optimizer's
     parameter views as in training, and the per-array reference steps on a
     copy of its parameters, both fed the gradients at the flat side's
-    parameters; asserts bitwise equality after each step.  ``edit`` runs on
-    both parameter lists between steps."""
-    opt = neural.AdamW(model.params(), lr, wd, masks=model.param_masks())
+    parameters.  After each step the free entries are bitwise the
+    reference's and the masked entries are +0.0.  ``edit`` runs on both
+    parameter lists between steps."""
+    masks = model.param_masks()
+    ref = [p.copy() for p in model.params()]
+    opt = neural.AdamW(model.params(), lr, wd, masks=masks)
     model.set_params(opt.params)
     params = model.params()
-    ref = [p.copy() for p in params]
-    ref_opt = PerArrayAdamW(ref, lr, wd, model.param_masks())
+    ref_opt = PerArrayAdamW(ref, lr, wd, masks)
     for k in range(steps):
         grads = gradients(model, x, {}, opt.grads)
         opt.step()
         ref_opt.step(ref, grads)
-        assert_bytes_equal(params, ref)
+        assert_free_step(params, ref, masks)
         if edit is not None:
             edit(k, params)
             edit(k, ref)
@@ -642,8 +654,8 @@ class TestFlatMaskedStep:
         assert p[0] == -7.0
 
     def test_special_biases_pass_the_remask_unchanged(self):
-        """The flat mask is 1.0 on every bias entry, which leaves NaN, +-inf
-        and -0.0 as the unmasked update leaves them."""
+        """Every bias entry is free, so the step leaves NaN, +-inf and -0.0
+        as the per-array update leaves them."""
         rng = np.random.default_rng(53)
         A, net = build_net(4, [6], "gaussian", 7)
         special = [np.nan, np.inf, -np.inf, -0.0]
@@ -673,6 +685,73 @@ class TestFlatMaskedStep:
                            masks=[np.ones(2), None])
         _, zero = adamw_step(opt, [np.zeros(2), np.zeros(2)])
         assert np.signbit(zero[0]) and zero[0] == 0.0 and np.isnan(zero[1])
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           densities=st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=1, max_size=3),
+           lr=st.sampled_from([0.0, 0.05]), wd=st.sampled_from([0.0, 0.01]),
+           special=st.lists(st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 2.0]),
+                            max_size=4))
+    @example(seed=0, densities=[0.0], lr=0.0, wd=0.01, special=[np.nan, np.inf, -np.inf])
+    @example(seed=1, densities=[0.5, 0.0], lr=0.05, wd=0.0, special=[np.nan, -np.inf, np.inf])
+    def test_random_masks_match_the_oracle(self, seed, densities, lr, wd, special):
+        """Weights whose masks keep a random share of entries (none, so an
+        all-masked array, about half, or all), with nonzero values at the
+        masked positions, and biases holding NaN and +-inf: after each step
+        the free entries are bitwise the per-array reference's and the
+        masked ones +0.0."""
+        rng = np.random.default_rng(seed)
+        shapes = [tuple(int(n) for n in rng.integers(1, 6, size=2)) for _ in densities]
+        masks = [(rng.random(s) < rho).astype(np.float64) for s, rho in zip(shapes, densities)]
+        biases = [rng.normal(size=s[0]) for s in shapes]
+        biases[-1][:len(special)] = special[:len(biases[-1])]
+        params = [rng.normal(size=s) for s in shapes] + biases
+        masks += [None] * len(biases)
+        ref = [p.copy() for p in params]
+        opt = neural.AdamW(params, lr, wd, masks=masks)
+        ref_opt = PerArrayAdamW(ref, lr, wd, masks)
+        assert_free_step(opt.params, params, masks)
+        with np.errstate(invalid="ignore"):
+            for _ in range(3):
+                grads = [rng.normal(size=p.shape) for p in params]
+                adamw_step(opt, grads)
+                ref_opt.step(ref, grads)
+                assert_free_step(opt.params, ref, masks)
+
+    def test_construction_zeroes_masked_entries(self):
+        """A nonzero or -0.0 weight at a masked position is +0.0 in the
+        optimizer's parameters before any step; the arrays passed in are
+        left as they were."""
+        A, net = build_net(4, [6], "binary", 9)
+        off = np.argwhere(net.masks[0] == 0)[:2]
+        net.weights[0][tuple(off[0])] = 3.5
+        net.weights[0][tuple(off[1])] = -0.0
+        before = [p.copy() for p in net.params()]
+        opt = neural.AdamW(net.params(), 0.05, masks=net.param_masks())
+        assert_free_step(opt.params, before, net.param_masks())
+        assert_bytes_equal(net.params(), before)
+
+    @pytest.mark.parametrize("bad", [np.nan, 1e300])
+    def test_masked_gradients_never_reach_the_parameters(self, bad):
+        """A NaN or huge gradient at a masked position leaves that weight at
+        +0.0 and every free entry as the reference update makes it."""
+        rng = np.random.default_rng(59)
+        A, net = build_net(5, [7], "gaussian", 11)
+        masks = net.param_masks()
+        ref = [p.copy() for p in net.params()]
+        opt = neural.AdamW(net.params(), 0.05, 0.01, masks=masks)
+        ref_opt = PerArrayAdamW(ref, 0.05, 0.01, masks)
+        for _ in range(3):
+            grads = [rng.normal(size=p.shape) for p in ref]
+            for g, M in zip(grads, masks):
+                if M is not None:
+                    g[M == 0] = bad
+            adamw_step(opt, grads)
+            with np.errstate(invalid="ignore", over="ignore"):
+                ref_opt.step(ref, grads)
+            assert_free_step(opt.params, ref, masks)
+        assert all(np.isfinite(p).all() for p in opt.params)
 
 
 class TestAdamW:

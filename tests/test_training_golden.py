@@ -1,21 +1,26 @@
 """Training through the CLI reproduces checked-in runs byte for byte.
 
 ``tests/data/train_<kind>/`` holds the ``history.csv`` and ``checkpoint.txt``
-that ``train_run(kind, ...)`` wrote before training was sped up (row-blocked
-evaluation, no unused input gradient, in-place AdamW); the ``gaussian`` run's
-files were written before training moved onto one flat parameter vector and
-one flat gradient vector.  Each run takes a few epochs, halves its learning
-rate on a plateau and restores its best epoch; its train split ends in a
-short minibatch and a short evaluation block.  A speed change that moves any
-bit of training fails here.
+that ``train_run(kind, ...)`` wrote.  The ``mlp`` and ``flow`` histories were
+written before training was sped up (row-blocked evaluation, no unused input
+gradient, in-place AdamW), the ``gaussian`` one before training moved onto
+one flat parameter vector and one flat gradient vector.  The three
+checkpoints were rewritten when AdamW came to step only the free
+parameters: a masked weight, which used to carry the sign of a discarded
+update and was written as ``-0.0`` about half the time, is now ``0.0``;
+every other token is unchanged.  Each run takes a few epochs, halves its
+learning rate on a plateau and restores its best epoch; its train split ends
+in a short minibatch and a short evaluation block.  A speed change that
+moves any bit of training fails here.
 """
 
 import json
 import os
 
+import numpy as np
 import pytest
 
-from strnn import cli
+from strnn import cli, flow
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -71,3 +76,15 @@ def test_training_matches_golden_bytes(kind, tmp_path):
             got = fh.read()
         with open(os.path.join(DATA, f"train_{kind}", name), "rb") as fh:
             assert got == fh.read(), name
+
+
+@pytest.mark.parametrize("kind", sorted(RUNS))
+def test_masked_weights_are_written_as_positive_zero(kind, tmp_path):
+    """``strnn train`` writes +0.0 (the token ``0.0``) at every masked
+    weight position of a binary network, a gaussian network and a flow."""
+    model = flow.load_checkpoint(os.path.join(train_run(kind, str(tmp_path)), "checkpoint.txt"))
+    nets = model.layers if isinstance(model, flow.AffineFlow) else [model]
+    for net in nets:
+        for W, M in zip(net.weights, net.masks):
+            masked = W[M == 0]
+            assert masked.size and (masked == 0.0).all() and not np.signbit(masked).any()

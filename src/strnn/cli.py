@@ -201,6 +201,8 @@ def cmd_train(args):
         "n_test": len(per),
         "epochs_run": len(history),
         "best_val_nll": float(min(h[2] for h in history)),
+        "best_epoch": history.best_epoch,
+        "stop_reason": history.stop_reason,
         "checkpoint": ckpt_path,
         "history": hist_path,
     }

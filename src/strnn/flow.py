@@ -7,16 +7,16 @@ read only the declared parents of j (a parentless coordinate gets learned
 constants).  The data-to-noise direction evaluates in one parallel pass per
 layer; ``to_noise``, ``nll`` and training (``gradients``, into buffers
 reused from step to step) share that pass, so training differentiates the
-evaluation NLL, whose value it does not compute.  The noise-to-data
-direction takes one pass per DAG generation, where a generation is the set
-of coordinates whose parents are all already filled; ``_reconstruct`` is its
-one routine, shared by sampling and by the interventions and counterfactuals
-of ``causal``, which pin one coordinate to a value in data units.  It
-follows a ``_Plan`` built once per query or report, and each conditioner
-pass computes only the outputs its generation reads, into the plan's reused
-buffers, bitwise the full pass's values.  An affine standardization
-(train-split mean/std) sits outermost and its log-Jacobian is part of the
-density.
+evaluation NLL and takes each batch's NLL from the pass it steps on.  The
+noise-to-data direction takes one pass per DAG generation, where a
+generation is the set of coordinates whose parents are all already filled;
+``_reconstruct`` is its one routine, shared by sampling and by the
+interventions and counterfactuals of ``causal``, which pin one coordinate to
+a value in data units.  It follows a ``_Plan`` built once per query or
+report, and each conditioner pass computes only the outputs its generation
+reads, into the plan's reused buffers, bitwise the full pass's values.  An
+affine standardization (train-split mean/std) sits outermost and its
+log-Jacobian is part of the density.
 """
 
 import functools
@@ -94,22 +94,18 @@ def _to_noise(flow, x, keep_levels, work=None, tape=None):
     log_det is the per-sample log |det dz/dx|, including the standardization
     Jacobian.  Training passes ``work``, each conditioner's layer buffers,
     and a list ``tape`` that each layer, data side first, appends its
-    log-scales s and exp(-s) to for the backward pass; it gets None for
-    log_det, which only the loss reads.
+    log-scales s and exp(-s) to for the backward pass.
     """
     u = (x - flow.mu) / flow.sigma
-    log_det = None
-    if tape is None:
-        log_det = np.full(x.shape[0], -float(np.sum(np.log(flow.sigma))))
+    log_det = np.full(x.shape[0], -float(np.sum(np.log(flow.sigma))))
     levels = [u]
     for k in reversed(range(len(flow.layers))):
         out = flow.layers[k].forward(levels[-1], work=None if work is None else work[k])
         t, s = neural._split_gaussian(out)
         e = np.exp(-s)
         v = (levels[-1] - t) * e
-        if tape is None:
-            log_det -= s.sum(axis=1)
-        else:
+        log_det -= s.sum(axis=1)
+        if tape is not None:
             tape.append((s, e))
         if keep_levels:
             levels.append(v)
@@ -316,15 +312,17 @@ def sample(flow, n, rng):
 
 
 def gradients(flow, x, buffers, out=None):
-    """The gradients of ``mean_nll(flow, x)`` for every conditioner
-    parameter, aligned with ``flow.params()``, from passes into
-    ``neural.layer_buffers``.  They are written into ``out`` when it is given
-    (see ``MaskedMLP.backward``); the loss itself is not computed."""
+    """(grads, nll_sum): the gradients of ``mean_nll(flow, x)`` for every
+    conditioner parameter, aligned with ``flow.params()``, and the batch's
+    NLL summed over its rows, from one data-to-noise pass into
+    ``neural.layer_buffers``.  The gradients are written into ``out`` when it
+    is given (see ``MaskedMLP.backward``); each row's NLL is bitwise what
+    ``nll`` gives for the row."""
     x, _ = neural._as_batch(x, flow.dim)
     n = x.shape[0]
     work = [neural.layer_buffers(buffers, k, net, n) for k, net in enumerate(flow.layers)]
     tape = []
-    levels, _ = _to_noise(flow, x, keep_levels=True, work=work, tape=tape)
+    levels, log_det = _to_noise(flow, x, keep_levels=True, work=work, tape=tape)
     grads = []
     g = levels[0] / n
     last = len(flow.layers) - 1
@@ -341,15 +339,17 @@ def gradients(flow, x, buffers, out=None):
         grads += gW + gb
         if k < last:
             g = g * e + g_in
-    return grads
+    return grads, _nll(levels[0], log_det).sum()
 
 
 def train_flow(flow, dataset, config):
     """Train the flow by AdamW on the exact NLL.
 
     Standardization parameters are frozen from the train split before the
-    first step and folded into the density.  Scheduling, early stopping, and
-    determinism match network training.  Returns (flow, history).
+    first step and folded into the density.  Scheduling, early stopping, the
+    stop on a non-finite NLL, the meaning of each history row and
+    determinism match network training (``neural.train``).  Returns (flow,
+    history).
     """
     train_x, _ = neural._splits(dataset)
     flow.mu = train_x.mean(axis=0)

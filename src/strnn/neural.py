@@ -11,8 +11,11 @@ step updates the free entries of the first in place.
 Hidden layers use ReLU; the head is either ``binary`` (d logits) or
 ``gaussian`` (2d outputs: means then log-sigmas, the final mask stacked twice
 vertically).  Each head has one likelihood, ``head_nll`` of the raw outputs:
-evaluation (``nll``) and the data generators' exact oracles go through it,
-and training (``gradients``) differentiates it without evaluating it.
+evaluation (``nll``), the data generators' exact oracles and training go
+through it.  A training step (``gradients``) differentiates it and also
+sums it over the batch from the output its forward pass already wrote, so
+an epoch's training NLL costs no pass of its own; only the validation split
+is evaluated after each epoch.
 ``MaskedMLP.forward`` is the one layer loop; training runs it into buffers
 reused across steps (``layer_buffers``).
 Evaluation runs in blocks of EVAL_BLOCK rows, so the hidden activations stay
@@ -249,10 +252,12 @@ def mean_nll(net, x):
 
 
 def gradients(net, x, buffers, out=None):
-    """The gradients of ``mean_nll(net, x)``, the batch's mean NLL, aligned
-    with ``net.params()``, from a pass into ``layer_buffers(buffers, ...)``.
-    They are written into ``out`` when it is given (see ``backward``); the
-    loss itself is not computed."""
+    """(grads, nll_sum): the gradients of ``mean_nll(net, x)``, the batch's
+    mean NLL, aligned with ``net.params()``, and the batch's NLL summed over
+    its rows, both from one pass into ``layer_buffers(buffers, ...)``.  The
+    gradients are written into ``out`` when it is given (see ``backward``);
+    each row's NLL is ``head_nll`` of the output that pass wrote, bitwise
+    what ``nll`` gives for the row."""
     x = _targets(net.head, x)
     n = x.shape[0]
     work = layer_buffers(buffers, "net", net, n)
@@ -268,7 +273,7 @@ def gradients(net, x, buffers, out=None):
         grad_out = np.concatenate([g_mu, g_log_sigma], axis=1)
     (weight_grads, bias_grads), _ = net.backward([x] + work[:-1], grad_out,
                                                  input_grad=False, out=out)
-    return weight_grads + bias_grads
+    return weight_grads + bias_grads, head_nll(net.head, y, x).sum()
 
 
 class AdamW:
@@ -398,14 +403,27 @@ class Dataset:
         return self.x[self.idx_test]
 
 
+class History(list):
+    """The rows (epoch, train_nll, val_nll, lr) of a training run, one per
+    epoch, and how the run ended: ``stop_reason`` is "early_stop",
+    "max_epochs" or "non_finite", and ``best_epoch`` is the epoch whose
+    parameters were restored, 0 for the initial ones."""
+
+    stop_reason = None
+    best_epoch = 0
+
+
 def train(net, dataset, config):
     """AdamW training on the head NLL with optional plateau schedule and
     early stopping.
 
     Validation NLL drives both the plateau schedule and early stopping; the
-    parameters from the best validation epoch are restored at the end.
-    Deterministic given (seed, config, dataset).  Returns (net, history)
-    where history rows are (epoch, train_nll, val_nll, lr).
+    parameters from the best validation epoch are restored at the end.  An
+    epoch's ``train_nll`` is the mean over its training rows of the NLL each
+    minibatch had before its step, so it lags the end-of-epoch parameters;
+    ``val_nll`` is evaluated after the epoch.  A non-finite train or val NLL
+    ends the run.  Deterministic given (seed, config, dataset).  Returns
+    (net, history), a ``History`` of rows (epoch, train_nll, val_nll, lr).
     """
     return _optimize(net, dataset, config, gradients, mean_nll)
 
@@ -422,9 +440,13 @@ def _splits(dataset):
 
 def _optimize(model, dataset, config, gradients, mean_nll):
     """The training loop behind ``train`` and ``flow.train_flow``, given the
-    model's ``gradients(model, x, buffers, out)`` and ``mean_nll(model, x)``.
-    The model's weights and biases become views into the optimizer's flat
-    parameter vector, and stay so after the run."""
+    model's ``gradients(model, x, buffers, out)``, which returns the batch's
+    NLL sum beside its gradients, and ``mean_nll(model, x)``, which only the
+    validation split goes through.  ``train_nll`` sums what the steps
+    returned, so no pass runs over the whole training split.  A non-finite
+    epoch is never the best one, and it stops the run.  The model's weights
+    and biases become views into the optimizer's flat parameter vector, and
+    stay so after the run."""
     config.validate()
     train_x, val_x = _splits(dataset)
     rng = np.random.default_rng(config.seed)
@@ -433,22 +455,27 @@ def _optimize(model, dataset, config, gradients, mean_nll):
     model.set_params(opt.params)
     buffers = {}
     n = train_x.shape[0]
-    history = []
+    history = History()
     best_val = np.inf
     best = opt.p.copy()
     stall = 0
     plateau_stall = 0
     for epoch in range(1, config.max_epochs + 1):
         perm = rng.permutation(n)
+        total = 0.0
         for idx in np.split(perm, range(config.batch_size, n, config.batch_size)):
-            gradients(model, train_x[idx], buffers, opt.grads)
+            total += gradients(model, train_x[idx], buffers, opt.grads)[1]
             opt.step()
-        train_nll = mean_nll(model, train_x)
+        train_nll = float(total / n)
         val_nll = mean_nll(model, val_x)
         history.append((epoch, train_nll, val_nll, opt.lr))
+        if not np.isfinite([train_nll, val_nll]).all():
+            history.stop_reason = "non_finite"
+            break
         if val_nll < best_val:
             best_val = val_nll
             np.copyto(best, opt.p)
+            history.best_epoch = epoch
             stall = 0
             plateau_stall = 0
         else:
@@ -458,7 +485,10 @@ def _optimize(model, dataset, config, gradients, mean_nll):
             opt.lr *= config.plateau_factor
             plateau_stall = 0
         if stall >= config.early_stop_patience:
+            history.stop_reason = "early_stop"
             break
+    else:
+        history.stop_reason = "max_epochs"
     np.copyto(opt.p, best)
     return model, history
 

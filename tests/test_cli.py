@@ -215,6 +215,8 @@ class TestTrainCommand:
         assert len(history) == summary["epochs_run"] + 1
         assert np.isfinite(summary["test_nll"])
         assert summary["test_nll_stderr"] >= 0
+        assert summary["stop_reason"] in ("early_stop", "max_epochs")
+        assert 1 <= summary["best_epoch"] <= summary["epochs_run"]
         return summary
 
     def test_strnn_model(self, tmp_path):
@@ -228,8 +230,29 @@ class TestTrainCommand:
         summary = self.check_outputs(out)
         assert summary["model"] == "strnn"
         assert summary["config"]["hidden"] == [6]
+        assert summary["stop_reason"] == "max_epochs" and summary["epochs_run"] == 25
         net = neural.load_mlp(str(out / "checkpoint.txt"))
         assert net.head == "gaussian"
+
+    def test_non_finite_run_reports_its_stop(self, tmp_path):
+        """A dataset scaled by 1e150 overflows the NLL: training stops after
+        one epoch, restores the initial parameters and says so."""
+        spec = datagen.SynthSpec("gaussian", 334, seed=5,
+                                 adjacency=adjacency.GeneratorSpec("prev_k", d=6, k=2))
+        gen, dataset = datagen.generate(spec)
+        gen.x = 1e150 * gen.x
+        data = str(tmp_path / "data.txt")
+        datagen.write_dataset(data, gen, dataset, spec=spec)
+        cfg = self.config_file(tmp_path, {
+            "model": "strnn", "dataset": data, "adjacency": write_adjacency(tmp_path, gen.adjacency),
+            "hidden": [12], "early_stop_patience": 5, "seed": 0})
+        out = tmp_path / "run"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cli.main(["train", "--config", cfg, "--out-dir", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["stop_reason"] == "non_finite"
+        assert summary["best_epoch"] == 0 and summary["epochs_run"] == 1
+        assert len((out / "history.csv").read_text().splitlines()) == 2
 
     def test_made_model_on_binary_data(self, tmp_path):
         spec = datagen.SynthSpec("binary", 60, seed=4,

@@ -97,7 +97,7 @@ def gradients_reference(net, x, buffers=None, out=None):
         g_log_sigma = (1.0 - (x - mu) ** 2 * inv_var) * in_range / n
         grad_out = np.concatenate([g_mu, g_log_sigma], axis=1)
     (weight_grads, bias_grads), _ = backward_reference(net, cache, grad_out, input_grad=False)
-    return copied_into(weight_grads + bias_grads, out)
+    return copied_into(weight_grads + bias_grads, out), neural.nll(net, x).sum()
 
 
 def flow_gradients_reference(fl, x, buffers=None, out=None):
@@ -120,7 +120,7 @@ def flow_gradients_reference(fl, x, buffers=None, out=None):
         (gW, gb), g_in = backward_reference(net, cache, np.concatenate([g_t, g_s], axis=1))
         grads += gW + gb
         g = g * e + g_in
-    return copied_into(grads, out)
+    return copied_into(grads, out), flow.nll(fl, x).sum()
 
 
 def numerical_grad(f, arrays, eps=1e-6):
@@ -331,7 +331,7 @@ class TestGradients:
         x = (rng.random((5, 4)) < 0.5).astype(np.float64) if head == "binary" \
             else rng.normal(size=(5, 4))
         net = well_conditioned_net(4, [6], head, x)
-        analytic = neural.gradients(net, x, {})
+        analytic, _ = neural.gradients(net, x, {})
         numeric = numerical_grad(lambda: neural.mean_nll(net, x),
                                  net.params())
         for a, n_ in zip(analytic, numeric):
@@ -373,7 +373,7 @@ class TestGradients:
         the re-mask inside each optimizer step of ``train``."""
         A, net = build_net(5, [8], "binary", 9)
         x = (np.random.default_rng(0).random((16, 5)) < 0.5).astype(np.float64)
-        grads = neural.gradients(net, x, {})
+        grads, _ = neural.gradients(net, x, {})
         assert any(np.any(g * (1 - M)) for g, M in zip(grads, net.masks))
         ds = neural.Dataset(x, "binary", np.arange(16), np.arange(8), np.arange(8, 16))
         cfg = neural.TrainConfig(learning_rate=0.05, batch_size=4, max_epochs=3, seed=0)
@@ -414,7 +414,7 @@ class TestOneLoopStep:
         # One set of buffers over batches of several sizes, back and forth.
         for n in (24, 24, 7, 1, 24, 7):
             x = batch(head, rng, n, 5)
-            assert_bytes_equal(neural.gradients(net, x, buffers),
+            assert_steps_equal(neural.gradients(net, x, buffers),
                                gradients_reference(net, x))
         assert {key[1] for key in buffers} == {24, 7, 1}
 
@@ -426,7 +426,7 @@ class TestOneLoopStep:
         buffers = {}
         for n in (20, 20, 3, 20):
             x = rng.normal(size=(n, 5))
-            assert_bytes_equal(flow.gradients(fl, x, buffers),
+            assert_steps_equal(flow.gradients(fl, x, buffers),
                                flow_gradients_reference(fl, x))
         # One set of buffers per conditioner and row count.
         assert sorted((key[0], key[1]) for key in buffers) == [
@@ -471,7 +471,7 @@ class TestOneLoopStep:
             net.biases[layer][2] = bias
         x = batch(head, rng, 9, 4)
         with np.errstate(invalid="ignore"):
-            assert_bytes_equal(neural.gradients(net, x, {}),
+            assert_steps_equal(neural.gradients(net, x, {}),
                                gradients_reference(net, x, {}))
 
     def test_gate_on_activations_equals_gate_on_preactivations(self):
@@ -509,14 +509,14 @@ class TestOneLoopStep:
         xa, xb = rng.normal(size=(16, 5)), rng.normal(size=(16, 5))
         buffers = {}
         first = step(model, xa, buffers, out)
-        assert all(g is view for g, view in zip(first, out, strict=True))
-        assert_bytes_equal(first, step(model, xa, {}))
+        assert all(g is view for g, view in zip(first[0], out, strict=True))
+        assert_steps_equal(first, step(model, xa, {}))
         arrays = [a for work in buffers.values() for a in work]
         second = step(model, xb, buffers, out)
         again = [a for work in buffers.values() for a in work]
         assert len(again) == len(arrays) and all(a is b for a, b in zip(again, arrays))
-        assert all(g is view for g, view in zip(second, out, strict=True))
-        assert_bytes_equal(second, step(model, xb, {}))
+        assert all(g is view for g, view in zip(second[0], out, strict=True))
+        assert_steps_equal(second, step(model, xb, {}))
         for g in out:
             assert not any(np.shares_memory(g, a) for a in arrays)
 
@@ -563,6 +563,11 @@ def assert_bytes_equal(actual, expected):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def assert_steps_equal(actual, expected):
+    """Two steps' (grads, nll_sum) are bitwise equal."""
+    assert_bytes_equal([*actual[0], actual[1]], [*expected[0], expected[1]])
+
+
 def assert_free_step(actual, expected, masks):
     """The free entries (unmasked, or with a nonzero mask entry) of
     ``actual`` are bitwise those of ``expected``; the masked ones are +0.0."""
@@ -595,7 +600,7 @@ def run_masked_steps(model, gradients, x, lr, wd, steps=7, edit=None):
     params = model.params()
     ref_opt = PerArrayAdamW(ref, lr, wd, masks)
     for k in range(steps):
-        grads = gradients(model, x, {}, opt.grads)
+        grads, _ = gradients(model, x, {}, opt.grads)
         opt.step()
         ref_opt.step(ref, grads)
         assert_free_step(params, ref, masks)
@@ -908,6 +913,7 @@ class TestTraining:
                                  max_epochs=100, early_stop_patience=3, seed=0)
         net, history = neural.train(net, ds, cfg)
         assert len(history) == 4
+        assert history.stop_reason == "early_stop" and history.best_epoch == 1
 
     def test_plateau_schedule_reduces_lr(self):
         A, ds = toy_dataset(4)
@@ -940,6 +946,69 @@ class TestTraining:
         best = min(row[2] for row in history)
         np.testing.assert_allclose(neural.mean_nll(net, ds.val_x), best,
                                    rtol=1e-12)
+        assert history[history.best_epoch - 1][2] == best
+
+    @pytest.mark.parametrize("kind", ["binary", "gaussian", "flow"])
+    def test_train_nll_is_the_mean_nll_before_each_step(self, monkeypatch, kind):
+        """An epoch's ``train_nll`` is the row-weighted mean, over its
+        minibatches, of ``mean_nll`` of each batch just before its step.  The
+        minibatches are replayed from the seed's permutations: 54 rows in
+        batches of 8, so each epoch ends on 6 rows.  The only evaluation pass
+        of an epoch is over the validation split."""
+        A, ds = toy_dataset(7, kind="binary" if kind == "binary" else "real")
+        cfg = neural.TrainConfig(learning_rate=0.02, batch_size=8, max_epochs=4,
+                                 early_stop_patience=10, seed=3)
+        if kind == "flow":
+            module, fit, model = flow, flow.train_flow, flow.AffineFlow.build(A, 2, [6], 4)
+        else:
+            masks = factorizer.factor_multilayer(A, [6], "greedy")
+            module, fit = neural, neural.train
+            model = neural.MaskedMLP.from_masks(masks, kind, 4)
+        steps, step, evaluated, evaluate = [], module.gradients, [], module.mean_nll
+
+        def recorded(m, x, buffers, out=None):
+            steps.append((x.copy(), evaluate(m, x)))
+            return step(m, x, buffers, out)
+
+        def recorded_evaluation(m, x):
+            evaluated.append(len(x))
+            return evaluate(m, x)
+
+        monkeypatch.setattr(module, "gradients", recorded)
+        monkeypatch.setattr(module, "mean_nll", recorded_evaluation)
+        model, history = fit(model, ds, cfg)
+        assert len(history) == 4 and history.stop_reason == "max_epochs"
+        assert evaluated == [len(ds.idx_val)] * 4
+        n, rng = len(ds.idx_train), np.random.default_rng(cfg.seed)
+        want = []
+        for _ in history:
+            batches = np.split(rng.permutation(n), range(8, n, 8))
+            epoch, steps = steps[:len(batches)], steps[len(batches):]
+            for idx, (x, _) in zip(batches, epoch, strict=True):
+                np.testing.assert_array_equal(x, ds.train_x[idx])
+            want.append(sum(len(x) * batch_nll for x, batch_nll in epoch) / n)
+        assert not steps
+        np.testing.assert_allclose([row[1] for row in history], want, rtol=1e-12)
+
+    def test_non_finite_run_stops_and_says_so(self):
+        """Gaussian data scaled by 1e150 overflows the NLL: the run stops after
+        its first epoch with ``stop_reason`` "non_finite" and restores the
+        initial parameters (``best_epoch`` 0), where patience 5 would have
+        run six epochs."""
+        rng = np.random.default_rng(73)
+        A = adjacency.gen_prev_k(6, 2)
+        x = 1e150 * rng.normal(size=(300, 6))
+        ds = neural.Dataset(x, "real", np.arange(200), np.arange(200, 250), np.arange(250, 300))
+        masks = factorizer.factor_multilayer(A, [12], "greedy")
+        net = neural.MaskedMLP.from_masks(masks, "gaussian", 0)
+        before = [p.copy() for p in net.params()]
+        cfg = neural.TrainConfig(batch_size=50, max_epochs=100, early_stop_patience=5, seed=0)
+        with np.errstate(over="ignore"):
+            net, history = neural.train(net, ds, cfg)
+        assert len(history) == 1 and history[0][1] == np.inf
+        assert history.stop_reason == "non_finite" and history.best_epoch == 0
+        for p, q in zip(net.params(), before, strict=True):
+            np.testing.assert_array_equal(p, q)
 
     @pytest.mark.parametrize("kind", ["network", "flow"])
     @pytest.mark.parametrize("empty", ["training", "validation"])

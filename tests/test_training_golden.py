@@ -1,16 +1,19 @@
 """Training through the CLI reproduces checked-in runs byte for byte.
 
 ``tests/data/train_<kind>/`` holds the ``history.csv`` and ``checkpoint.txt``
-that ``train_run(kind, ...)`` wrote.  The ``mlp`` and ``flow`` histories were
-written before training was sped up (row-blocked evaluation, no unused input
-gradient, in-place AdamW), the ``gaussian`` one before training moved onto
-one flat parameter vector and one flat gradient vector.  The three
-checkpoints were rewritten when AdamW came to step only the free
-parameters: a masked weight, which used to carry the sign of a discarded
-update and was written as ``-0.0`` about half the time, is now ``0.0``;
-every other token is unchanged.  Each run takes a few epochs, halves its
-learning rate on a plateau and restores its best epoch; its train split ends
-in a short minibatch and a short evaluation block.  A speed change that
+that ``train_run(kind, ...)`` wrote.  The three checkpoints were rewritten
+when AdamW came to step only the free parameters: a masked weight, which
+used to carry the sign of a discarded update and was written as ``-0.0``
+about half the time, is now ``0.0``; every other token is unchanged.  The
+three histories were rewritten when ``train_nll`` came to be taken from the
+epoch's own minibatch passes, the NLL of each batch before its step, in
+place of a pass over the training split after the epoch: only that column
+changed, and every ``val_nll`` and ``lr`` and every checkpoint stayed
+byte-identical.  Each run takes a few epochs, halves its learning rate on a
+plateau and restores its best epoch; its train split ends in a short
+minibatch and its validation split fits one evaluation block.  The
+checkpoint and the history are checked by separate tests, so a change to
+one does not hide whether the other still matches.  A speed change that
 moves any bit of training fails here.
 """
 
@@ -25,8 +28,8 @@ from strnn import cli, flow
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
 RUNS = {
-    # 920 rows split 552/184/184: 552 = 256 + 296 rows per evaluation block
-    # and 8 * 64 + 40 per minibatch.
+    # 920 rows split 552/184/184: 8 * 64 + 40 training rows per minibatch,
+    # 184 validation rows in one evaluation block.
     "mlp": ({"family": "binary", "n": 920, "seed": 1,
              "adjacency": {"scheme": "random_sparse", "d": 8, "threshold": 0.5, "seed": 2}},
             {"model": "strnn", "hidden": [64], "method": "greedy", "batch_size": 64,
@@ -68,21 +71,42 @@ def train_run(kind, work):
     return out
 
 
-@pytest.mark.parametrize("kind", sorted(RUNS))
-def test_training_matches_golden_bytes(kind, tmp_path):
-    out = train_run(kind, str(tmp_path))
-    for name in ("history.csv", "checkpoint.txt"):
-        with open(os.path.join(out, name), "rb") as fh:
-            got = fh.read()
-        with open(os.path.join(DATA, f"train_{kind}", name), "rb") as fh:
-            assert got == fh.read(), name
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """The training output directory of a kind, each kind trained once."""
+    outs = {}
+
+    def out(kind):
+        if kind not in outs:
+            outs[kind] = train_run(kind, str(tmp_path_factory.mktemp(kind)))
+        return outs[kind]
+
+    return out
+
+
+def assert_golden(out, kind, name):
+    with open(os.path.join(out, name), "rb") as fh:
+        got = fh.read()
+    with open(os.path.join(DATA, f"train_{kind}", name), "rb") as fh:
+        assert got == fh.read(), name
 
 
 @pytest.mark.parametrize("kind", sorted(RUNS))
-def test_masked_weights_are_written_as_positive_zero(kind, tmp_path):
+def test_training_matches_golden_bytes(kind, trained):
+    """The trained parameters: ``checkpoint.txt``."""
+    assert_golden(trained(kind), kind, "checkpoint.txt")
+
+
+@pytest.mark.parametrize("kind", sorted(RUNS))
+def test_history_matches_golden_bytes(kind, trained):
+    assert_golden(trained(kind), kind, "history.csv")
+
+
+@pytest.mark.parametrize("kind", sorted(RUNS))
+def test_masked_weights_are_written_as_positive_zero(kind, trained):
     """``strnn train`` writes +0.0 (the token ``0.0``) at every masked
     weight position of a binary network, a gaussian network and a flow."""
-    model = flow.load_checkpoint(os.path.join(train_run(kind, str(tmp_path)), "checkpoint.txt"))
+    model = flow.load_checkpoint(os.path.join(trained(kind), "checkpoint.txt"))
     nets = model.layers if isinstance(model, flow.AffineFlow) else [model]
     for net in nets:
         for W, M in zip(net.weights, net.masks):

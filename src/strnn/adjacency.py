@@ -116,6 +116,9 @@ def write_matrix(M, path):
         textio.write_rows(fh, M)
 
 
+_ENTRIES_WHY = "adjacency entries must be 0 or 1, and 0 on or above the diagonal"
+
+
 def _adjacency_entries(A):
     """Where square A holds an adjacency's entries: 0, or 1 below the diagonal."""
     return (A == 0) | np.tri(len(A), k=-1, dtype=bool) & (A == 1)
@@ -133,7 +136,7 @@ def read_matrix(path, adjacency=False):
     if adjacency and r != c:
         raise reader.error(f"an adjacency must be square, got {r} x {c}")
     M = reader.block(r, c, dtype=np.int64, valid=_adjacency_entries if adjacency else None,
-                     why="adjacency entries must be 0 or 1, and 0 on or above the diagonal")
+                     why=_ENTRIES_WHY)
     reader.finish(f"the {r} rows")
     return M
 

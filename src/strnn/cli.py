@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Subcommands: factor, datagen, train, causal-eval, verify.  Exit codes:
-0 success, 1 a verified property failed (sparsity mismatch, audit violation),
-2 usage/config errors.  Every JSON output embeds the resolved config and the
-tool version.  When a config omits its seed, the STRNN_SEED environment
-variable is used as a global fallback.
+0 success, 1 a verified property failed (sparsity mismatch, audit violation,
+non-finite training NLL), 2 usage/config errors.  Every JSON output embeds
+the resolved config and the tool version.  When a config omits its seed, the
+STRNN_SEED environment variable is used as a global fallback.
 """
 
 import argparse
@@ -13,8 +13,6 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import adjacency, causal, datagen, factorizer, flow, neural, textio
 from .errors import StrnnError, UsageError, decode
@@ -207,6 +205,10 @@ def cmd_train(args):
         "history": hist_path,
     }
     textio.write_json(os.path.join(args.out_dir, "summary.json"), summary)
+    if history.stop_reason == "non_finite":
+        print(f"train[{model}]: stopped at epoch {len(history)} on a non-finite NLL "
+              f"(stop_reason non_finite) -> {args.out_dir}", file=sys.stderr)
+        return 1
     print(f"train[{model}]: test NLL {summary['test_nll']:.4f} "
           f"+/- {summary['test_nll_stderr']:.4f} ({len(history)} epochs) "
           f"-> {args.out_dir}")
@@ -252,23 +254,21 @@ def cmd_causal_eval(args):
 
 def cmd_verify(args):
     """Audit a network or flow checkpoint (``neural.audit_invariance``,
-    ``flow.audit_flow``): exit 1 when any output can read an input its
-    pattern forbids or a parameter is non-finite.  A pair's ``max_abs_diff``
-    is what the perturbation probe measured, 0.0 when it did not reach the
-    pair; ``--seed`` seeds the probe."""
+    ``flow.audit_flow``): exit 1 when some output can read an input its
+    pattern forbids, or when the interval bounds on the audit box are not
+    finite.  Each violation's ``grad_bound`` bounds the output's derivative
+    in that input, null when the bounds are not finite.  The audit draws
+    nothing at random, so ``--seed`` has no effect."""
     model = flow.load_checkpoint(args.checkpoint)
-    seed = _seed(args.seed)
-    rng = np.random.default_rng(seed)
     kind = "flow" if isinstance(model, flow.AffineFlow) else "mlp"
     if kind == "flow":
-        violations = [{"layer": k, "i": i, "j": j, "max_abs_diff": diff}
-                      for k, i, j, diff in flow.audit_flow(model, rng)]
+        keys, found = ("layer", "i", "j", "grad_bound"), flow.audit_flow(model)
     else:
-        violations = [{"i": i, "j": j, "max_abs_diff": diff}
-                      for i, j, diff in neural.audit_invariance(model, rng)]
+        keys, found = ("i", "j", "grad_bound"), neural.audit_invariance(model)
+    violations = [dict(zip(keys, v)) for v in found]
     report = {
         "tool": "strnn", "version": VERSION,
-        "config": {"checkpoint": args.checkpoint, "seed": seed},
+        "config": {"checkpoint": args.checkpoint},
         "kind": kind,
         "ok": not violations,
         "violations": violations,
@@ -326,7 +326,7 @@ def build_parser():
     p = sub.add_parser("verify", help="audit a checkpoint's structural independence")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", default=None, help="optional report JSON path")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None, help="has no effect")
     return parser
 
 

@@ -357,23 +357,19 @@ def train_flow(flow, dataset, config):
     return neural._optimize(flow, dataset, config, gradients, mean_nll)
 
 
-def audit_flow(flow, rng):
+def audit_flow(flow):
     """Audit every conditioner: a conditioner whose recorded pattern differs
     from the flow's shared adjacency has each differing pair flagged with
-    NaN; any other goes through ``neural.audit_invariance`` with the one
-    shared ``rng``.  Returns a list of (layer_index, i, j, max_abs_diff); a
-    clean flow costs no forward pass.
+    NaN; any other goes through ``neural.audit_invariance``.  Returns a list
+    of (layer_index, i, j, grad_bound); no forward pass runs.
     """
-    rng = np.random.default_rng(rng)
     violations = []
     for k, net in enumerate(flow.layers):
-        if not np.array_equal(net.pattern, flow.adjacency):
-            bad = np.argwhere(net.pattern != flow.adjacency)
-            for i, j in bad:
-                violations.append((k, int(i), int(j), float("nan")))
-            continue
-        for i, j, worst in neural.audit_invariance(net, rng):
-            violations.append((k, i, j, worst))
+        if np.array_equal(net.pattern, flow.adjacency):
+            violations += [(k, i, j, bound) for i, j, bound in neural.audit_invariance(net)]
+        else:
+            violations += [(k, int(i), int(j), float("nan"))
+                           for i, j in np.argwhere(net.pattern != flow.adjacency)]
     return violations
 
 
@@ -394,9 +390,12 @@ def save_flow(flow, path):
 def _read_flow_body(reader):
     d = reader.count("dim")
     n_layers = reader.count("layers")
-    A = reader.named_block("adjacency", d, d)
-    mu = reader.named_block("mu", 1, d).ravel()
-    sigma = reader.named_block("sigma", 1, d).ravel()
+    A = reader.named_block("adjacency", d, d, valid=adjacency_mod._adjacency_entries,
+                           why=adjacency_mod._ENTRIES_WHY)
+    mu = reader.named_block("mu", 1, d, valid=np.isfinite,
+                            why="mu entries must be finite").ravel()
+    sigma = reader.named_block("sigma", 1, d, valid=lambda a: np.isfinite(a) & (a > 0.0),
+                               why="sigma entries must be finite and > 0").ravel()
     nets = []
     for k in range(n_layers):
         reader.label(f"conditioner {k}")

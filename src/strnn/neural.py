@@ -39,9 +39,9 @@ from .errors import (
 
 HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 LOG_SIGMA_CLAMP = 7.0
-# The audit's perturbation probe: base points per network and input changes.
-PROBES = 4
-DELTAS = (1.0, -2.5, 10.0)
+# The audit certifies finite activations for every input in the box
+# |x_j| <= AUDIT_RADIUS.
+AUDIT_RADIUS = 1e6
 # ``nll`` evaluates in blocks of EVAL_BLOCK rows and folds a trailing block
 # shorter than EVAL_TAIL into the one before it: BLAS multiplies fewer rows
 # with other kernels, whose rounding differs from the unblocked product's.
@@ -507,55 +507,41 @@ def support(net):
     return factorizer.mask_product([W != 0 for W in net.weights]) > 0
 
 
-def audit_invariance(net, rng):
+def audit_invariance(net):
     """Exact audit of structural independence: the pairs (i, j) where output
-    i reads input j although the dependency pattern (stacked twice for a
-    gaussian head) forbids it.
+    i can read input j although the dependency pattern (stacked twice for a
+    gaussian head) forbids it.  Deterministic; no forward pass runs.
 
-    Output i can read input j only through a chain of nonzero weights (for
-    inputs whose activations stay finite), so for finite parameters the
-    flagged pairs are those where ``support(net)`` leaves the pattern.  A
-    non-finite weight or bias voids that argument (0 * inf is NaN), and so do
-    finite weights large enough to overflow an activation; a network with
-    either, or with a non-finite output at the probe base points, has every
-    forbidden pair flagged.  Returns (i, j, max_abs_diff) per flagged pair,
-    sorted; an empty list means the audit passed, and a clean network costs
-    one forward pass, at the base points.
-
-    ``max_abs_diff`` is what a perturbation probe measured: from PROBES base
-    points drawn from ``rng`` (for every network, so a shared ``rng`` stays
-    aligned), the largest change of output i when x_j is shifted by or set
-    to each of DELTAS, NaN when an output difference is NaN.  Only flagged
-    columns are probed.  0.0 means the probe did not reach the pair.
+    Interval bounds r = |W| r + |b| per layer, from r = AUDIT_RADIUS at every
+    input, bound every activation on the box |x_j| <= AUDIT_RADIUS.  If they
+    are finite, so is every activation there, and output i reads input j only
+    through a chain of nonzero weights: the pairs where ``support(net)``
+    leaves the pattern are flagged.  A non-finite bound (a NaN or infinite
+    parameter, or finite ones that overflow) voids that argument, and every
+    forbidden pair is flagged.  Returns (i, j, grad_bound) per flagged pair,
+    sorted; [] means the audit passed.  ``grad_bound`` is entry (i, j) of the
+    chained |W| product, an upper bound on |d out_i / d x_j|, and NaN when
+    the bounds are not finite.  The support, not this float, decides: a
+    product of tiny weights can underflow to 0.0.
     """
-    rng = np.random.default_rng(rng)
     forbidden = net.pattern == 0
     if net.head == "gaussian":
         forbidden = np.vstack([forbidden, forbidden])
-    base = rng.normal(0.0, 2.0, size=(PROBES, net.dim))
-    # A corrupt network may compute inf - inf; the probe records it as NaN.
-    with np.errstate(invalid="ignore", over="ignore"):
-        y0 = net.forward(base)
-    flagged = forbidden
-    if np.isfinite(y0).all() and all(np.isfinite(p).all() for p in net.params()):
-        flagged = support(net) & forbidden
-    pairs = np.argwhere(flagged)
+    r = np.full(net.dim, AUDIT_RADIUS)
+    # Elementwise, not a BLAS product, so that 0 * inf is NaN even where a
+    # BLAS kernel would skip the zero.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for W, b in zip(net.weights, net.biases):
+            r = (np.abs(W) * r).sum(axis=1) + np.abs(b)
+    if not np.isfinite(r).all():
+        return [(int(i), int(j), float("nan")) for i, j in np.argwhere(forbidden)]
+    pairs = np.argwhere(support(net) & forbidden)
     if not pairs.size:
         return []
-    found = {(int(i), int(j)): 0.0 for i, j in pairs}
-    with np.errstate(invalid="ignore", over="ignore"):
-        for j in np.unique(pairs[:, 1]):
-            rows = np.flatnonzero(forbidden[:, j])
-            for delta in DELTAS:
-                for mode in ("shift", "set"):
-                    x1 = base.copy()
-                    x1[:, j] = x1[:, j] + delta if mode == "shift" else delta
-                    col_max = np.abs(net.forward(x1)[:, rows] - y0[:, rows]).max(axis=0)
-                    # != and np.maximum keep NaN, so a NaN output is flagged as NaN.
-                    for k in np.flatnonzero(col_max != 0.0):
-                        key = (int(rows[k]), int(j))
-                        found[key] = float(np.maximum(found.get(key, 0.0), col_max[k]))
-    return [(i, j, worst) for (i, j), worst in sorted(found.items())]
+    bound = np.abs(net.weights[0])
+    for W in net.weights[1:]:
+        bound = np.abs(W) @ bound
+    return [(int(i), int(j), float(bound[i, j])) for i, j in pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -578,9 +564,8 @@ def read_mlp_body(reader):
         raise reader.error(f"unknown head {head!r}")
     d = reader.count("dim")
     n_layers = reader.count("layers")
-    pattern = reader.named_block("pattern", d, d)
-    if ((pattern != 0) & (pattern != 1)).any():
-        raise reader.error("pattern entries must be 0 or 1")
+    pattern = reader.named_block("pattern", d, d, valid=lambda a: (a == 0) | (a == 1),
+                                 why="pattern entries must be 0 or 1")
     weights, biases, masks, width = [], [], [], d
     for k in range(n_layers):
         rows = None if k < n_layers - 1 else (d if head == "binary" else 2 * d)

@@ -110,14 +110,15 @@ class Reader:
             raise self.error(why)
         return a
 
-    def named_block(self, name, rows=None, cols=None):
-        """A checkpoint block; ``rows`` and ``cols``, if given, are its shape."""
+    def named_block(self, name, rows=None, cols=None, valid=None, why=None):
+        """A checkpoint block; ``rows`` and ``cols``, if given, are its shape,
+        and ``valid`` and ``why`` are checked as in ``block``."""
         self.label(name)
         shape = self.dims(self.line("'rows cols'"))
         if len(shape) != 2 or rows not in (None, shape[0]) or cols not in (None, shape[1]):
             raise self.error(f"{name} block is {' x '.join(map(str, shape))}, "
                              f"expected {rows or 'r'} x {cols or 'c'}")
-        return self.block(*shape)
+        return self.block(*shape, valid=valid, why=why)
 
     def finish(self, what):
         """Require that nothing but blank lines follows."""
@@ -176,8 +177,18 @@ def read_json(path, what):
     return payload
 
 
+def _finite_or_null(obj):
+    """``obj`` with every non-finite float, at any depth, replaced by None."""
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return None if isinstance(obj, float) and not np.isfinite(obj) else obj
+
+
 def write_json(path, payload):
-    """Write JSON with sorted keys and one-space indents."""
+    """Write strict JSON with sorted keys and one-space indents; a non-finite
+    float is written as null."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
+        json.dump(_finite_or_null(payload), fh, indent=1, sort_keys=True, allow_nan=False)
         fh.write("\n")

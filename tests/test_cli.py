@@ -31,6 +31,11 @@ def write_adjacency(tmp_path, A, name="adj.txt"):
     return path
 
 
+def reject_constant(name):
+    """``json.loads``'s ``parse_constant``: strict JSON has no NaN or Infinity."""
+    raise ValueError(f"non-JSON constant {name}")
+
+
 def assert_parse_error_names(path, capsys):
     err = capsys.readouterr().err
     assert f"error: {path}:1:" in err and "Traceback" not in err
@@ -234,9 +239,10 @@ class TestTrainCommand:
         net = neural.load_mlp(str(out / "checkpoint.txt"))
         assert net.head == "gaussian"
 
-    def test_non_finite_run_reports_its_stop(self, tmp_path):
+    def test_non_finite_run_reports_its_stop(self, tmp_path, capsys):
         """A dataset scaled by 1e150 overflows the NLL: training stops after
-        one epoch, restores the initial parameters and says so."""
+        one epoch, restores the initial parameters, says so on stderr and
+        exits 1.  Its files are still written, as strict JSON."""
         spec = datagen.SynthSpec("gaussian", 334, seed=5,
                                  adjacency=adjacency.GeneratorSpec("prev_k", d=6, k=2))
         gen, dataset = datagen.generate(spec)
@@ -248,8 +254,10 @@ class TestTrainCommand:
             "hidden": [12], "early_stop_patience": 5, "seed": 0})
         out = tmp_path / "run"
         with np.errstate(over="ignore", invalid="ignore"):
-            assert cli.main(["train", "--config", cfg, "--out-dir", str(out)]) == 0
-        summary = json.loads((out / "summary.json").read_text())
+            assert cli.main(["train", "--config", cfg, "--out-dir", str(out)]) == 1
+        assert "non_finite" in capsys.readouterr().err
+        summary = json.loads((out / "summary.json").read_text(),
+                             parse_constant=reject_constant)
         assert summary["stop_reason"] == "non_finite"
         assert summary["best_epoch"] == 0 and summary["epochs_run"] == 1
         assert len((out / "history.csv").read_text().splitlines()) == 2
@@ -501,12 +509,14 @@ class TestVerifyCommand:
         neural.save_mlp(net, path)
         out = str(tmp_path / "report.json")
         assert cli.main(["verify", "--checkpoint", path, "--out", out]) == 1
-        report = json.loads((tmp_path / "report.json").read_text())
+        report = json.loads((tmp_path / "report.json").read_text(),
+                            parse_constant=reject_constant)
         assert report["violations"]
-        assert all(np.isnan(v["max_abs_diff"]) for v in report["violations"])
+        assert all(v["grad_bound"] is None for v in report["violations"])
 
     def test_edge_behind_dead_relu_exits_one(self, tmp_path):
-        """A forbidden weight behind a hidden unit that no probe switches on."""
+        """A forbidden weight behind a hidden unit that ordinary inputs never
+        switch on; the |W| product along its one path is 1."""
         masks = factorizer.factor_multilayer(adjacency.gen_prev_k(4, 1), [8], "greedy")
         net = neural.MaskedMLP.from_masks(masks, "binary", 0)
         u = np.flatnonzero(net.masks[1][1])[0]
@@ -519,7 +529,7 @@ class TestVerifyCommand:
         out = str(tmp_path / "report.json")
         assert cli.main(["verify", "--checkpoint", path, "--out", out]) == 1
         report = json.loads((tmp_path / "report.json").read_text())
-        assert report["violations"] == [{"i": 1, "j": 3, "max_abs_diff": 0.0}]
+        assert report["violations"] == [{"i": 1, "j": 3, "grad_bound": 1.0}]
 
     def test_negative_inf_hidden_bias_exits_one(self, tmp_path):
         net = self.small_net()
@@ -528,10 +538,9 @@ class TestVerifyCommand:
         neural.save_mlp(net, path)
         assert cli.main(["verify", "--checkpoint", path]) == 1
 
-    def test_clean_checkpoints_run_one_forward_per_network(self, tmp_path, monkeypatch):
-        """The support proves a clean checkpoint without the probe; each
-        network only runs once, at the base points, to show that its outputs
-        there are finite."""
+    def test_clean_checkpoints_run_no_forward(self, tmp_path, monkeypatch):
+        """The interval bounds and the support prove a clean checkpoint
+        without running any network."""
         A = adjacency.gen_random_sparse(10, 0.5, 2)
         fl = flow.AffineFlow.build(A, 5, [20], 3)
         rng = np.random.default_rng(4)
@@ -545,8 +554,49 @@ class TestVerifyCommand:
         monkeypatch.setattr(neural.MaskedMLP, "forward",
                             lambda net, x: calls.append(1) or forward(net, x))
         for name in ("flow.txt", "mlp.txt"):
-            assert cli.main(["verify", "--checkpoint", str(tmp_path / name)]) == 0
-        assert len(calls) == 5 + 1
+            out = tmp_path / (name + ".json")
+            assert cli.main(["verify", "--checkpoint", str(tmp_path / name),
+                             "--out", str(out)]) == 0
+            report = json.loads(out.read_text())
+            assert report["ok"] is True and report["violations"] == []
+            assert report["config"] == {"checkpoint": str(tmp_path / name)}
+        assert calls == []
+
+    def test_weight_that_overflows_inside_the_box_exits_one(self, tmp_path):
+        """A finite 1e306 on an allowed edge turns outputs NaN at x_2 = 1e3,
+        inside the audit box: every forbidden pair is flagged."""
+        masks = factorizer.factor_multilayer(adjacency.gen_prev_k(4, 1), [8], "greedy")
+        net = neural.MaskedMLP.from_masks(masks, "binary", 0)
+        net.weights[0][2, 2] = 1e306
+        path = str(tmp_path / "big.txt")
+        neural.save_mlp(net, path)
+        out = str(tmp_path / "report.json")
+        assert cli.main(["verify", "--checkpoint", path, "--out", out]) == 1
+        report = json.loads((tmp_path / "report.json").read_text(),
+                            parse_constant=reject_constant)
+        assert report["violations"] == [{"i": int(i), "j": int(j), "grad_bound": None}
+                                        for i, j in np.argwhere(net.pattern == 0)]
+
+    @pytest.mark.parametrize("block, row, col, value", [
+        ("adjacency", 1, 0, "2.0"), ("adjacency", 0, 3, "1.0"), ("mu", 0, 2, "nan"),
+        ("sigma", 0, 1, "nan"), ("sigma", 0, 4, "0.0"), ("sigma", 0, 0, "-1.5"),
+        ("sigma", 0, 3, "inf"), ("pattern", 2, 1, "2.0")])
+    def test_bad_flow_block_names_its_line(self, tmp_path, capsys, block, row, col, value):
+        """A flow's adjacency must be 0/1 and strictly lower triangular, mu
+        finite, sigma finite and positive and a conditioner's pattern 0/1; an
+        entry that is not exits 2 with an error at its line."""
+        with open(os.path.join(CAUSAL, "flow.txt")) as fh:
+            lines = fh.read().split("\n")
+        at = lines.index(block) + 2 + row     # the label, then the shape line
+        tokens = lines[at].split()
+        tokens[col] = value
+        lines[at] = " ".join(tokens)
+        path = tmp_path / "flow.txt"
+        path.write_text("\n".join(lines))
+        assert cli.main(["verify", "--checkpoint", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:{at + 1}: ") and block in err
+        assert "Traceback" not in err
 
 
 class TestCausalEvalCommand:
@@ -715,19 +765,18 @@ class TestRejectedValues:
         assert "error: " in capsys.readouterr().err
         assert calls == []
 
-    @pytest.mark.parametrize("where", ["verify", "causal-eval", "env", "train", "datagen"])
+    @pytest.mark.parametrize("where", ["causal-eval", "env", "train", "datagen"])
     def test_negative_seed(self, tmp_path, capsys, monkeypatch, where):
         flow_path = os.path.join(CAUSAL, "flow.txt")
+        causal_eval = ["causal-eval", "--flow", flow_path,
+                       "--sem", os.path.join(CAUSAL, "sem.json"),
+                       "--out", str(tmp_path / "m.json")]
         name = "--seed"
-        if where == "verify":
-            argv = ["verify", "--checkpoint", flow_path, "--seed", "-1"]
-        elif where == "causal-eval":
-            argv = ["causal-eval", "--flow", flow_path, "--seed", "-2",
-                    "--sem", os.path.join(CAUSAL, "sem.json"),
-                    "--out", str(tmp_path / "m.json")]
+        if where == "causal-eval":
+            argv = causal_eval + ["--seed", "-2"]
         elif where == "env":
             monkeypatch.setenv("STRNN_SEED", "-5")
-            argv, name = ["verify", "--checkpoint", flow_path], "STRNN_SEED"
+            argv, name = causal_eval, "STRNN_SEED"
         elif where == "train":
             data, adj = write_gaussian_dataset(tmp_path)
             cfg = self.json_file(tmp_path, {"model": "strnn", "dataset": data,

@@ -573,7 +573,7 @@ class TestFlowAudit:
     def test_clean_flow_passes(self):
         A = adjacency.gen_random_sparse(5, 0.4, 31)
         fl = jitter_flow(flow.AffineFlow.build(A, 3, [7], 31), 32)
-        assert flow.audit_flow(fl, 0) == []
+        assert flow.audit_flow(fl) == []
 
     def test_detects_corrupt_conditioner(self):
         A = np.zeros((3, 3), dtype=np.int64)
@@ -585,7 +585,7 @@ class TestFlowAudit:
         net.weights[-1][1, :] = 0.0
         net.weights[0][:, 1] = 1.0
         net.weights[-1][1, 0] = 1.0
-        found = flow.audit_flow(fl, 0)
+        found = flow.audit_flow(fl)
         assert found and all(item[0] == 1 for item in found)
 
 

@@ -150,6 +150,18 @@ def test_undecodable_bytes_are_a_parse_error(tmp_path):
     assert info.value.line_no == 3
 
 
+def test_json_is_strict(tmp_path):
+    """A non-finite float, at any depth, is written as null."""
+    def reject(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    path = tmp_path / "out.json"
+    textio.write_json(path, {"a": np.nan, "b": [1.5, -np.inf, {"c": np.float64(np.inf)}],
+                             "d": (0.1, 2, None), "e": "x"})
+    assert json.loads(path.read_text(), parse_constant=reject) == {
+        "a": None, "b": [1.5, None, {"c": None}], "d": [0.1, 2, None], "e": "x"}
+
+
 # ---------------------------------------------------------------------------
 # Checkpoint structure
 

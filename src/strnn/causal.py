@@ -17,12 +17,13 @@ import numpy as np
 
 from . import flow as flow_mod
 from . import neural
-from .errors import DimMismatchError, InvalidDimError, InvalidPairError
+from .errors import DimMismatchError, InvalidDimError, InvalidPairError, NonFiniteInputError
 
 
 @dataclass
 class LinearSEM:
-    """Gaussian linear structural model with strictly lower-triangular weights."""
+    """Gaussian linear structural model with finite, strictly lower-triangular
+    weights."""
 
     weights: np.ndarray
 
@@ -30,6 +31,8 @@ class LinearSEM:
         W = np.asarray(self.weights, dtype=np.float64)
         if W.ndim != 2 or W.shape[0] != W.shape[1]:
             raise InvalidDimError("weights must be square")
+        if not np.isfinite(W).all():
+            raise NonFiniteInputError("weights must be finite")
         if np.triu(W).any():
             raise InvalidDimError("weights must be strictly lower triangular")
         self.weights = W
@@ -220,9 +223,9 @@ def cmse_report(fl, sem, value_count=8, n_obs=1000, rng=None):
     observations.  Denominator as in imse_report.
     """
     def answers(queries):
+        plan = flow_mod._Plan(fl)
         x_obs = sem_sample(sem, n_obs, rng)
         _, _, levels = flow_mod.to_noise(fl, x_obs, keep_levels=True)
-        plan = flow_mod._Plan(fl)
         for j, alpha in queries:
             fc = flow_mod._reconstruct(plan, [lv.copy() for lv in levels], start=j,
                                        pin=(j, alpha))

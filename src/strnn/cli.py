@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 
 from . import adjacency, causal, datagen, factorizer, flow, neural, textio
-from .errors import StrnnError, UsageError, decode
+from .errors import ParseError, StrnnError, UsageError, decode
 from .version import VERSION
 
 
@@ -221,9 +221,12 @@ def cmd_train(args):
 def cmd_causal_eval(args):
     weights = datagen.read_params(args.sem, textio.read_json(args.sem, "sidecar")).get("weights")
     if weights is None:
-        raise UsageError(f"{args.sem} carries no SEM weights "
-                         "(expected a linear_sem dataset sidecar)")
-    sem = causal.LinearSEM(weights)
+        raise ParseError(args.sem, 1, "sidecar carries no SEM weights "
+                                      "(expected a linear_sem dataset sidecar)")
+    try:
+        sem = causal.LinearSEM(weights)
+    except UsageError as exc:
+        raise ParseError(args.sem, 1, f"sidecar SEM {exc}") from None
     fl = flow.load_flow(args.flow)
     seed = _seed(args.seed)
     for n in (args.samples, args.n_obs):

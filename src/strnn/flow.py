@@ -16,7 +16,9 @@ a value in data units.  It follows a ``_Plan`` built once per query or
 report, and each conditioner pass computes only the outputs its generation
 reads, into the plan's reused buffers, bitwise the full pass's values.  An
 affine standardization (train-split mean/std) sits outermost and its
-log-Jacobian is part of the density.
+log-Jacobian is part of the density.  The noise-to-data direction needs a
+triangular flow, each conditioner output k reading coordinates before k
+alone: the plan refuses any other with ``UpperTriangleNonZeroError``.
 """
 
 import functools
@@ -144,9 +146,10 @@ def _dependencies(flow):
     log-scale for coordinate k reads coordinate m, by ``neural.support``.
 
     This reads the weights, not ``flow.adjacency``: a checkpoint whose
-    weights break its mask must still be inverted in a valid order.  Each
-    query, or report of many queries, computes it once; it is not cached on
-    the flow, because training changes the weights.
+    weights add an edge below the diagonal is still inverted in a valid
+    order (``_Plan`` refuses one on or above it).  Each query, or report of
+    many queries, computes it once; it is not cached on the flow, because
+    training changes the weights.
     """
     d = flow.dim
     dep = np.zeros((d, d), dtype=bool)
@@ -161,12 +164,9 @@ def _generations(dep, start):
 
     Generation 0 holds the coordinates with no parent among start..d-1; each
     later one holds those whose parents there all sit in earlier generations.
-    If any coordinate reads itself or a later coordinate, every coordinate is
-    its own generation, in index order, which is the per-coordinate schedule.
+    ``dep`` is strictly lower triangular, as ``_Plan`` checks.
     """
     d = dep.shape[0]
-    if np.triu(dep).any():
-        return [np.array([k]) for k in range(start, d)]
     depth = np.zeros(d, dtype=np.int64)
     for k in range(start, d):
         parents = np.flatnonzero(dep[k, start:k])
@@ -182,12 +182,14 @@ class _Plan:
     per query or report: ``dep`` from ``_dependencies``, the generations of
     each ``start``, how each conditioner computes each generation and the
     activation buffers it writes into, by row count.  Like ``dep`` it is
-    never cached on the flow, because training changes the weights.
+    never cached on the flow, because training changes the weights.  A flow
+    whose output i reads a coordinate j >= i raises UpperTriangleNonZeroError.
     """
 
     def __init__(self, flow):
         self.flow = flow
         self.dep = _dependencies(flow)
+        adjacency_mod.validate(self.dep)
         self._generations, self._steps, self._buffers = {}, {}, {}
 
     def generations(self, start):
@@ -249,9 +251,9 @@ def _reconstruct(plan, levels, start=0, pin=None):
     coordinate j is forced to alpha (data units) on the data side and
     inverted down through the layers with the same per-level shifts and
     scales, and column j of the returned data is alpha exactly.  A column's
-    conditioner reads only its parents, which are final before its generation
-    starts, so columns not yet filled are harmless.  The result is bitwise
-    that of full conditioner passes.
+    conditioner reads only its parents (the plan refuses any other flow),
+    which are final before its generation starts, so columns not yet filled
+    are harmless.  The result is bitwise that of full conditioner passes.
     """
     flow = plan.flow
     j, alpha = (None, None) if pin is None else pin
@@ -273,15 +275,8 @@ def _reconstruct(plan, levels, start=0, pin=None):
             if pinned.size:
                 down.append(neural._split_gaussian(out, cols[at_pin]))
         if pinned.size:
-            # A pinned column that reads itself (only possible when the weights
-            # break the mask) must see its forced value, so it reruns its
-            # conditioners on the way down, in full.
-            rerun = plan.dep[j, j]
             levels[K][:, j] = (alpha - flow.mu[j]) / flow.sigma[j]
-            for lvl in range(K, 0, -1):
-                t, s = (neural._split_gaussian(flow.layers[lvl - 1].forward(levels[lvl]),
-                                               pinned)
-                        if rerun else down[lvl - 1])
+            for lvl, (t, s) in zip(range(K, 0, -1), reversed(down)):
                 levels[lvl - 1][:, pinned] = (levels[lvl][:, pinned] - t) * np.exp(-s)
     x = levels[K] * flow.sigma + flow.mu
     if pin is not None:
@@ -399,7 +394,7 @@ def _read_flow_body(reader):
     nets = []
     for k in range(n_layers):
         reader.label(f"conditioner {k}")
-        nets.append(neural.read_mlp_body(reader))
+        nets.append(neural.read_mlp_body(reader, head="gaussian", dim=d))
     return AffineFlow(A, nets, mu=mu, sigma=sigma)
 
 

@@ -555,14 +555,18 @@ def write_mlp_body(fh, net):
             textio.write_block(fh, f"{name} {k}", a)
 
 
-def read_mlp_body(reader):
+def read_mlp_body(reader, head=None, dim=None):
     """Read a network body, checking that every block has the shape the
-    header and the previous layers imply.  Weights are taken as written, even
-    where their mask is zero, so that an audit can report them."""
-    head = reader.field("head")
-    if head not in ("binary", "gaussian"):
-        raise reader.error(f"unknown head {head!r}")
-    d = reader.count("dim")
+    header and the previous layers imply, and the header's head and dim
+    against ``head`` and ``dim`` where given.  Weights are taken as written,
+    even where their mask is zero, so that an audit can report them."""
+    found = reader.field("head")
+    if found not in ((head,) if head else ("binary", "gaussian")):
+        raise reader.error(f"expected head {head}, got {found!r}" if head
+                           else f"unknown head {found!r}")
+    head, d = found, reader.count("dim")
+    if dim not in (None, d):
+        raise reader.error(f"expected dim {dim}, got {d}")
     n_layers = reader.count("layers")
     pattern = reader.named_block("pattern", d, d, valid=lambda a: (a == 0) | (a == 1),
                                  why="pattern entries must be 0 or 1")

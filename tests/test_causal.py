@@ -5,7 +5,7 @@ import pytest
 import scipy.stats
 
 from strnn import causal, flow
-from strnn.errors import DimMismatchError, InvalidDimError, InvalidPairError
+from strnn.errors import DimMismatchError, InvalidDimError, InvalidPairError, NonFiniteInputError
 
 
 def chain_sem(w10=0.8, w21=-1.7):
@@ -24,6 +24,13 @@ class TestLinearSEM:
         W2 = np.eye(3)
         with pytest.raises(InvalidDimError):
             causal.LinearSEM(W2)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_weights(self, value):
+        W = np.zeros((3, 3))
+        W[2, 0] = value
+        with pytest.raises(NonFiniteInputError):
+            causal.LinearSEM(W)
 
     def test_adjacency_pattern(self):
         sem = chain_sem()

@@ -598,6 +598,25 @@ class TestVerifyCommand:
         assert err.startswith(f"error: {path}:{at + 1}: ") and block in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("field", ["head", "dim"])
+    def test_conditioner_unlike_its_flow_names_its_line(self, tmp_path, capsys, field):
+        """A flow's conditioner must be a gaussian-head network of the flow's
+        width: a binary head, or a network consistent in itself but of
+        another width, exits 2 with an error at its head or dim line."""
+        fl = flow.AffineFlow.build(adjacency.gen_prev_k(3, 1), 2, [4], 0)
+        width, head = (3, "binary") if field == "head" else (4, "gaussian")
+        masks = factorizer.factor_multilayer(adjacency.gen_prev_k(width, 1), [4], "greedy")
+        fl.layers[1] = neural.MaskedMLP.from_masks(masks, head, 0)
+        path = tmp_path / "flow.txt"
+        flow.save_flow(fl, path)
+        lines = path.read_text().split("\n")
+        at = lines.index("conditioner 1") + (2 if field == "head" else 3)
+        assert lines[at - 1] == (f"head {head}" if field == "head" else f"dim {width}")
+        assert cli.main(["verify", "--checkpoint", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:{at}: expected {field} ")
+        assert "Traceback" not in err
+
 
 class TestCausalEvalCommand:
     def test_exact_flow_scores_near_zero_cmse(self, tmp_path):
@@ -647,8 +666,11 @@ class TestCausalEvalCommand:
                          "--out", str(tmp_path / "m.json")]) == 2
         assert_parse_error_names(str(sem), capsys)
 
-    @pytest.mark.parametrize("params", [{"weights": [["a", 1, 2], [0, 0, 0], [0, 0, 0]]},
-                                        "weights"])
+    @pytest.mark.parametrize("params", [
+        {"weights": [["a", 1, 2], [0, 0, 0], [0, 0, 0]]}, "weights",
+        {"weights": [[0, 1.5, 0], [0, 0, 0], [0, 0, 0]]},      # upper triangular
+        {"weights": [[0, 0], [1.5, 0], [0, 1.5]]},              # not square
+        {"weights": [[0, 0, 0], [float("nan"), 0, 0], [0, 1.5, 0]]}])
     def test_malformed_sem_params_exit_two(self, tmp_path, capsys, params):
         fl = causal.flow_from_linear_sem(causal.gen_linear_sem(3, rng=1))
         ck = str(tmp_path / "flow.txt")
@@ -659,6 +681,27 @@ class TestCausalEvalCommand:
                          "--out", str(tmp_path / "m.json")]) == 2
         err = capsys.readouterr().err
         assert f"error: {sem}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("reader, source", [(1, 2), (2, 2)])
+    def test_non_triangular_flow_exits_two(self, tmp_path, capsys, reader, source):
+        """A flow whose weights make output ``reader`` read coordinate
+        ``source`` >= ``reader`` has no noise-to-data pass: causal-eval exits
+        2 before its first query, names the pair and writes no report, while
+        verify reports the edge and exits 1."""
+        sem = causal.gen_linear_sem(4, cutoff=0.5, rng=1)
+        fl = causal.flow_from_linear_sem(sem)
+        fl.layers[0].weights[0][reader, source] = 0.5
+        ck = str(tmp_path / "flow.txt")
+        flow.save_flow(fl, ck)
+        side = tmp_path / "sem.json"
+        side.write_text(json.dumps({"params": {"weights": sem.weights.tolist()}}))
+        out = tmp_path / "m.json"
+        assert cli.main(["causal-eval", "--flow", ck, "--sem", str(side),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"({reader}, {source})" in err and "Traceback" not in err
+        assert not out.exists()
+        assert cli.main(["verify", "--checkpoint", ck]) == 1
 
     def test_sidecar_without_weights_exits_two(self, tmp_path):
         data, _ = write_gaussian_dataset(tmp_path)

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strnn import adjacency, causal, datagen, factorizer, flow, neural
-from strnn.errors import ConfigError, DimMismatchError, NonFiniteInputError
+from strnn.errors import (ConfigError, DimMismatchError, NonFiniteInputError,
+                          UpperTriangleNonZeroError)
 
 
 def jitter_flow(fl, seed, scale=0.3):
@@ -194,12 +195,9 @@ def reconstruct_full_passes(fl, levels, dep, start=0, pin=None):
             if pinned.size:
                 down.append(neural._split_gaussian(out, pinned))
         if pinned.size:
-            rerun = dep[j, j]
             levels[K][:, j] = (alpha - fl.mu[j]) / fl.sigma[j]
             for lvl in range(K, 0, -1):
-                t, s = (neural._split_gaussian(fl.layers[lvl - 1].forward(levels[lvl]),
-                                               pinned)
-                        if rerun else down[lvl - 1])
+                t, s = down[lvl - 1]
                 levels[lvl - 1][:, pinned] = (levels[lvl][:, pinned] - t) * np.exp(-s)
     x = levels[K] * fl.sigma + fl.mu
     if pin is not None:
@@ -283,8 +281,9 @@ class TestGenerationInversion:
                                       defect):
         """One plan serves every row count in turn; each run equals the full
         pass inversion bitwise, on the data and on every level it edits.
-        "upper" breaks the mask so that every coordinate is its own
-        generation; "self" makes the pinned coordinate read itself."""
+        "upper" breaks the mask so that a coordinate reads a later one, and
+        "self" so that the pinned coordinate reads itself: the plan refuses
+        both, naming the pair."""
         A = np.zeros((d, d), dtype=np.int64)
         below = np.tril_indices(d, -1)
         A[below] = data.draw(st.lists(st.booleans(), min_size=len(below[0]),
@@ -296,11 +295,18 @@ class TestGenerationInversion:
         fl.mu, fl.sigma = rng.normal(size=d), rng.uniform(0.5, 2.0, size=d)
         j = data.draw(st.integers(0, d - 1))
         net = fl.layers[data.draw(st.integers(0, K - 1))]
+        pair = None
         if defect == "self":
-            break_mask(net, j, j)
+            pair = (j, j)
         elif defect == "upper" and d > 1:
             reader = data.draw(st.integers(0, d - 2))
-            break_mask(net, reader, data.draw(st.integers(reader + 1, d - 1)))
+            pair = (reader, data.draw(st.integers(reader + 1, d - 1)))
+        if pair is not None:
+            break_mask(net, *pair)
+            with pytest.raises(UpperTriangleNonZeroError) as refused:
+                flow._Plan(fl)
+            assert (refused.value.i, refused.value.j) == pair
+            return
         pin = data.draw(st.sampled_from([None, (j, data.draw(st.floats(-3, 3)))]))
         start = data.draw(st.integers(0, j))
         plan = flow._Plan(fl)
@@ -318,10 +324,11 @@ class TestGenerationInversion:
 
     @pytest.mark.parametrize("direction", ["lower", "upper", "self"])
     def test_weights_outside_adjacency(self, direction):
-        """A conditioner whose weights add an edge A lacks is inverted in an
-        order its actual weights allow (the checkpoint loader keeps such
-        weights so that verify can report them).  With "self", the pinned
-        coordinate 2 reads its own value."""
+        """Conditioner weights may add an edge A lacks (the checkpoint loader
+        keeps them so that verify can report them).  Below the diagonal
+        ("lower"), the flow is inverted in an order its actual weights allow.  On or above it, "upper" (output 1 reads coordinate 4)
+        or "self" (coordinate 2 reads itself), every noise-to-data entry
+        point refuses the flow and names the pair."""
         d = 6
         A = np.zeros((d, d), dtype=np.int64)
         A[1, 0] = A[2, 1] = A[4, 3] = 1
@@ -333,8 +340,19 @@ class TestGenerationInversion:
         net.weights[1][:, 0] = 0.0
         net.weights[1][reader, 0] = 0.4
         net.weights[1][d + reader, 0] = 0.3
-        expected = ([[0, 3], [1, 4, 5], [2]] if direction == "lower"
-                    else [[k] for k in range(d)])
+        if direction != "lower":
+            sem, x = causal.gen_linear_sem(d, rng=0), np.zeros((3, d))
+            for query in (lambda: flow.from_noise(fl, x),
+                          lambda: flow.sample(fl, 3, 0),
+                          lambda: causal.flow_intervene_sample(fl, 2, 0.5, 3, 0),
+                          lambda: causal.flow_counterfactual(fl, x, 0, -1.0),
+                          lambda: causal.imse_report(fl, sem, 2, 3, 0),
+                          lambda: causal.cmse_report(fl, sem, 2, 3, 0)):
+                with pytest.raises(UpperTriangleNonZeroError) as refused:
+                    query()
+                assert (refused.value.i, refused.value.j) == (reader, source)
+            return
+        expected = [[0, 3], [1, 4, 5], [2]]
         assert [g.tolist() for g in flow._generations(flow._dependencies(fl), 0)] == expected
         rng = np.random.default_rng(5)
         z = rng.normal(size=(200, d))
@@ -343,10 +361,9 @@ class TestGenerationInversion:
         assert_same_inversion(fl, noise_side, (2, 0.5), 0)
         _, _, levels = flow.to_noise(fl, rng.normal(size=(200, d)), keep_levels=True)
         assert_same_inversion(fl, levels, (0, -1.0), 0)
-        if direction == "lower":
-            x = rng.normal(size=(200, d))
-            back = flow.from_noise(fl, flow.to_noise(fl, x)[0])
-            assert np.max(np.abs(back - x)) < 1e-8
+        x = rng.normal(size=(200, d))
+        back = flow.from_noise(fl, flow.to_noise(fl, x)[0])
+        assert np.max(np.abs(back - x)) < 1e-8
 
     def test_non_finite_weight_counts_as_edge(self):
         A = np.zeros((3, 3), dtype=np.int64)
@@ -430,6 +447,39 @@ class TestGenerationInversion:
                                           (start, 0.5))
             assert ours.tobytes() == ref.tobytes()
         assert {key[1] for key in plan._buffers} == {20, 33}
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_either_side_of_the_row_slice_fork(self, monkeypatch, exact):
+        """Whatever ``_rows_exact`` answers, the planned inversion gives the
+        full passes' bits: False runs the whole output layer, True only the
+        rows a generation reads.  Weights, biases and noise are small
+        multiples of 1/4 and every log-scale is 0, so every product and sum
+        is exact, and no BLAS kernel can round a sliced product differently."""
+        monkeypatch.setattr(flow, "_rows_exact", lambda n, shape, rows: exact)
+        d = 5
+        A = np.zeros((d, d), dtype=np.int64)
+        A[1, 0] = A[2, 0] = A[3, 1] = A[4, 1] = A[4, 2] = 1     # generations 0, 12, 34
+        fl = flow.AffineFlow.build(A, 2, [6], 0)
+        rng = np.random.default_rng(1)
+        for net in fl.layers:
+            for W, M in zip(net.weights, net.masks):
+                W[...] = rng.integers(-2, 3, size=W.shape) / 4 * M
+            for b in net.biases:
+                b[...] = rng.integers(-2, 3, size=b.shape) / 4
+            net.weights[-1][d:] = net.biases[-1][d:] = 0.0
+        plan = flow._Plan(fl)
+        z = rng.integers(-8, 9, size=(7, d)) / 4
+        _, _, observed = flow.to_noise(fl, z, keep_levels=True)
+        noise_side = [z] + [np.zeros_like(z) for _ in fl.layers]
+        for levels, start, pin in ((noise_side, 0, None), (noise_side, 0, (1, 0.75)),
+                                   (observed, 2, (2, -1.5))):
+            ours = [lv.copy() for lv in levels]
+            ref = [lv.copy() for lv in levels]
+            ours.append(flow._reconstruct(plan, ours, start, pin))
+            ref.append(reconstruct_full_passes(fl, ref, plan.dep, start, pin))
+            for a, b in zip(ours, ref):
+                assert a.tobytes() == b.tobytes()
+        assert {last is None for last, _, _ in plan._steps.values()} == {not exact}
 
     def test_cmse_report_abducts_once(self, monkeypatch):
         sem = causal.gen_linear_sem(5, rng=3)

@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 
 from . import adjacency, causal, datagen, factorizer, flow, neural, textio
-from .errors import ParseError, StrnnError, UsageError, decode
+from .errors import ParseError, StrnnError, UpperTriangleNonZeroError, UsageError, decode
 from .version import VERSION
 
 
@@ -231,11 +231,15 @@ def cmd_causal_eval(args):
     seed = _seed(args.seed)
     for n in (args.samples, args.n_obs):
         causal.check_queries(fl, sem, args.value_count, n)
-    imse, imse_breakdown = causal.imse_report(
-        fl, sem, value_count=args.value_count, n_samples=args.samples,
-        rng=seed, ground_truth=args.ground_truth)
-    cmse, cmse_breakdown = causal.cmse_report(
-        fl, sem, value_count=args.value_count, n_obs=args.n_obs, rng=seed + 1)
+    try:
+        imse, imse_breakdown = causal.imse_report(
+            fl, sem, value_count=args.value_count, n_samples=args.samples,
+            rng=seed, ground_truth=args.ground_truth)
+        cmse, cmse_breakdown = causal.cmse_report(
+            fl, sem, value_count=args.value_count, n_obs=args.n_obs, rng=seed + 1)
+    except UpperTriangleNonZeroError as exc:
+        raise UsageError(f"{args.flow}: the conditioner weights make output {exc.i} read "
+                         f"coordinate {exc.j}, not only coordinates before it") from None
     report = {
         "tool": "strnn", "version": VERSION,
         "config": {"flow": args.flow, "sem": args.sem,

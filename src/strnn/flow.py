@@ -13,21 +13,20 @@ generation is the set of coordinates whose parents are all already filled;
 ``_reconstruct`` is its one routine, shared by sampling and by the
 interventions and counterfactuals of ``causal``, which pin one coordinate to
 a value in data units.  It follows a ``_Plan`` built once per query or
-report, and each conditioner pass computes only the outputs its generation
-reads, into the plan's reused buffers, bitwise the full pass's values.  An
-affine standardization (train-split mean/std) sits outermost and its
-log-Jacobian is part of the density.  The noise-to-data direction needs a
+report, and each conditioner pass computes only the hidden units and
+outputs its generation reads, into the plan's reused buffers; it drops only
+terms whose weight is exactly 0, so it matches the full pass up to the order
+of summation.  An affine standardization (train-split mean/std) sits
+outermost and its log-Jacobian is part of the density.  The noise-to-data direction needs a
 triangular flow, each conditioner output k reading coordinates before k
 alone: the plan refuses any other with ``UpperTriangleNonZeroError``.
 """
-
-import functools
 
 import numpy as np
 
 from . import adjacency as adjacency_mod
 from . import factorizer, neural, textio
-from .errors import ConfigError, InvalidDimError, InvalidPairError
+from .errors import ConfigError, InvalidDimError, InvalidPairError, NonFiniteInputError
 
 
 class AffineFlow:
@@ -180,10 +179,11 @@ def _generations(dep, start):
 class _Plan:
     """The noise-to-data plan of one flow at its current weights, built once
     per query or report: ``dep`` from ``_dependencies``, the generations of
-    each ``start``, how each conditioner computes each generation and the
-    activation buffers it writes into, by row count.  Like ``dep`` it is
-    never cached on the flow, because training changes the weights.  A flow
-    whose output i reads a coordinate j >= i raises UpperTriangleNonZeroError.
+    each ``start``, the slices of each conditioner that each generation reads
+    and the activation buffers its passes write into, by row count.  Like
+    ``dep`` it is never cached on the flow, because training changes the
+    weights.  A flow whose output i reads a coordinate j >= i raises
+    UpperTriangleNonZeroError.
     """
 
     def __init__(self, flow):
@@ -198,45 +198,33 @@ class _Plan:
         return self._generations[start]
 
     def step(self, k, gen, n):
-        """(last, cols, work) for conditioner k on generation ``gen`` of n rows:
-        ``forward(x, last=last, work=work)`` gives the generation's shifts and
-        log-scales at ``cols`` of the output halves (``_split_gaussian``).
+        """(layers, work) for conditioner k on generation ``gen`` of n rows:
+        ``forward(x, layers=layers, work=work)`` gives the generation's shifts
+        then its log-scales (``_split_gaussian``).
 
-        ``last`` holds contiguous copies of the output-layer rows ``gen`` and
-        ``d + gen``, so the pass computes those outputs only, unless the
-        generation is every coordinate or BLAS would round those rows
-        differently on their own (``_rows_exact``); then the whole layer runs.
+        ``layers`` is one contiguous (W, b) slice per layer.  The output layer
+        keeps rows ``gen`` and ``d + gen``; walking back, each hidden layer
+        keeps the units with a nonzero weight into the units kept after it,
+        as ``neural.support`` reads them, and layer 0 every input.  A
+        generation whose rows read no hidden unit thus outputs b + 0.0.  Each
+        pass writes into the front of the buffers ``neural.layer_buffers``
+        keeps for the conditioner's full widths, shared by every pass of n
+        rows.
         """
         key = (k, gen.tobytes(), n)
         if key not in self._steps:
             net, d = self.flow.layers[k], self.flow.dim
-            W, b = net.weights[-1], net.biases[-1]
-            rows = np.concatenate([gen, gen + d])
-            if n and gen.size < d and _rows_exact(n, W.shape, tuple(rows.tolist())):
-                last, cols, width = (W[rows], b[rows]), np.arange(gen.size), rows.size
-            else:
-                last, cols, width = None, gen, W.shape[0]
-            # A sliced output layer writes into the front of the full one's buffer.
+            rows, layers = np.concatenate([gen, gen + d]), []
+            for layer in reversed(range(len(net.weights))):
+                W, b = net.weights[layer][rows], net.biases[layer][rows]
+                if layer:
+                    rows = np.flatnonzero((W != 0.0).any(axis=0))
+                    W = np.ascontiguousarray(W[:, rows])
+                layers.insert(0, (W, b))
             work = neural.layer_buffers(self._buffers, "plan", net, n)
-            out = work[-1].ravel()[:n * width].reshape(n, width)
-            self._steps[key] = last, cols, work[:-1] + [out]
+            self._steps[key] = layers, [buf.ravel()[:n * len(b)].reshape(n, len(b))
+                                        for buf, (_, b) in zip(work, layers)]
         return self._steps[key]
-
-
-@functools.lru_cache(maxsize=1024)
-def _rows_exact(n, shape, rows):
-    """Whether BLAS computes rows ``rows`` (a tuple) of ``h @ W.T``, for h of
-    n rows and W of ``shape``, bitwise equal when W holds only those rows.
-    BLAS picks its kernels by shape, and some kernels round differently, so
-    the two are compared on seeded random data of these shapes, over at
-    least 256 outputs.  The answer depends on the shapes and the BLAS alone,
-    so each process computes it once per shape."""
-    rng, rows = np.random.default_rng(0), list(rows)
-    for _ in range(-(-256 // (n * len(rows)))):
-        h, W = rng.standard_normal((n, shape[1])), rng.standard_normal(shape)
-        if not np.array_equal((h @ W.T)[:, rows], h @ W[rows].T):
-            return False
-    return True
 
 
 def _reconstruct(plan, levels, start=0, pin=None):
@@ -245,35 +233,40 @@ def _reconstruct(plan, levels, start=0, pin=None):
 
     ``levels`` is the [V_0 (noise), ..., V_K (standardized data)] list, edited
     in place.  Coordinates are filled one DAG generation at a time: each
-    layer's conditioner runs once on its level, computing the generation's
-    outputs only, into the plan's buffers, and the generation's free columns
-    push their noise up through the layers.  With ``pin=(j, alpha)``
-    coordinate j is forced to alpha (data units) on the data side and
-    inverted down through the layers with the same per-level shifts and
-    scales, and column j of the returned data is alpha exactly.  A column's
-    conditioner reads only its parents (the plan refuses any other flow),
-    which are final before its generation starts, so columns not yet filled
-    are harmless.  The result is bitwise that of full conditioner passes.
+    layer's conditioner runs once on its level, computing only the units the
+    generation's outputs read, into the plan's buffers, and the generation's
+    free columns push their noise up through the layers.  With
+    ``pin=(j, alpha)`` coordinate j is forced to alpha (data units) on the
+    data side and inverted down through the layers with the same per-level
+    shifts and scales, and column j of the returned data is alpha exactly.
+    A column's conditioner reads only its parents (the plan refuses any other
+    flow), which are final before its generation starts, so columns not yet
+    filled are harmless.  The passes drop terms whose weight is exactly 0,
+    so they match full conditioner passes up to the order of summation.  A
+    non-finite alpha raises NonFiniteInputError at entry, and so does a
+    returned batch that is not finite (a value that overflowed on the way).
     """
     flow = plan.flow
     j, alpha = (None, None) if pin is None else pin
     if pin is not None and not 0 <= j < flow.dim:
         raise InvalidPairError(f"intervention index {j} outside 0..{flow.dim - 1}")
+    if pin is not None and not np.isfinite(alpha):
+        raise NonFiniteInputError(f"intervention value {alpha} is not finite")
     K, n = len(flow.layers), levels[0].shape[0]
     for gen in plan.generations(start):
         at_pin = gen == j
-        # Index arrays, not the scalar j: the t, s below are then copies, not
+        # Boolean masks, not the scalar j: the t, s below are then copies, not
         # views of the plan's buffers, which the next pass overwrites.
         free, pinned = gen[~at_pin], gen[at_pin]
         down = []
         for lvl, net in enumerate(flow.layers, 1):
-            last, cols, work = plan.step(lvl - 1, gen, n)
-            out = net.forward(levels[lvl], last=last, work=work)
+            layers, work = plan.step(lvl - 1, gen, n)
+            out = net.forward(levels[lvl], layers=layers, work=work)
             if free.size:
-                t, s = neural._split_gaussian(out, cols[~at_pin])
+                t, s = neural._split_gaussian(out, ~at_pin)
                 levels[lvl][:, free] = np.exp(s) * levels[lvl - 1][:, free] + t
             if pinned.size:
-                down.append(neural._split_gaussian(out, cols[at_pin]))
+                down.append(neural._split_gaussian(out, at_pin))
         if pinned.size:
             levels[K][:, j] = (alpha - flow.mu[j]) / flow.sigma[j]
             for lvl, (t, s) in zip(range(K, 0, -1), reversed(down)):
@@ -281,6 +274,8 @@ def _reconstruct(plan, levels, start=0, pin=None):
     x = levels[K] * flow.sigma + flow.mu
     if pin is not None:
         x[:, j] = alpha
+    if not np.isfinite(x).all():
+        raise NonFiniteInputError("non-finite value in the noise-to-data pass")
     return x
 
 

@@ -97,26 +97,28 @@ class MaskedMLP:
             biases.append(np.zeros(M.shape[0]))
         return cls(weights, biases, masks, head, pattern)
 
-    def forward(self, x, *, last=None, work=None):
+    def forward(self, x, *, layers=None, work=None):
         """Batch forward pass; 1-D input returns a 1-D output.
 
-        ``last=(W, b)`` stands in for the output layer, e.g. some of its rows
-        (the flow's inversion computes only the outputs a generation reads).
-        ``work`` holds one array per layer, of the batch's rows by the layer's
-        width: each layer's activations are written into it and the output
-        returned is the last one.  Without it, every call returns a fresh
-        array.
+        ``layers``, one (W, b) per layer, stands in for the weights and
+        biases, e.g. slices of them (the flow's inversion computes only the
+        units a generation reads).  With it, ``x`` must be a 2-D float64
+        batch, and neither it nor the output is checked for non-finite
+        values: the caller checks once per query.  ``work`` holds one array
+        per layer, of the batch's rows by the layer's width: each layer's
+        activations are written into it and the output returned is the last
+        one.  Without it, every call returns a fresh array.
         """
-        x, squeeze = _as_batch(x, self.dim)
-        layers = list(zip(self.weights, self.biases))
-        if last is not None:
-            layers[-1] = last
+        squeeze = False
+        if layers is None:
+            x, squeeze = _as_batch(x, self.dim)
+            layers = zip(self.weights, self.biases)
         h = x
         for k, (W, b) in enumerate(layers):
+            if k:
+                np.maximum(h, 0.0, out=h)
             h = np.matmul(h, W.T, out=None if work is None else work[k])
             np.add(h, b, out=h)
-            if k < len(layers) - 1:
-                np.maximum(h, 0.0, out=h)
         return h[0] if squeeze else h
 
     def backward(self, inputs, grad_out, *, input_grad=True, out=None):

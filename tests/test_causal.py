@@ -210,6 +210,33 @@ class TestFlowInterventions:
             with pytest.raises(InvalidPairError):
                 causal.flow_counterfactual(fl, np.zeros((2, 4)), j, 0.0)
 
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("j", [1, 3])
+    def test_non_finite_value_rejected(self, j, alpha):
+        """A non-finite intervention value is refused for every j, the last
+        coordinate (which no later pass reads) included."""
+        fl = causal.flow_from_linear_sem(causal.gen_linear_sem(4, cutoff=0.5, rng=34))
+        with pytest.raises(NonFiniteInputError):
+            causal.flow_intervene_sample(fl, j, alpha, 10, 0)
+        with pytest.raises(NonFiniteInputError):
+            causal.flow_counterfactual(fl, np.ones((2, 4)), j, alpha)
+
+    def test_overflow_inside_the_inversion_raises(self):
+        """Coordinate 2 reads 1e200 times coordinate 1, itself 1e200 times
+        coordinate 0, so its value overflows to inf on the way to the data:
+        sampling, interventions and counterfactuals refuse the answer.  The
+        overflow also warns, as numpy does; the warning is silenced here."""
+        W = np.zeros((4, 4))
+        W[1, 0] = W[2, 1] = 1e200
+        W[3, 2] = 0.5
+        fl = causal.flow_from_linear_sem(causal.LinearSEM(W))
+        for query in (lambda: flow.sample(fl, 5, 0),
+                      lambda: causal.flow_intervene_sample(fl, 0, 1.0, 5, 0),
+                      lambda: causal.flow_counterfactual(fl, np.ones((2, 4)), 0, 2.0)):
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(NonFiniteInputError):
+                query()
+
 
 class TestInterventionValues:
     def test_default_eight(self):

@@ -686,8 +686,9 @@ class TestCausalEvalCommand:
     def test_non_triangular_flow_exits_two(self, tmp_path, capsys, reader, source):
         """A flow whose weights make output ``reader`` read coordinate
         ``source`` >= ``reader`` has no noise-to-data pass: causal-eval exits
-        2 before its first query, names the pair and writes no report, while
-        verify reports the edge and exits 1."""
+        2 before its first query, names the checkpoint and says that its
+        conditioner weights make output ``reader`` read coordinate ``source``,
+        and writes no report, while verify reports the edge and exits 1."""
         sem = causal.gen_linear_sem(4, cutoff=0.5, rng=1)
         fl = causal.flow_from_linear_sem(sem)
         fl.layers[0].weights[0][reader, source] = 0.5
@@ -699,7 +700,8 @@ class TestCausalEvalCommand:
         assert cli.main(["causal-eval", "--flow", ck, "--sem", str(side),
                          "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert f"({reader}, {source})" in err and "Traceback" not in err
+        assert f"error: {ck}: the conditioner weights make output {reader} read " \
+            f"coordinate {source}," in err and "Traceback" not in err
         assert not out.exists()
         assert cli.main(["verify", "--checkpoint", ck]) == 1
 

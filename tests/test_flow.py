@@ -155,10 +155,24 @@ class TestTransforms:
         np.testing.assert_allclose(xs.std(axis=0), fl.sigma, atol=0.03)
 
 
+# The planned passes drop terms whose weight is exactly 0, which changes
+# BLAS's order of summation: an inversion oracle of full passes is matched to
+# within INVERSION_RTOL of the largest magnitude in the oracle's levels and
+# data.  Over 1,200 random flows and batches the largest gap was 1.4e-13.
+INVERSION_RTOL = 1e-10
+
+
+def assert_inversion_close(ours, ref):
+    scale = max(np.abs(b).max(initial=0.0) for b in ref)
+    for a, b in zip(ours, ref):
+        assert a.shape == b.shape
+        assert np.abs(a - b).max(initial=0.0) <= INVERSION_RTOL * scale
+
+
 def reconstruct_per_coordinate(fl, levels, pin, start):
     """Reference inversion: one conditioner forward per coordinate per layer,
     in index order, then de-standardization.  ``flow._reconstruct`` must
-    match it bitwise, levels and data."""
+    match it, levels and data, within ``assert_inversion_close``."""
     K = len(fl.layers)
     j, alpha = pin if pin else (None, None)
     for k in range(start, fl.dim):
@@ -180,7 +194,9 @@ def reconstruct_per_coordinate(fl, levels, pin, start):
 def reconstruct_full_passes(fl, levels, dep, start=0, pin=None):
     """Oracle: the generation-by-generation inversion as it was before the
     inversion plan, with every conditioner pass a plain full forward.  The
-    planned ``flow._reconstruct`` must match it bitwise, levels and data."""
+    planned ``flow._reconstruct`` must match it, levels and data, within
+    ``assert_inversion_close``, and bitwise when every product and sum is
+    exact."""
     j, alpha = (None, None) if pin is None else pin
     K = len(fl.layers)
     for gen in flow._generations(dep, start):
@@ -246,8 +262,7 @@ def assert_same_inversion(fl, levels, pin, start):
     ref = [lv.copy() for lv in levels]
     ours.append(flow._reconstruct(flow._Plan(fl), ours, start, pin))
     ref.append(reconstruct_per_coordinate(fl, ref, pin, start))
-    for a, b in zip(ours, ref):
-        assert a.tobytes() == b.tobytes()
+    assert_inversion_close(ours, ref)
 
 
 class TestGenerationInversion:
@@ -279,8 +294,9 @@ class TestGenerationInversion:
            defect=st.sampled_from([None, "upper", "self"]))
     def test_plan_matches_full_passes(self, data, d, K, hidden, seed, observed, ns,
                                       defect):
-        """One plan serves every row count in turn; each run equals the full
-        pass inversion bitwise, on the data and on every level it edits.
+        """One plan serves every row count in turn; each run matches the full
+        pass inversion on the data and on every level it edits, within
+        ``assert_inversion_close``.
         "upper" breaks the mask so that a coordinate reads a later one, and
         "self" so that the pinned coordinate reads itself: the plan refuses
         both, naming the pair."""
@@ -319,8 +335,7 @@ class TestGenerationInversion:
             ref = [lv.copy() for lv in levels]
             ours.append(flow._reconstruct(plan, ours, start, pin))
             ref.append(reconstruct_full_passes(fl, ref, plan.dep, start, pin))
-            for a, b in zip(ours, ref):
-                assert np.array_equal(a, b) and a.tobytes() == b.tobytes()
+            assert_inversion_close(ours, ref)
 
     @pytest.mark.parametrize("direction", ["lower", "upper", "self"])
     def test_weights_outside_adjacency(self, direction):
@@ -436,6 +451,9 @@ class TestGenerationInversion:
         assert not any(np.shares_memory(net.forward(x), buf) for buf in work)
 
     def test_one_plan_serves_both_report_sizes(self):
+        """One plan serves counterfactuals of 20 and 33 rows, each matching the
+        full pass inversion within ``assert_inversion_close``, from one set of
+        buffers per row count."""
         sem = causal.gen_linear_sem(5, cutoff=0.5, rng=3)
         fl = jitter_flow(flow.AffineFlow.build(sem.adjacency(), 2, [40], 0), 1)
         plan = flow._Plan(fl)
@@ -445,17 +463,14 @@ class TestGenerationInversion:
             ours = flow._reconstruct(plan, [lv.copy() for lv in levels], start, (start, 0.5))
             ref = reconstruct_full_passes(fl, [lv.copy() for lv in levels], plan.dep, start,
                                           (start, 0.5))
-            assert ours.tobytes() == ref.tobytes()
+            assert_inversion_close([ours], [ref])
         assert {key[1] for key in plan._buffers} == {20, 33}
 
-    @pytest.mark.parametrize("exact", [False, True])
-    def test_either_side_of_the_row_slice_fork(self, monkeypatch, exact):
-        """Whatever ``_rows_exact`` answers, the planned inversion gives the
-        full passes' bits: False runs the whole output layer, True only the
-        rows a generation reads.  Weights, biases and noise are small
-        multiples of 1/4 and every log-scale is 0, so every product and sum
-        is exact, and no BLAS kernel can round a sliced product differently."""
-        monkeypatch.setattr(flow, "_rows_exact", lambda n, shape, rows: exact)
+    def test_sliced_passes_match_full_passes_on_exact_arithmetic(self):
+        """Weights, biases and noise are small multiples of 1/4 and every
+        log-scale is 0, so every product and sum is exact and no order of
+        summation can round differently: the planned inversion gives the full
+        passes' bits, from start 0, with a pin and from an observed start."""
         d = 5
         A = np.zeros((d, d), dtype=np.int64)
         A[1, 0] = A[2, 0] = A[3, 1] = A[4, 1] = A[4, 2] = 1     # generations 0, 12, 34
@@ -479,7 +494,36 @@ class TestGenerationInversion:
             ref.append(reconstruct_full_passes(fl, ref, plan.dep, start, pin))
             for a, b in zip(ours, ref):
                 assert a.tobytes() == b.tobytes()
-        assert {last is None for last, _, _ in plan._steps.values()} == {not exact}
+
+    def test_each_pass_keeps_the_units_its_rows_read(self):
+        """Each pass of conditioner k on a generation keeps output rows gen and
+        d + gen, and in each hidden layer exactly the units with a nonzero
+        weight into the units kept after it, as the weights' sliced copies.  A
+        root generation reads no hidden unit, so its pass outputs its bias
+        rows whatever the input."""
+        A = adjacency.gen_random_sparse(7, 0.5, 3)
+        fl = jitter_flow(flow.AffineFlow.build(A, 2, [9, 8], 1), 2)
+        plan = flow._Plan(fl)
+        x = np.random.default_rng(4).normal(size=(6, 7))
+        for start in range(7):
+            for g, gen in enumerate(plan.generations(start)):
+                for k, net in enumerate(fl.layers):
+                    layers, work = plan.step(k, gen, len(x))
+                    keep, expected = np.concatenate([gen, gen + 7]), []
+                    for layer in (2, 1, 0):
+                        W, b = net.weights[layer][keep], net.biases[layer][keep]
+                        read = (W != 0.0).any(axis=0) if layer else np.ones(7, dtype=bool)
+                        expected.insert(0, (W[:, read], b))
+                        keep = np.flatnonzero(read)
+                    assert len(layers) == len(expected)
+                    for (W, b), (W_ref, b_ref) in zip(layers, expected):
+                        assert W.flags.c_contiguous and W.shape == W_ref.shape
+                        assert np.array_equal(W, W_ref) and np.array_equal(b, b_ref)
+                    if start == 0 and g == 0:
+                        assert [W.shape[0] for W, _ in layers[:-1]] == [0, 0]
+                        out = net.forward(x, layers=layers, work=work)
+                        bias = expected[-1][1] + 0.0
+                        assert out.tobytes() == np.tile(bias, (len(x), 1)).tobytes()
 
     def test_cmse_report_abducts_once(self, monkeypatch):
         sem = causal.gen_linear_sem(5, rng=3)

@@ -466,23 +466,38 @@ class TestGenerationInversion:
             assert_inversion_close([ours], [ref])
         assert {key[1] for key in plan._buffers} == {20, 33}
 
-    def test_sliced_passes_match_full_passes_on_exact_arithmetic(self):
-        """Weights, biases and noise are small multiples of 1/4 and every
-        log-scale is 0, so every product and sum is exact and no order of
-        summation can round differently: the planned inversion gives the full
-        passes' bits, from start 0, with a pin and from an observed start."""
+    @pytest.mark.parametrize("drop_units", [False, True])
+    def test_either_side_of_the_row_slice_fork(self, drop_units):
+        """The planned passes slice each conditioner to the rows a generation
+        reads and, walking back, to the hidden units with a nonzero weight into
+        them.  With ``drop_units`` False only the masks zero a weight, so the
+        hidden slices are what the masks allow; with True some allowed weights
+        are 0 as well and some pass keeps fewer units.  Either way weights,
+        biases and noise are small multiples of 1/4 and every log-scale is 0,
+        so every product and sum is exact and no order of summation can round
+        differently: the planned inversion gives the full passes' bits, from
+        start 0, with a pin and from an observed start."""
         d = 5
         A = np.zeros((d, d), dtype=np.int64)
         A[1, 0] = A[2, 0] = A[3, 1] = A[4, 1] = A[4, 2] = 1     # generations 0, 12, 34
         fl = flow.AffineFlow.build(A, 2, [6], 0)
         rng = np.random.default_rng(1)
+        values = np.array([-2, -1, 0, 1, 2] if drop_units else [-2, -1, 1, 2]) / 4
         for net in fl.layers:
             for W, M in zip(net.weights, net.masks):
-                W[...] = rng.integers(-2, 3, size=W.shape) / 4 * M
+                W[...] = rng.choice(values, size=W.shape) * M
             for b in net.biases:
                 b[...] = rng.integers(-2, 3, size=b.shape) / 4
             net.weights[-1][d:] = net.biases[-1][d:] = 0.0
         plan = flow._Plan(fl)
+        narrower = False
+        for start in (0, 2):
+            for gen in plan.generations(start):
+                for k, net in enumerate(fl.layers):
+                    layers, _ = plan.step(k, gen, 1)
+                    allowed = (net.masks[-1][gen] != 0.0).any(axis=0)
+                    narrower |= layers[0][0].shape[0] < allowed.sum()
+        assert narrower == drop_units
         z = rng.integers(-8, 9, size=(7, d)) / 4
         _, _, observed = flow.to_noise(fl, z, keep_levels=True)
         noise_side = [z] + [np.zeros_like(z) for _ in fl.layers]

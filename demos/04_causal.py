@@ -34,8 +34,8 @@ def exact_flow_part(sem):
     print(f"counterfactual at one observation: "
           f"max |flow - sem| = {np.abs(cf_flow - cf_sem).max():.2e}")
 
-    imse = causal.total_imse(fl, sem, value_count=8, n_samples=50000, rng=2)
-    cmse = causal.total_cmse(fl, sem, value_count=8, n_obs=200, rng=3)
+    imse = causal.imse_report(fl, sem, value_count=8, n_samples=50000, rng=2)[0]
+    cmse = causal.cmse_report(fl, sem, value_count=8, n_obs=200, rng=3)[0]
     print(f"exact-flow summary errors: I-MSE {imse:.2e} (Monte-Carlo floor), "
           f"C-MSE {cmse:.2e}\n")
 
@@ -52,9 +52,8 @@ def trained_part(sem):
                     ("dense-lower", adjacency.dense_lower(D))):
         fl = flow.AffineFlow.build(A, 4, [16], 0)
         fl, _ = flow.train_flow(fl, ds, config)
-        imse = causal.total_imse(fl, sem, value_count=8, n_samples=3000,
-                                 rng=6)
-        cmse = causal.total_cmse(fl, sem, value_count=8, n_obs=200, rng=7)
+        imse = causal.imse_report(fl, sem, value_count=8, n_samples=3000, rng=6)[0]
+        cmse = causal.cmse_report(fl, sem, value_count=8, n_obs=200, rng=7)[0]
         print(f"  {name:>14}: I-MSE {imse:.4f}, C-MSE {cmse:.4f}")
 
 

@@ -123,7 +123,7 @@ def flow_counterfactual(fl, x_obs, j, alpha):
     abducted noise.  Accepts a single observation or a batch.
     """
     x_obs, squeeze = neural._as_batch(x_obs, fl.dim)
-    _, _, levels = flow_mod.to_noise(fl, x_obs, keep_levels=True)
+    levels, _ = flow_mod._to_noise(fl, x_obs, keep_levels=True)
     x = flow_mod._reconstruct(flow_mod._Plan(fl), levels, start=j, pin=(j, alpha))
     x[:, :j] = x_obs[:, :j]
     return x[0] if squeeze else x
@@ -210,10 +210,6 @@ def imse_report(fl, sem, value_count=8, n_samples=1000, rng=None, ground_truth="
     return _report(fl, sem, value_count, n_samples, answers)
 
 
-def total_imse(fl, sem, value_count=8, n_samples=1000, rng=None, ground_truth="exact"):
-    return imse_report(fl, sem, value_count, n_samples, rng, ground_truth)[0]
-
-
 def cmse_report(fl, sem, value_count=8, n_obs=1000, rng=None):
     """Total counterfactual MSE and its per-query breakdown.
 
@@ -224,8 +220,8 @@ def cmse_report(fl, sem, value_count=8, n_obs=1000, rng=None):
     """
     def answers(queries):
         plan = flow_mod._Plan(fl)
-        x_obs = sem_sample(sem, n_obs, rng)
-        _, _, levels = flow_mod.to_noise(fl, x_obs, keep_levels=True)
+        x_obs, _ = neural._as_batch(sem_sample(sem, n_obs, rng), fl.dim)
+        levels, _ = flow_mod._to_noise(fl, x_obs, keep_levels=True)
         for j, alpha in queries:
             fc = flow_mod._reconstruct(plan, [lv.copy() for lv in levels], start=j,
                                        pin=(j, alpha))
@@ -233,10 +229,6 @@ def cmse_report(fl, sem, value_count=8, n_obs=1000, rng=None):
             yield sem_counterfactual(sem, x_obs, j, alpha), fc
 
     return _report(fl, sem, value_count, n_obs, answers)
-
-
-def total_cmse(fl, sem, value_count=8, n_obs=1000, rng=None):
-    return cmse_report(fl, sem, value_count, n_obs, rng)[0]
 
 
 def flow_from_linear_sem(sem):

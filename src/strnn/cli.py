@@ -78,7 +78,7 @@ def cmd_factor(args):
         comparison = {}
         for method in ("greedy", "exact", "zuko"):
             try:
-                p = factorizer.mask_product(
+                p = product if method == args.method else factorizer.mask_product(
                     factorizer.factor_multilayer(A, widths, method, args.objective))
                 comparison[method] = {
                     "objective_value": factorizer.objective_value(p, args.objective),
@@ -166,7 +166,8 @@ def cmd_train(args):
         if dataset.kind != "real":
             raise UsageError("flow training needs real-valued data")
         A = adjacency.read_matrix(run.adjacency, adjacency=True)
-        net = flow.AffineFlow.build(A, run.flow_layers, hidden, run.seed, run.method)
+        net = flow.AffineFlow.build(A, run.flow_layers, hidden, run.seed, run.method,
+                                    run.objective)
         fit, test_nll_of, save = flow.train_flow, flow.nll, flow.save_flow
     else:
         if model == "strnn":

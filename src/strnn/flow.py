@@ -55,9 +55,11 @@ class AffineFlow:
         return self.adjacency.shape[0]
 
     @classmethod
-    def build(cls, A, n_layers, hidden, rng, method="greedy"):
+    def build(cls, A, n_layers, hidden, rng, method="greedy",
+              objective=factorizer.MAX_CONNECTIONS):
         """Build a K-layer flow whose conditioners share one mask factorization
-        of A but are independently initialized.
+        of A (``factorizer.factor_multilayer`` with ``method`` and
+        ``objective``) but are independently initialized.
 
         Each conditioner's output layer starts at zero, so every layer begins
         as the identity map.  Without this, the per-layer log-scales compound
@@ -66,7 +68,7 @@ class AffineFlow:
         """
         A = adjacency_mod.validate(A)
         rng = np.random.default_rng(rng)
-        masks = factorizer.factor_multilayer(A, hidden, method)
+        masks = factorizer.factor_multilayer(A, hidden, method, objective)
         layers = []
         for _ in range(n_layers):
             net = neural.MaskedMLP.from_masks(masks, "gaussian", rng)
@@ -93,9 +95,11 @@ def _to_noise(flow, x, keep_levels, work=None, tape=None):
 
     ``levels`` is [z, ..., u] (noise side first) with keep_levels, else [z];
     log_det is the per-sample log |det dz/dx|, including the standardization
-    Jacobian.  Training passes ``work``, each conditioner's layer buffers,
-    and a list ``tape`` that each layer, data side first, appends its
-    log-scales s and exp(-s) to for the backward pass.
+    Jacobian.  ``x`` is a batch already checked by ``neural._as_batch``.
+    Training passes ``work``, each conditioner's layer buffers, and a list
+    ``tape`` that each layer, data side first, appends its log-scales s and
+    exp(-s) to for the backward pass; the counterfactuals of ``causal``
+    reuse the levels.
     """
     u = (x - flow.mu) / flow.sigma
     log_det = np.full(x.shape[0], -float(np.sum(np.log(flow.sigma))))
@@ -122,22 +126,15 @@ def _nll(z, log_det):
     return 0.5 * np.sum(z * z, axis=-1) + z.shape[-1] * neural.HALF_LOG_2PI - log_det
 
 
-def to_noise(flow, x, keep_levels=False):
+def to_noise(flow, x):
     """Map data to base noise in one parallel pass per layer.
 
     Returns (z, log_det) where log_det is the per-sample log |det dz/dx|,
-    including the standardization Jacobian.  With keep_levels=True also
-    returns the list of intermediate representations [z, ..., u] (noise side
-    first), which counterfactual evaluation reuses.
+    including the standardization Jacobian.
     """
     x, squeeze = neural._as_batch(x, flow.dim)
-    levels, log_det = _to_noise(flow, x, keep_levels)
-    z = levels[0]
-    if squeeze:
-        z, log_det = z[0], log_det[0]
-    if keep_levels:
-        return z, log_det, levels
-    return z, log_det
+    (z,), log_det = _to_noise(flow, x, keep_levels=False)
+    return (z[0], log_det[0]) if squeeze else (z, log_det)
 
 
 def _dependencies(flow):
@@ -244,7 +241,8 @@ def _reconstruct(plan, levels, start=0, pin=None):
     filled are harmless.  The passes drop terms whose weight is exactly 0,
     so they match full conditioner passes up to the order of summation.  A
     non-finite alpha raises NonFiniteInputError at entry, and so does a
-    returned batch that is not finite (a value that overflowed on the way).
+    returned batch that is not finite (a value that overflowed on the way,
+    for which numpy's warnings are silenced).
     """
     flow = plan.flow
     j, alpha = (None, None) if pin is None else pin
@@ -253,25 +251,27 @@ def _reconstruct(plan, levels, start=0, pin=None):
     if pin is not None and not np.isfinite(alpha):
         raise NonFiniteInputError(f"intervention value {alpha} is not finite")
     K, n = len(flow.layers), levels[0].shape[0]
-    for gen in plan.generations(start):
-        at_pin = gen == j
-        # Boolean masks, not the scalar j: the t, s below are then copies, not
-        # views of the plan's buffers, which the next pass overwrites.
-        free, pinned = gen[~at_pin], gen[at_pin]
-        down = []
-        for lvl, net in enumerate(flow.layers, 1):
-            layers, work = plan.step(lvl - 1, gen, n)
-            out = net.forward(levels[lvl], layers=layers, work=work)
-            if free.size:
-                t, s = neural._split_gaussian(out, ~at_pin)
-                levels[lvl][:, free] = np.exp(s) * levels[lvl - 1][:, free] + t
+    # An overflow leaves a non-finite value, which the check below raises on.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for gen in plan.generations(start):
+            at_pin = gen == j
+            # Boolean masks, not the scalar j: the t, s below are then copies,
+            # not views of the plan's buffers, which the next pass overwrites.
+            free, pinned = gen[~at_pin], gen[at_pin]
+            down = []
+            for lvl, net in enumerate(flow.layers, 1):
+                layers, work = plan.step(lvl - 1, gen, n)
+                out = net.forward(levels[lvl], layers=layers, work=work)
+                if free.size:
+                    t, s = neural._split_gaussian(out, ~at_pin)
+                    levels[lvl][:, free] = np.exp(s) * levels[lvl - 1][:, free] + t
+                if pinned.size:
+                    down.append(neural._split_gaussian(out, at_pin))
             if pinned.size:
-                down.append(neural._split_gaussian(out, at_pin))
-        if pinned.size:
-            levels[K][:, j] = (alpha - flow.mu[j]) / flow.sigma[j]
-            for lvl, (t, s) in zip(range(K, 0, -1), reversed(down)):
-                levels[lvl - 1][:, pinned] = (levels[lvl][:, pinned] - t) * np.exp(-s)
-    x = levels[K] * flow.sigma + flow.mu
+                levels[K][:, j] = (alpha - flow.mu[j]) / flow.sigma[j]
+                for lvl, (t, s) in zip(range(K, 0, -1), reversed(down)):
+                    levels[lvl - 1][:, pinned] = (levels[lvl][:, pinned] - t) * np.exp(-s)
+        x = levels[K] * flow.sigma + flow.mu
     if pin is not None:
         x[:, j] = alpha
     if not np.isfinite(x).all():

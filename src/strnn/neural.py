@@ -39,6 +39,8 @@ from .errors import (
 
 HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 LOG_SIGMA_CLAMP = 7.0
+# AdamW's decay rates of the first and second moment estimates.
+ADAM_B1, ADAM_B2 = 0.9, 0.999
 # The audit certifies finite activations for every input in the box
 # |x_j| <= AUDIT_RADIUS.
 AUDIT_RADIUS = 1e6
@@ -299,11 +301,10 @@ class AdamW:
     0 * inf.
     """
 
-    def __init__(self, params, learning_rate, weight_decay=0.0,
-                 beta1=0.9, beta2=0.999, epsilon=1e-8, masks=None):
+    def __init__(self, params, learning_rate, weight_decay=0.0, epsilon=1e-8, masks=None):
         self.lr = learning_rate
         self.weight_decay = weight_decay
-        self.beta1, self.beta2, self.epsilon = beta1, beta2, epsilon
+        self.epsilon = epsilon
         size = sum(q.size for q in params)
         self.p, self.g = np.empty(size), np.zeros(size)
         np.concatenate([q.ravel() for q in params], out=self.p)
@@ -325,7 +326,7 @@ class AdamW:
 
     def step(self):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_B1, ADAM_B2
         c1, c2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
         m, v, a, u, free = self.m, self.v, self._a, self._u, self._free
         g, p = self.g[free], self.p[free]
@@ -583,10 +584,7 @@ def read_mlp_body(reader, head=None, dim=None):
 
 
 def save_mlp(net, path):
-    """Write a network checkpoint; load_mlp(save) reproduces outputs bitwise."""
+    """Write a network checkpoint; ``flow.load_checkpoint`` reads it back with
+    bitwise outputs."""
     textio.write_checkpoint(path, "mlp", lambda fh: write_mlp_body(fh, net))
 
-
-def load_mlp(path):
-    """Read a network checkpoint; any other kind raises ParseError."""
-    return textio.read_checkpoint(path, {"mlp": read_mlp_body})

@@ -70,8 +70,8 @@ def _conditioned_flow(d, n_layers, hidden, x):
         for net in fl.layers:
             _jitter_net(net, seed + 7000, 0.1)
         ok = True
-        z, _, levels = flow.to_noise(fl, x, keep_levels=True)
-        if np.abs(z).max() > 10.0:
+        levels, _ = flow._to_noise(fl, x, keep_levels=True)
+        if np.abs(levels[0]).max() > 10.0:
             continue
         # levels come back noise-side first; reversing layers and the
         # non-noise levels pairs each conditioner with the input it consumed.
@@ -374,10 +374,10 @@ def test_c08_exact_sem_flow_causal_errors_vanish():
     d = 6
     sem = causal.gen_linear_sem(d, rng=8)
     fl = causal.flow_from_linear_sem(sem)
-    cmse = causal.total_cmse(fl, sem, value_count=8, n_obs=100, rng=81)
+    cmse = causal.cmse_report(fl, sem, value_count=8, n_obs=100, rng=81)[0]
     samples = 100000
-    imse = causal.total_imse(fl, sem, value_count=8, n_samples=samples,
-                             rng=82)
+    imse = causal.imse_report(fl, sem, value_count=8, n_samples=samples,
+                              rng=82)[0]
 
     values = causal.intervention_values(8)
     expected = 0.0
@@ -451,10 +451,10 @@ def test_c10_structured_flow_beats_dense_on_causal_queries():
                                     seed=seed, lr_schedule="plateau",
                                     plateau_factor=0.5, plateau_patience=15)
             fl, _ = flow.train_flow(fl, ds, tc)
-            imses.append(causal.total_imse(fl, sem, value_count=8,
-                                           n_samples=3000, rng=1000 + seed))
-            cmses.append(causal.total_cmse(fl, sem, value_count=8, n_obs=200,
-                                           rng=2000 + seed))
+            imses.append(causal.imse_report(fl, sem, value_count=8,
+                                            n_samples=3000, rng=1000 + seed)[0])
+            cmses.append(causal.cmse_report(fl, sem, value_count=8, n_obs=200,
+                                            rng=2000 + seed)[0])
         results[name] = (float(np.mean(imses)), float(np.mean(cmses)))
     s_imse, s_cmse = results["structured"]
     d_imse, d_cmse = results["dense"]

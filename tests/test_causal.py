@@ -190,8 +190,8 @@ class TestExactFlow:
     def test_total_cmse_is_machine_zero(self):
         sem = causal.gen_linear_sem(5, rng=20)
         fl = causal.flow_from_linear_sem(sem)
-        assert causal.total_cmse(fl, sem, value_count=4, n_obs=200,
-                                 rng=21) < 1e-20
+        assert causal.cmse_report(fl, sem, value_count=4, n_obs=200,
+                                  rng=21)[0] < 1e-20
 
 
 class TestFlowInterventions:
@@ -224,8 +224,8 @@ class TestFlowInterventions:
     def test_overflow_inside_the_inversion_raises(self):
         """Coordinate 2 reads 1e200 times coordinate 1, itself 1e200 times
         coordinate 0, so its value overflows to inf on the way to the data:
-        sampling, interventions and counterfactuals refuse the answer.  The
-        overflow also warns, as numpy does; the warning is silenced here."""
+        sampling, interventions and counterfactuals refuse the answer, without
+        a numpy warning (the test config turns RuntimeWarning into an error)."""
         W = np.zeros((4, 4))
         W[1, 0] = W[2, 1] = 1e200
         W[3, 2] = 0.5
@@ -233,8 +233,7 @@ class TestFlowInterventions:
         for query in (lambda: flow.sample(fl, 5, 0),
                       lambda: causal.flow_intervene_sample(fl, 0, 1.0, 5, 0),
                       lambda: causal.flow_counterfactual(fl, np.ones((2, 4)), 0, 2.0)):
-            with np.errstate(over="ignore", invalid="ignore"), \
-                    pytest.raises(NonFiniteInputError):
+            with pytest.raises(NonFiniteInputError):
                 query()
 
 
@@ -271,8 +270,8 @@ class TestMetricReports:
     def test_imse_deterministic_given_rng(self):
         sem = causal.gen_linear_sem(4, rng=42)
         fl = causal.flow_from_linear_sem(sem)
-        a = causal.total_imse(fl, sem, value_count=2, n_samples=50, rng=7)
-        b = causal.total_imse(fl, sem, value_count=2, n_samples=50, rng=7)
+        a = causal.imse_report(fl, sem, value_count=2, n_samples=50, rng=7)[0]
+        b = causal.imse_report(fl, sem, value_count=2, n_samples=50, rng=7)[0]
         assert a == b
 
     def test_imse_exact_flow_shrinks_with_samples(self):
@@ -280,15 +279,15 @@ class TestMetricReports:
         push the metric toward zero."""
         sem = causal.gen_linear_sem(4, rng=43)
         fl = causal.flow_from_linear_sem(sem)
-        small = causal.total_imse(fl, sem, value_count=4, n_samples=50, rng=8)
-        big = causal.total_imse(fl, sem, value_count=4, n_samples=20000, rng=8)
+        small = causal.imse_report(fl, sem, value_count=4, n_samples=50, rng=8)[0]
+        big = causal.imse_report(fl, sem, value_count=4, n_samples=20000, rng=8)[0]
         assert big < small
 
     def test_imse_sampled_ground_truth_mode(self):
         sem = causal.gen_linear_sem(3, rng=44)
         fl = causal.flow_from_linear_sem(sem)
-        val = causal.total_imse(fl, sem, value_count=2, n_samples=200, rng=9,
-                                ground_truth="sample")
+        val = causal.imse_report(fl, sem, value_count=2, n_samples=200, rng=9,
+                                 ground_truth="sample")[0]
         assert np.isfinite(val) and val >= 0
 
     def test_cmse_breakdown_structure(self):
@@ -304,4 +303,4 @@ class TestMetricReports:
         other = causal.gen_linear_sem(5, rng=47)
         fl = causal.flow_from_linear_sem(other)
         with pytest.raises(DimMismatchError):
-            causal.total_imse(fl, sem, value_count=2, n_samples=10, rng=0)
+            causal.imse_report(fl, sem, value_count=2, n_samples=10, rng=0)

@@ -85,6 +85,27 @@ class TestFactorCommand:
         # two hidden layers blow the exact solver's enumeration budget
         assert cmp_data["exact"]["error"].startswith("BudgetExceededError")
 
+    def test_compare_reuses_the_chosen_method(self, tmp_path, monkeypatch):
+        """The comparison takes the chosen method's entry from the
+        factorization the report already holds: one factorization per method."""
+        calls, factor_multilayer = [], factorizer.factor_multilayer
+
+        def counted(*args):
+            calls.append(args[2])
+            return factor_multilayer(*args)
+
+        monkeypatch.setattr(factorizer, "factor_multilayer", counted)
+        adj = write_adjacency(tmp_path, adjacency.gen_random_sparse(5, 0.5, 0))
+        out = tmp_path / "cmp"
+        assert cli.main(["factor", "--adjacency", adj, "--widths", "4", "--method", "exact",
+                         "--objective", factorizer.CONNECTIONS_MINUS_VARIANCE,
+                         "--out-dir", str(out), "--compare"]) == 0
+        assert sorted(calls) == ["exact", "greedy", "zuko"]
+        report = json.loads((out / "report.json").read_text())
+        assert report["comparison"]["exact"] == {
+            "objective_value": report["objective_value"], "sparsity_ok": report["sparsity_ok"]}
+        assert json.loads((out / "compare.json").read_text()) == report["comparison"]
+
     def test_sparsity_failure_exits_one(self, tmp_path, capsys):
         adj = write_adjacency(tmp_path, adjacency.dense_lower(4))
         out = str(tmp_path / "bad")
@@ -236,7 +257,7 @@ class TestTrainCommand:
         assert summary["model"] == "strnn"
         assert summary["config"]["hidden"] == [6]
         assert summary["stop_reason"] == "max_epochs" and summary["epochs_run"] == 25
-        net = neural.load_mlp(str(out / "checkpoint.txt"))
+        net = flow.load_checkpoint(str(out / "checkpoint.txt"))
         assert net.head == "gaussian"
 
     def test_non_finite_run_reports_its_stop(self, tmp_path, capsys):
@@ -275,7 +296,7 @@ class TestTrainCommand:
         assert cli.main(["train", "--config", cfg, "--out-dir",
                          str(out)]) == 0
         summary = self.check_outputs(out)
-        net = neural.load_mlp(str(out / "checkpoint.txt"))
+        net = flow.load_checkpoint(str(out / "checkpoint.txt"))
         assert net.head == "binary"
 
     def test_flow_model(self, tmp_path):
@@ -290,6 +311,25 @@ class TestTrainCommand:
         self.check_outputs(out)
         fl = flow.load_flow(str(out / "checkpoint.txt"))
         assert fl.dim == 3 and len(fl.layers) == 2
+
+    def test_flow_model_factors_with_its_objective(self, tmp_path):
+        """A flow's conditioners take the masks of the config's objective,
+        which here differ from the max-connections masks."""
+        A = adjacency.gen_random_sparse(5, 0.5, 0)
+        masks = factorizer.factor_multilayer(A, [4], "exact",
+                                             factorizer.CONNECTIONS_MINUS_VARIANCE)
+        other = factorizer.factor_multilayer(A, [4], "exact", factorizer.MAX_CONNECTIONS)
+        assert not np.array_equal(masks[0], other[0])
+        data, _ = write_gaussian_dataset(tmp_path, d=5)
+        cfg = self.config_file(tmp_path, {
+            "model": "flow", "dataset": data, "adjacency": write_adjacency(tmp_path, A, "A.txt"),
+            "hidden": [4], "flow_layers": 2, "max_epochs": 2, "method": "exact",
+            "objective": factorizer.CONNECTIONS_MINUS_VARIANCE, "seed": 0})
+        out = tmp_path / "flow"
+        assert cli.main(["train", "--config", cfg, "--out-dir", str(out)]) == 0
+        for net in flow.load_flow(str(out / "checkpoint.txt")).layers:
+            np.testing.assert_array_equal(net.masks[0], masks[0])
+            np.testing.assert_array_equal(net.masks[1], np.vstack([masks[1], masks[1]]))
 
     def test_deterministic_given_seed(self, tmp_path):
         data, adj = write_gaussian_dataset(tmp_path)

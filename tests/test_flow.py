@@ -122,9 +122,11 @@ class TestTransforms:
         A = adjacency.gen_random_sparse(5, 0.5, 1)
         fl = jitter_flow(flow.AffineFlow.build(A, 3, [6], 1), 2)
         x = np.random.default_rng(3).normal(size=(4, 5))
-        z, log_det, levels = flow.to_noise(fl, x, keep_levels=True)
+        levels, log_det = flow._to_noise(fl, x, keep_levels=True)
+        z, ref_log_det = flow.to_noise(fl, x)
         assert len(levels) == 4
         np.testing.assert_array_equal(levels[0], z)
+        np.testing.assert_array_equal(log_det, ref_log_det)
         np.testing.assert_allclose(levels[-1], (x - fl.mu) / fl.sigma)
 
     def test_single_vector_squeeze(self):
@@ -278,7 +280,7 @@ class TestGenerationInversion:
         rng = np.random.default_rng(seed)
         fl.mu, fl.sigma = rng.normal(size=d), rng.uniform(0.5, 2.0, size=d)
         if observed:
-            _, _, levels = flow.to_noise(fl, rng.normal(size=(30, d)), keep_levels=True)
+            levels, _ = flow._to_noise(fl, rng.normal(size=(30, d)), keep_levels=True)
         else:
             levels = [rng.normal(size=(30, d))] + [np.zeros((30, d)) for _ in range(K)]
         j = data.draw(st.integers(0, d - 1))
@@ -328,7 +330,7 @@ class TestGenerationInversion:
         plan = flow._Plan(fl)
         for n in ns:
             if observed:
-                _, _, levels = flow.to_noise(fl, rng.normal(size=(n, d)), keep_levels=True)
+                levels, _ = flow._to_noise(fl, rng.normal(size=(n, d)), keep_levels=True)
             else:
                 levels = [rng.normal(size=(n, d))] + [np.zeros((n, d)) for _ in range(K)]
             ours = [lv.copy() for lv in levels]
@@ -374,7 +376,7 @@ class TestGenerationInversion:
         noise_side = [z] + [np.zeros_like(z) for _ in fl.layers]
         assert_same_inversion(fl, noise_side, None, 0)
         assert_same_inversion(fl, noise_side, (2, 0.5), 0)
-        _, _, levels = flow.to_noise(fl, rng.normal(size=(200, d)), keep_levels=True)
+        levels, _ = flow._to_noise(fl, rng.normal(size=(200, d)), keep_levels=True)
         assert_same_inversion(fl, levels, (0, -1.0), 0)
         x = rng.normal(size=(200, d))
         back = flow.from_noise(fl, flow.to_noise(fl, x)[0])
@@ -459,7 +461,7 @@ class TestGenerationInversion:
         plan = flow._Plan(fl)
         rng = np.random.default_rng(2)
         for n, start in ((20, 0), (33, 2), (20, 1)):
-            _, _, levels = flow.to_noise(fl, causal.sem_sample(sem, n, rng), keep_levels=True)
+            levels, _ = flow._to_noise(fl, causal.sem_sample(sem, n, rng), keep_levels=True)
             ours = flow._reconstruct(plan, [lv.copy() for lv in levels], start, (start, 0.5))
             ref = reconstruct_full_passes(fl, [lv.copy() for lv in levels], plan.dep, start,
                                           (start, 0.5))
@@ -499,7 +501,7 @@ class TestGenerationInversion:
                     narrower |= layers[0][0].shape[0] < allowed.sum()
         assert narrower == drop_units
         z = rng.integers(-8, 9, size=(7, d)) / 4
-        _, _, observed = flow.to_noise(fl, z, keep_levels=True)
+        observed, _ = flow._to_noise(fl, z, keep_levels=True)
         noise_side = [z] + [np.zeros_like(z) for _ in fl.layers]
         for levels, start, pin in ((noise_side, 0, None), (noise_side, 0, (1, 0.75)),
                                    (observed, 2, (2, -1.5))):
@@ -544,13 +546,13 @@ class TestGenerationInversion:
         sem = causal.gen_linear_sem(5, rng=3)
         fl = causal.flow_from_linear_sem(sem)
         calls = []
-        to_noise = flow.to_noise
+        to_noise = flow._to_noise
 
         def counted(*args, **kwargs):
             calls.append(1)
             return to_noise(*args, **kwargs)
 
-        monkeypatch.setattr(flow, "to_noise", counted)
+        monkeypatch.setattr(flow, "_to_noise", counted)
         causal.cmse_report(fl, sem, value_count=2, n_obs=20, rng=4)
         assert len(calls) == 1
 
@@ -585,8 +587,8 @@ def well_conditioned_flow(x, d, n_layers, hidden, margin=1e-3):
         A = adjacency.gen_random_sparse(d, 0.5, seed)
         fl = jitter_flow(flow.AffineFlow.build(A, n_layers, hidden, seed),
                          seed + 1, scale=0.1)
-        z, _, levels = flow.to_noise(fl, x, keep_levels=True)
-        if np.abs(z).max() > 10.0:
+        levels, _ = flow._to_noise(fl, x, keep_levels=True)
+        if np.abs(levels[0]).max() > 10.0:
             continue
         ok = True
         for k, net in enumerate(fl.layers):

@@ -1299,7 +1299,7 @@ class TestCheckpoint:
             W *= M
         path = tmp_path / "net.txt"
         neural.save_mlp(net, path)
-        loaded = neural.load_mlp(path)
+        loaded = flow.load_checkpoint(path)
         assert loaded.head == net.head
         for a, b in zip(net.params(), loaded.params()):
             np.testing.assert_array_equal(a, b)
@@ -1307,14 +1307,14 @@ class TestCheckpoint:
         np.testing.assert_array_equal(net.forward(x), loaded.forward(x))
 
     def test_loader_preserves_corruption_for_audit(self, tmp_path):
-        """load_mlp must not silently re-mask; a corrupted checkpoint should
+        """The loader must not silently re-mask; a corrupted checkpoint should
         still fail the audit after a round trip."""
         A = np.array([[0, 0], [0, 0]])
         net = neural.MaskedMLP.from_masks([A.copy()], "binary", 0)
         net.weights[0][1, 0] = 0.9
         path = tmp_path / "bad.txt"
         neural.save_mlp(net, path)
-        loaded = neural.load_mlp(path)
+        loaded = flow.load_checkpoint(path)
         assert loaded.weights[0][1, 0] == 0.9
         assert neural.audit_invariance(loaded) != []
 
@@ -1322,4 +1322,4 @@ class TestCheckpoint:
         path = tmp_path / "junk.txt"
         path.write_text("not a checkpoint\n")
         with pytest.raises(Exception):
-            neural.load_mlp(path)
+            flow.load_checkpoint(path)

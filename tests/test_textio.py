@@ -81,7 +81,7 @@ def test_golden_dataset(name, arrays, tmp_path):
 
 @pytest.mark.parametrize("name", ["mlp_binary", "mlp_gaussian"])
 def test_golden_mlp(name, arrays, tmp_path):
-    net = neural.load_mlp(golden(f"{name}.txt"))
+    net = flow.load_checkpoint(golden(f"{name}.txt"))
     for k, p in enumerate(net.params()):
         assert_bitwise(p, arrays[f"{name}_{k}"])
     assert net.pattern.dtype == np.int64
@@ -104,10 +104,8 @@ def test_load_checkpoint_dispatches_on_kind():
     assert isinstance(flow.load_checkpoint(golden("mlp_binary.txt")), neural.MaskedMLP)
     assert isinstance(flow.load_checkpoint(golden("flow.txt")), flow.AffineFlow)
     with pytest.raises(ParseError, match="kind") as info:
-        neural.load_mlp(golden("flow.txt"))
-    assert info.value.line_no == 2
-    with pytest.raises(ParseError, match="kind"):
         flow.load_flow(golden("mlp_gaussian.txt"))
+    assert info.value.line_no == 2
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +136,7 @@ def test_checkpoint_error_names_file_line(tmp_path):
     path = tmp_path / "ck.txt"
     path.write_text("\n".join(lines))
     with pytest.raises(ParseError, match="values") as info:
-        neural.load_mlp(path)
+        flow.load_checkpoint(path)
     assert info.value.line_no == bad + 1 + 2
 
 
@@ -188,7 +186,7 @@ def edited(path, tmp_path, old, new):
 ])
 def test_malformed_mlp_checkpoint(old, new, match, tmp_path):
     with pytest.raises(ParseError, match=match):
-        neural.load_mlp(edited(golden("mlp_binary.txt"), tmp_path, old, new))
+        flow.load_checkpoint(edited(golden("mlp_binary.txt"), tmp_path, old, new))
 
 
 @pytest.mark.parametrize("old, new, match", [

@@ -7,8 +7,12 @@ call the flow's one noise-to-data routine, ``flow._reconstruct``, which takes
 one pass per DAG generation: the intervened coordinate is pinned on the data
 side (its intermediate values are derived by inverting its per-coordinate
 affine chain), all other coordinates push their noise forward, a generation
-at a time.  ``imse_report`` and ``cmse_report`` score the (j, alpha) queries
-through one loop, ``_report``.
+at a time.  The inversion runs coordinate-major: the noise is drawn (n, d)
+and the observations abducted row-major, as before, and each query hands
+``_reconstruct`` transposed copies (``flow._noise_levels``; ``cmse_report``
+transposes its abducted levels once per report, in ``flow._abduct``) and
+gets back a C-ordered (n, d) batch.  ``imse_report`` and ``cmse_report``
+score the (j, alpha) queries through one loop, ``_report``.
 """
 
 from dataclasses import dataclass
@@ -110,8 +114,8 @@ def flow_intervene_sample(fl, j, alpha, n, rng):
     pinned/upstream values through the conditioners.
     """
     z = np.random.default_rng(rng).standard_normal((n, fl.dim))
-    return flow_mod._reconstruct(flow_mod._Plan(fl),
-                                 [z] + [np.zeros_like(z) for _ in fl.layers], pin=(j, alpha))
+    return flow_mod._reconstruct(flow_mod._Plan(fl), flow_mod._noise_levels(fl, z),
+                                 pin=(j, alpha))
 
 
 def flow_counterfactual(fl, x_obs, j, alpha):
@@ -123,7 +127,7 @@ def flow_counterfactual(fl, x_obs, j, alpha):
     abducted noise.  Accepts a single observation or a batch.
     """
     x_obs, squeeze = neural._as_batch(x_obs, fl.dim)
-    levels, _ = flow_mod._to_noise(fl, x_obs, keep_levels=True)
+    levels = flow_mod._abduct(fl, x_obs)
     x = flow_mod._reconstruct(flow_mod._Plan(fl), levels, start=j, pin=(j, alpha))
     x[:, :j] = x_obs[:, :j]
     return x[0] if squeeze else x
@@ -199,8 +203,7 @@ def imse_report(fl, sem, value_count=8, n_samples=1000, rng=None, ground_truth="
         for (j, alpha), stream in zip(queries, streams):
             flow_rng, sem_rng = stream.spawn(2)
             z = flow_rng.standard_normal((n_samples, fl.dim))
-            xs = flow_mod._reconstruct(plan, [z] + [np.zeros_like(z) for _ in fl.layers],
-                                       pin=(j, alpha))
+            xs = flow_mod._reconstruct(plan, flow_mod._noise_levels(fl, z), pin=(j, alpha))
             if ground_truth == "exact":
                 gt = sem_intervene_mean_vector(sem, j, alpha)
             else:
@@ -221,7 +224,7 @@ def cmse_report(fl, sem, value_count=8, n_obs=1000, rng=None):
     def answers(queries):
         plan = flow_mod._Plan(fl)
         x_obs, _ = neural._as_batch(sem_sample(sem, n_obs, rng), fl.dim)
-        levels, _ = flow_mod._to_noise(fl, x_obs, keep_levels=True)
+        levels = flow_mod._abduct(fl, x_obs)
         for j, alpha in queries:
             fc = flow_mod._reconstruct(plan, [lv.copy() for lv in levels], start=j,
                                        pin=(j, alpha))

@@ -5,21 +5,25 @@ Each sub-flow applies the per-coordinate affine map
 gaussian-head masked network built from the shared adjacency, so s_j and t_j
 read only the declared parents of j (a parentless coordinate gets learned
 constants).  The data-to-noise direction evaluates in one parallel pass per
-layer; ``to_noise``, ``nll`` and training (``gradients``, into buffers
-reused from step to step) share that pass, so training differentiates the
-evaluation NLL and takes each batch's NLL from the pass it steps on.  The
-noise-to-data direction takes one pass per DAG generation, where a
-generation is the set of coordinates whose parents are all already filled;
-``_reconstruct`` is its one routine, shared by sampling and by the
-interventions and counterfactuals of ``causal``, which pin one coordinate to
-a value in data units.  It follows a ``_Plan`` built once per query or
-report, and each conditioner pass computes only the hidden units and
-outputs its generation reads, into the plan's reused buffers; it drops only
-terms whose weight is exactly 0, so it matches the full pass up to the order
-of summation.  An affine standardization (train-split mean/std) sits
-outermost and its log-Jacobian is part of the density.  The noise-to-data direction needs a
-triangular flow, each conditioner output k reading coordinates before k
-alone: the plan refuses any other with ``UpperTriangleNonZeroError``.
+layer, row-major (one sample per row); ``to_noise``, ``nll`` and training
+(``gradients``, into buffers reused from step to step) share that pass, so
+training differentiates the evaluation NLL and takes each batch's NLL from
+the pass it steps on.  The noise-to-data direction takes one pass per DAG
+generation, where a generation is the set of coordinates whose parents are
+all already filled; ``_reconstruct`` is its one routine, shared by sampling
+and by the interventions and counterfactuals of ``causal``, which pin one
+coordinate to a value in data units.  It runs coordinate-major, each level
+one (d, n) array, and follows a ``_Plan`` built once per query or report:
+each conditioner pass (``_Plan.affine``) is one product of the weight rows
+and hidden units its generation reads with all n samples per layer, into
+the plan's reused buffers, and a generation's coordinates are contiguous
+rows.  It drops only terms whose weight is exactly 0 and sums in BLAS's
+other orientation, so it matches row-major full passes up to the order of
+summation.  An affine standardization (train-split mean/std) sits
+outermost and its log-Jacobian is part of the density.  The noise-to-data
+direction needs a triangular flow, each conditioner output k reading
+coordinates before k alone: the plan refuses any other with
+``UpperTriangleNonZeroError``.
 """
 
 import numpy as np
@@ -95,46 +99,72 @@ def _to_noise(flow, x, keep_levels, work=None, tape=None):
 
     ``levels`` is [z, ..., u] (noise side first) with keep_levels, else [z];
     log_det is the per-sample log |det dz/dx|, including the standardization
-    Jacobian.  ``x`` is a batch already checked by ``neural._as_batch``.
-    Training passes ``work``, each conditioner's layer buffers, and a list
-    ``tape`` that each layer, data side first, appends its log-scales s and
-    exp(-s) to for the backward pass; the counterfactuals of ``causal``
-    reuse the levels.
+    Jacobian.  ``x`` is a batch already checked by ``neural._as_batch``, so
+    the conditioners run through ``forward(layers=...)``, which checks no
+    level again.  A value that overflows on the way leaves z non-finite,
+    without a numpy warning: ``to_noise`` and ``_abduct`` raise on it
+    (``_check_noise``), while ``nll`` and training return it.  Training
+    passes ``work``, each conditioner's layer buffers, and a list ``tape``
+    that each layer, data side first, appends its log-scales s and exp(-s)
+    to for the backward pass.
     """
-    u = (x - flow.mu) / flow.sigma
     log_det = np.full(x.shape[0], -float(np.sum(np.log(flow.sigma))))
-    levels = [u]
-    for k in reversed(range(len(flow.layers))):
-        out = flow.layers[k].forward(levels[-1], work=None if work is None else work[k])
-        t, s = neural._split_gaussian(out)
-        e = np.exp(-s)
-        v = (levels[-1] - t) * e
-        log_det -= s.sum(axis=1)
-        if tape is not None:
-            tape.append((s, e))
-        if keep_levels:
-            levels.append(v)
-        else:
-            levels[-1] = v
+    with np.errstate(over="ignore", invalid="ignore"):
+        levels = [(x - flow.mu) / flow.sigma]
+        for k in reversed(range(len(flow.layers))):
+            net = flow.layers[k]
+            out = net.forward(levels[-1], layers=zip(net.weights, net.biases),
+                              work=None if work is None else work[k])
+            t, s = neural._split_gaussian(out)
+            e = np.exp(-s)
+            v = (levels[-1] - t) * e
+            log_det -= s.sum(axis=1)
+            if tape is not None:
+                tape.append((s, e))
+            if keep_levels:
+                levels.append(v)
+            else:
+                levels[-1] = v
     levels.reverse()
     return levels, log_det
 
 
+def _check_noise(z):
+    """Raise NonFiniteInputError unless the noise of a data-to-noise pass is
+    finite; a level that overflowed on the way leaves its coordinate of z
+    non-finite."""
+    if not np.isfinite(z).all():
+        raise NonFiniteInputError("non-finite value in the data-to-noise pass")
+
+
 def _nll(z, log_det):
     """Per-sample NLL from base noise z under the standard normal and the
-    log-det of the data-to-noise map."""
-    return 0.5 * np.sum(z * z, axis=-1) + z.shape[-1] * neural.HALF_LOG_2PI - log_det
+    log-det of the data-to-noise map; a non-finite z gives +inf or NaN,
+    without a numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return 0.5 * np.sum(z * z, axis=-1) + z.shape[-1] * neural.HALF_LOG_2PI - log_det
 
 
 def to_noise(flow, x):
     """Map data to base noise in one parallel pass per layer.
 
     Returns (z, log_det) where log_det is the per-sample log |det dz/dx|,
-    including the standardization Jacobian.
+    including the standardization Jacobian.  Finite data that overflows on
+    the way raises NonFiniteInputError.
     """
     x, squeeze = neural._as_batch(x, flow.dim)
     (z,), log_det = _to_noise(flow, x, keep_levels=False)
+    _check_noise(z)
     return (z[0], log_det[0]) if squeeze else (z, log_det)
+
+
+def _abduct(flow, x):
+    """The levels [z, ..., u] of the checked batch ``x`` for ``_reconstruct``,
+    coordinate-major (one (d, n) array each); finite data that overflows on
+    the way raises NonFiniteInputError."""
+    levels, _ = _to_noise(flow, x, keep_levels=True)
+    _check_noise(levels[0])
+    return [lv.T.copy() for lv in levels]
 
 
 def _dependencies(flow):
@@ -177,7 +207,7 @@ class _Plan:
     """The noise-to-data plan of one flow at its current weights, built once
     per query or report: ``dep`` from ``_dependencies``, the generations of
     each ``start``, the slices of each conditioner that each generation reads
-    and the activation buffers its passes write into, by row count.  Like
+    and the activation buffers its passes write into, by sample count.  Like
     ``dep`` it is never cached on the flow, because training changes the
     weights.  A flow whose output i reads a coordinate j >= i raises
     UpperTriangleNonZeroError.
@@ -195,54 +225,79 @@ class _Plan:
         return self._generations[start]
 
     def step(self, k, gen, n):
-        """(layers, work) for conditioner k on generation ``gen`` of n rows:
-        ``forward(x, layers=layers, work=work)`` gives the generation's shifts
-        then its log-scales (``_split_gaussian``).
+        """(layers, work) of conditioner k's pass on generation ``gen`` over
+        n samples, which ``affine`` runs.
 
-        ``layers`` is one contiguous (W, b) slice per layer.  The output layer
+        ``layers`` is one (W, b) per layer: W a contiguous slice of the
+        weights, b its bias entries as a (width, 1) column.  The output layer
         keeps rows ``gen`` and ``d + gen``; walking back, each hidden layer
         keeps the units with a nonzero weight into the units kept after it,
         as ``neural.support`` reads them, and layer 0 every input.  A
-        generation whose rows read no hidden unit thus outputs b + 0.0.  Each
-        pass writes into the front of the buffers ``neural.layer_buffers``
-        keeps for the conditioner's full widths, shared by every pass of n
-        rows.
+        generation whose rows read no hidden unit thus outputs b + 0.0.
+        ``work`` holds one (width, n) array per layer, the front of the
+        buffers ``neural.layer_buffers`` keeps for the conditioner's full
+        widths, shared by every pass over n samples.
         """
         key = (k, gen.tobytes(), n)
         if key not in self._steps:
             net, d = self.flow.layers[k], self.flow.dim
             rows, layers = np.concatenate([gen, gen + d]), []
             for layer in reversed(range(len(net.weights))):
-                W, b = net.weights[layer][rows], net.biases[layer][rows]
+                W, b = net.weights[layer][rows], net.biases[layer][rows, None]
                 if layer:
                     rows = np.flatnonzero((W != 0.0).any(axis=0))
                     W = np.ascontiguousarray(W[:, rows])
                 layers.insert(0, (W, b))
             work = neural.layer_buffers(self._buffers, "plan", net, n)
-            self._steps[key] = layers, [buf.ravel()[:n * len(b)].reshape(n, len(b))
+            self._steps[key] = layers, [buf.ravel()[:len(b) * n].reshape(len(b), n)
                                         for buf, (_, b) in zip(work, layers)]
         return self._steps[key]
+
+    def affine(self, k, gen, level):
+        """(t, s): conditioner k's shifts and clamped log-scales of generation
+        ``gen``, one row per coordinate of ``gen`` and one column per sample,
+        from the coordinate-major ``level`` (d, n).
+
+        Each layer is one product W @ h of the sliced weights with all n
+        samples, plus a bias column, written into the plan's buffers; t and s
+        are views of them, which the next pass overwrites.  Neither the level
+        nor the output is checked for non-finite values: ``_reconstruct``
+        checks its answer.
+        """
+        layers, work = self.step(k, gen, level.shape[1])
+        h = level
+        for i, ((W, b), out) in enumerate(zip(layers, work)):
+            if i:
+                np.maximum(h, 0.0, out=h)
+            h = np.matmul(W, h, out=out)
+            h += b
+        t, s = h[:len(gen)], h[len(gen):]
+        np.clip(s, -neural.LOG_SIGMA_CLAMP, neural.LOG_SIGMA_CLAMP, out=s)
+        return t, s
 
 
 def _reconstruct(plan, levels, start=0, pin=None):
     """Fill coordinates start..d-1 of every level in noise-to-data order,
-    following the ``_Plan`` of the flow, and return the data.
+    following the ``_Plan`` of the flow, and return the data as a new
+    C-ordered (n, d) batch.
 
-    ``levels`` is the [V_0 (noise), ..., V_K (standardized data)] list, edited
-    in place.  Coordinates are filled one DAG generation at a time: each
-    layer's conditioner runs once on its level, computing only the units the
-    generation's outputs read, into the plan's buffers, and the generation's
-    free columns push their noise up through the layers.  With
-    ``pin=(j, alpha)`` coordinate j is forced to alpha (data units) on the
-    data side and inverted down through the layers with the same per-level
-    shifts and scales, and column j of the returned data is alpha exactly.
-    A column's conditioner reads only its parents (the plan refuses any other
-    flow), which are final before its generation starts, so columns not yet
-    filled are harmless.  The passes drop terms whose weight is exactly 0,
-    so they match full conditioner passes up to the order of summation.  A
-    non-finite alpha raises NonFiniteInputError at entry, and so does a
-    returned batch that is not finite (a value that overflowed on the way,
-    for which numpy's warnings are silenced).
+    ``levels`` is the [V_0 (noise), ..., V_K (standardized data)] list, each
+    level coordinate-major, one (d, n) array (``_noise_levels``,
+    ``_abduct``), edited in place.  Coordinates are filled one DAG
+    generation at a time: each layer's conditioner runs once on its level
+    (``_Plan.affine``), computing only the units the generation's outputs
+    read, over all samples at once, and the generation's free rows push
+    their noise up through the layers.  With ``pin=(j, alpha)`` coordinate j
+    is forced to alpha (data units) on the data side and inverted down
+    through the layers with the same per-level shifts and scales, and column
+    j of the returned data is alpha exactly.  A coordinate's conditioner
+    reads only its parents (the plan refuses any other flow), which are
+    final before its generation starts, so rows not yet filled are harmless.
+    The passes drop terms whose weight is exactly 0 and multiply in the
+    other orientation, so they match full row-major conditioner passes up to
+    the order of summation.  A non-finite alpha raises NonFiniteInputError
+    at entry, and so does a returned batch that is not finite (a value that
+    overflowed on the way, for which numpy's warnings are silenced).
     """
     flow = plan.flow
     j, alpha = (None, None) if pin is None else pin
@@ -250,28 +305,30 @@ def _reconstruct(plan, levels, start=0, pin=None):
         raise InvalidPairError(f"intervention index {j} outside 0..{flow.dim - 1}")
     if pin is not None and not np.isfinite(alpha):
         raise NonFiniteInputError(f"intervention value {alpha} is not finite")
-    K, n = len(flow.layers), levels[0].shape[0]
+    K, n = len(flow.layers), levels[0].shape[1]
     # An overflow leaves a non-finite value, which the check below raises on.
     with np.errstate(over="ignore", invalid="ignore"):
         for gen in plan.generations(start):
             at_pin = gen == j
-            # Boolean masks, not the scalar j: the t, s below are then copies,
-            # not views of the plan's buffers, which the next pass overwrites.
             free, pinned = gen[~at_pin], gen[at_pin]
             down = []
-            for lvl, net in enumerate(flow.layers, 1):
-                layers, work = plan.step(lvl - 1, gen, n)
-                out = net.forward(levels[lvl], layers=layers, work=work)
-                if free.size:
-                    t, s = neural._split_gaussian(out, ~at_pin)
-                    levels[lvl][:, free] = np.exp(s) * levels[lvl - 1][:, free] + t
+            for lvl in range(1, K + 1):
+                t, s = plan.affine(lvl - 1, gen, levels[lvl])
                 if pinned.size:
-                    down.append(neural._split_gaussian(out, at_pin))
+                    # Copies: the next pass overwrites the plan's buffers.
+                    down.append((t[at_pin], s[at_pin]))
+                    t, s = t[~at_pin], s[~at_pin]
+                if free.size:
+                    np.exp(s, out=s)
+                    s *= levels[lvl - 1][free]
+                    s += t
+                    levels[lvl][free] = s
             if pinned.size:
-                levels[K][:, j] = (alpha - flow.mu[j]) / flow.sigma[j]
+                levels[K][j] = (alpha - flow.mu[j]) / flow.sigma[j]
                 for lvl, (t, s) in zip(range(K, 0, -1), reversed(down)):
-                    levels[lvl - 1][:, pinned] = (levels[lvl][:, pinned] - t) * np.exp(-s)
-        x = levels[K] * flow.sigma + flow.mu
+                    levels[lvl - 1][pinned] = (levels[lvl][pinned] - t) * np.exp(-s)
+        x = np.multiply(levels[K].T, flow.sigma, out=np.empty((n, flow.dim)))
+        x += flow.mu
     if pin is not None:
         x[:, j] = alpha
     if not np.isfinite(x).all():
@@ -279,17 +336,28 @@ def _reconstruct(plan, levels, start=0, pin=None):
     return x
 
 
+def _noise_levels(flow, z):
+    """The levels [z, 0, ..., 0] of the noise batch ``z`` (n, d) for
+    ``_reconstruct``, coordinate-major (one (d, n) array each)."""
+    return [z.T.copy()] + [np.zeros(z.shape[::-1]) for _ in flow.layers]
+
+
 def from_noise(flow, z):
     """Map base noise to data in one pass per DAG generation: each layer's
     conditioner runs once per generation."""
     z, squeeze = neural._as_batch(z, flow.dim)
-    x = _reconstruct(_Plan(flow), [z.copy()] + [np.zeros_like(z) for _ in flow.layers])
+    x = _reconstruct(_Plan(flow), _noise_levels(flow, z))
     return x[0] if squeeze else x
 
 
 def nll(flow, x):
-    """Per-sample negative log-likelihood under the flow."""
-    return _nll(*to_noise(flow, x))
+    """Per-sample negative log-likelihood under the flow.  Finite data that
+    overflows in the data-to-noise pass gets +inf or NaN, without an error,
+    so training stops on it (``neural._optimize``)."""
+    x, squeeze = neural._as_batch(x, flow.dim)
+    (z,), log_det = _to_noise(flow, x, keep_levels=False)
+    per = _nll(z, log_det)
+    return per[0] if squeeze else per
 
 
 def mean_nll(flow, x):

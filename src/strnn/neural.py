@@ -16,8 +16,10 @@ through it.  A training step (``gradients``) differentiates it and also
 sums it over the batch from the output its forward pass already wrote, so
 an epoch's training NLL costs no pass of its own; only the validation split
 is evaluated after each epoch.
-``MaskedMLP.forward`` is the one layer loop; training runs it into buffers
-reused across steps (``layer_buffers``).
+``MaskedMLP.forward`` is the one row-major layer loop; training runs it into
+buffers reused across steps (``layer_buffers``).  The flow's inversion runs
+its passes coordinate-major, in its own loop over (width, n) views of the
+same buffers (``flow._Plan.affine``).
 Evaluation runs in blocks of EVAL_BLOCK rows, so the hidden activations stay
 in cache; each sample's NLL is bitwise the one an unblocked pass gives.
 Checkpoints use the text format defined in ``textio``.
@@ -103,13 +105,13 @@ class MaskedMLP:
         """Batch forward pass; 1-D input returns a 1-D output.
 
         ``layers``, one (W, b) per layer, stands in for the weights and
-        biases, e.g. slices of them (the flow's inversion computes only the
-        units a generation reads).  With it, ``x`` must be a 2-D float64
+        biases; the flow's data-to-noise pass passes the network's own, as
+        ``zip(weights, biases)``.  With it, ``x`` must be a 2-D float64
         batch, and neither it nor the output is checked for non-finite
-        values: the caller checks once per query.  ``work`` holds one array
-        per layer, of the batch's rows by the layer's width: each layer's
-        activations are written into it and the output returned is the last
-        one.  Without it, every call returns a fresh array.
+        values: the caller checks its data once, at entry.  ``work`` holds
+        one array per layer, of the batch's rows by the layer's width: each
+        layer's activations are written into it and the output returned is
+        the last one.  Without it, every call returns a fresh array.
         """
         squeeze = False
         if layers is None:
@@ -208,13 +210,12 @@ def sigmoid(t):
     return p
 
 
-def _split_gaussian(out, cols=slice(None)):
+def _split_gaussian(out):
     """Means and log-sigmas clamped to +-LOG_SIGMA_CLAMP, the two halves of a
-    gaussian-head output, at columns ``cols`` (for a flow conditioner: the
-    shifts and log-scales)."""
+    gaussian-head output (for a flow conditioner: the shifts and
+    log-scales)."""
     d = out.shape[-1] // 2
-    return (out[..., :d][..., cols],
-            np.clip(out[..., d:][..., cols], -LOG_SIGMA_CLAMP, LOG_SIGMA_CLAMP))
+    return out[..., :d], np.clip(out[..., d:], -LOG_SIGMA_CLAMP, LOG_SIGMA_CLAMP)
 
 
 def head_nll(head, out, x):
@@ -447,7 +448,9 @@ def _optimize(model, dataset, config, gradients, mean_nll):
     NLL sum beside its gradients, and ``mean_nll(model, x)``, which only the
     validation split goes through.  ``train_nll`` sums what the steps
     returned, so no pass runs over the whole training split.  A non-finite
-    epoch is never the best one, and it stops the run.  The model's weights
+    epoch is never the best one, and it stops the run, which is how an
+    overflow is reported: the loop silences numpy's overflow and invalid
+    warnings.  The model's weights
     and biases become views into the optimizer's flat parameter vector, and
     stay so after the run."""
     config.validate()
@@ -466,11 +469,12 @@ def _optimize(model, dataset, config, gradients, mean_nll):
     for epoch in range(1, config.max_epochs + 1):
         perm = rng.permutation(n)
         total = 0.0
-        for idx in np.split(perm, range(config.batch_size, n, config.batch_size)):
-            total += gradients(model, train_x[idx], buffers, opt.grads)[1]
-            opt.step()
-        train_nll = float(total / n)
-        val_nll = mean_nll(model, val_x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for idx in np.split(perm, range(config.batch_size, n, config.batch_size)):
+                total += gradients(model, train_x[idx], buffers, opt.grads)[1]
+                opt.step()
+            train_nll = float(total / n)
+            val_nll = mean_nll(model, val_x)
         history.append((epoch, train_nll, val_nll, opt.lr))
         if not np.isfinite([train_nll, val_nll]).all():
             history.stop_reason = "non_finite"

@@ -237,6 +237,28 @@ class TestFlowInterventions:
                 query()
 
 
+    @pytest.mark.parametrize("K", [1, 2])
+    def test_overflow_inside_the_abduction_raises(self, K):
+        """The same chain in each of K layers, on the finite row
+        (1e200, 1, 1, 1): coordinate 1 overflows on its way to the noise.
+        to_noise and the counterfactual's abduction raise NonFiniteInputError
+        naming the data-to-noise pass, and nll returns the non-finite value,
+        all without a numpy warning."""
+        W = np.zeros((4, 4))
+        W[1, 0] = W[2, 1] = 1e200
+        W[3, 2] = 0.5
+        sem = causal.LinearSEM(W)
+        fl = flow.AffineFlow(sem.adjacency(),
+                             [causal.flow_from_linear_sem(sem).layers[0] for _ in range(K)])
+        x = np.array([[1e200, 1.0, 1.0, 1.0]])
+        for query in (lambda: flow.to_noise(fl, x),
+                      lambda: causal.flow_counterfactual(fl, x, 0, 2.0)):
+            with pytest.raises(NonFiniteInputError, match="data-to-noise pass"):
+                query()
+        per = flow.nll(fl, x)
+        assert per.shape == (1,) and not np.isfinite(per).any()
+        assert not np.isfinite(flow.nll(fl, x[0]))
+
 class TestInterventionValues:
     def test_default_eight(self):
         np.testing.assert_array_equal(

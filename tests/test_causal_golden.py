@@ -6,7 +6,11 @@ data (``sem.json``) and the reports that ``causal-eval`` wrote for them in
 each ground-truth mode before the flow-side queries shared one pinned
 reconstruction and the two reports one query loop.  A change that moves any
 bit of an interventional sample, a counterfactual or a ground truth fails
-here.
+here.  The coordinate-major inversion sums each pass in BLAS's other
+orientation, so its answers may move by rounding; regenerated with the
+command below and compared with these files, no reported number moved (0
+of the 60 breakdown entries and 2 totals per file), so the files stand
+unedited.
 """
 
 import os

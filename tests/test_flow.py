@@ -157,10 +157,12 @@ class TestTransforms:
         np.testing.assert_allclose(xs.std(axis=0), fl.sigma, atol=0.03)
 
 
-# The planned passes drop terms whose weight is exactly 0, which changes
-# BLAS's order of summation: an inversion oracle of full passes is matched to
-# within INVERSION_RTOL of the largest magnitude in the oracle's levels and
-# data.  Over 1,200 random flows and batches the largest gap was 1.4e-13.
+# The planned passes drop terms whose weight is exactly 0 and multiply
+# coordinate-major, W @ level, both of which change BLAS's order of summation:
+# an inversion oracle of row-major full passes is matched to within
+# INVERSION_RTOL of the largest magnitude in the oracle's levels and data.
+# Over 3,000 random flows (up to three layers, two hidden layers of 46 units,
+# 1,000 samples) the largest gap was 7.3e-12.
 INVERSION_RTOL = 1e-10
 
 
@@ -206,12 +208,11 @@ def reconstruct_full_passes(fl, levels, dep, start=0, pin=None):
         free, pinned = gen[~at_pin], gen[at_pin]
         down = []
         for lvl in range(1, K + 1):
-            out = fl.layers[lvl - 1].forward(levels[lvl])
+            t, s = neural._split_gaussian(fl.layers[lvl - 1].forward(levels[lvl]))
             if free.size:
-                t, s = neural._split_gaussian(out, free)
-                levels[lvl][:, free] = np.exp(s) * levels[lvl - 1][:, free] + t
+                levels[lvl][:, free] = np.exp(s[:, free]) * levels[lvl - 1][:, free] + t[:, free]
             if pinned.size:
-                down.append(neural._split_gaussian(out, pinned))
+                down.append((t[:, pinned], s[:, pinned]))
         if pinned.size:
             levels[K][:, j] = (alpha - fl.mu[j]) / fl.sigma[j]
             for lvl in range(K, 0, -1):
@@ -247,24 +248,47 @@ def n_generations(A):
     return int(depth.max()) + 1
 
 
-def count_forwards(monkeypatch):
+def count_passes(monkeypatch):
+    """Record each conditioner pass: "forward" for a ``MaskedMLP.forward``
+    (the data-to-noise direction), "plan" for a ``_Plan.affine`` (the
+    noise-to-data direction)."""
     calls = []
-    forward = neural.MaskedMLP.forward
+    forward, affine = neural.MaskedMLP.forward, flow._Plan.affine
 
-    def counted(net, x, *args, **kwargs):
-        calls.append(1)
+    def counted_forward(net, x, *args, **kwargs):
+        calls.append("forward")
         return forward(net, x, *args, **kwargs)
 
-    monkeypatch.setattr(neural.MaskedMLP, "forward", counted)
+    def counted_affine(plan, *args):
+        calls.append("plan")
+        return affine(plan, *args)
+
+    monkeypatch.setattr(neural.MaskedMLP, "forward", counted_forward)
+    monkeypatch.setattr(flow._Plan, "affine", counted_affine)
     return calls
 
 
+def run_plan(plan, levels, start=0, pin=None):
+    """``flow._reconstruct`` on coordinate-major copies of the row-major
+    ``levels``: the levels it leaves, row-major again, then the data."""
+    ours = [lv.T.copy() for lv in levels]
+    x = flow._reconstruct(plan, ours, start, pin)
+    return [lv.T for lv in ours] + [x]
+
+
+def draw_dag(data, d):
+    """A d x d adjacency whose below-diagonal entries hypothesis draws."""
+    A = np.zeros((d, d), dtype=np.int64)
+    below = np.tril_indices(d, -1)
+    A[below] = data.draw(st.lists(st.booleans(), min_size=len(below[0]),
+                                  max_size=len(below[0])))
+    return A
+
+
 def assert_same_inversion(fl, levels, pin, start):
-    ours = [lv.copy() for lv in levels]
     ref = [lv.copy() for lv in levels]
-    ours.append(flow._reconstruct(flow._Plan(fl), ours, start, pin))
     ref.append(reconstruct_per_coordinate(fl, ref, pin, start))
-    assert_inversion_close(ours, ref)
+    assert_inversion_close(run_plan(flow._Plan(fl), levels, start, pin), ref)
 
 
 class TestGenerationInversion:
@@ -272,10 +296,7 @@ class TestGenerationInversion:
     @given(data=st.data(), d=st.integers(1, 7), K=st.sampled_from([1, 2, 3]),
            seed=st.integers(0, 2**16), observed=st.booleans())
     def test_matches_per_coordinate_reference(self, data, d, K, seed, observed):
-        A = np.zeros((d, d), dtype=np.int64)
-        below = np.tril_indices(d, -1)
-        A[below] = data.draw(st.lists(st.booleans(), min_size=len(below[0]),
-                                      max_size=len(below[0])))
+        A = draw_dag(data, d)
         fl = jitter_flow(flow.AffineFlow.build(A, K, [d + 2], seed), seed + 1)
         rng = np.random.default_rng(seed)
         fl.mu, fl.sigma = rng.normal(size=d), rng.uniform(0.5, 2.0, size=d)
@@ -302,10 +323,7 @@ class TestGenerationInversion:
         "upper" breaks the mask so that a coordinate reads a later one, and
         "self" so that the pinned coordinate reads itself: the plan refuses
         both, naming the pair."""
-        A = np.zeros((d, d), dtype=np.int64)
-        below = np.tril_indices(d, -1)
-        A[below] = data.draw(st.lists(st.booleans(), min_size=len(below[0]),
-                                      max_size=len(below[0])))
+        A = draw_dag(data, d)
         # Width 0 stands for d + 1, the narrowest that carries every pattern.
         hidden = [w or d + 1 for w in hidden]
         fl = jitter_flow(flow.AffineFlow.build(A, K, hidden, seed), seed + 1)
@@ -333,11 +351,45 @@ class TestGenerationInversion:
                 levels, _ = flow._to_noise(fl, rng.normal(size=(n, d)), keep_levels=True)
             else:
                 levels = [rng.normal(size=(n, d))] + [np.zeros((n, d)) for _ in range(K)]
-            ours = [lv.copy() for lv in levels]
             ref = [lv.copy() for lv in levels]
-            ours.append(flow._reconstruct(plan, ours, start, pin))
             ref.append(reconstruct_full_passes(fl, ref, plan.dep, start, pin))
-            assert_inversion_close(ours, ref)
+            assert_inversion_close(run_plan(plan, levels, start, pin), ref)
+
+    @settings(max_examples=60)
+    @given(data=st.data(), d=st.integers(1, 6), K=st.sampled_from([1, 2]),
+           hidden=st.lists(st.sampled_from([1, 4, 16]), min_size=2, max_size=2),
+           chain=st.booleans(), seed=st.integers(0, 2**16), observed=st.booleans(),
+           n=st.sampled_from([0, 1, 7]))
+    def test_coordinate_major_matches_full_passes(self, data, d, K, hidden, chain, seed,
+                                                  observed, n):
+        """The plan's passes run coordinate-major, W @ level, where the oracle
+        runs row-major full forwards, level @ W.T: BLAS sums the two in other
+        orders, and the inversions still match within
+        ``assert_inversion_close``.  The thin shapes where the orientations
+        round differently most often: two hidden layers, n of 0, 1 or 7
+        samples and, with ``chain``, one coordinate per generation, so every
+        output layer keeps 2 rows.  Each root generation from start 0 reads
+        no hidden unit."""
+        A = adjacency.gen_prev_k(d, 1) if chain else draw_dag(data, d)
+        fl = jitter_flow(flow.AffineFlow.build(A, K, [d + w for w in hidden], seed), seed + 1)
+        rng = np.random.default_rng(seed)
+        fl.mu, fl.sigma = rng.normal(size=d), rng.uniform(0.5, 2.0, size=d)
+        plan = flow._Plan(fl)
+        if chain:
+            assert all(len(gen) == 1 for gen in plan.generations(0))
+        for k in range(K):
+            layers, _ = plan.step(k, plan.generations(0)[0], n)
+            assert [W.shape[0] for W, _ in layers[:-1]] == [0, 0]
+        j = data.draw(st.integers(0, d - 1))
+        pin = data.draw(st.sampled_from([None, (j, data.draw(st.floats(-3, 3)))]))
+        start = data.draw(st.integers(0, j))
+        if observed:
+            levels, _ = flow._to_noise(fl, rng.normal(size=(n, d)), keep_levels=True)
+        else:
+            levels = [rng.normal(size=(n, d))] + [np.zeros((n, d)) for _ in range(K)]
+        ref = [lv.copy() for lv in levels]
+        ref.append(reconstruct_full_passes(fl, ref, plan.dep, start, pin))
+        assert_inversion_close(run_plan(plan, levels, start, pin), ref)
 
     @pytest.mark.parametrize("direction", ["lower", "upper", "self"])
     def test_weights_outside_adjacency(self, direction):
@@ -395,9 +447,9 @@ class TestGenerationInversion:
     def test_one_forward_per_layer_per_generation(self, monkeypatch, A):
         K = 3
         fl = jitter_flow(flow.AffineFlow.build(A, K, [A.shape[0] + 2], 1), 2)
-        calls = count_forwards(monkeypatch)
+        calls = count_passes(monkeypatch)
         flow.from_noise(fl, np.random.default_rng(0).normal(size=(10, A.shape[0])))
-        assert len(calls) == n_generations(A) * K
+        assert calls == ["plan"] * (n_generations(A) * K)
 
     def test_zero_rows(self):
         """A batch of no rows comes back as no rows of width d, also when the
@@ -418,7 +470,7 @@ class TestGenerationInversion:
         fl = jitter_flow(flow.AffineFlow.build(sem.adjacency(), 2, [8], 0), 1)
         dep = flow._dependencies(fl)
         value_count, K = 3, len(fl.layers)
-        calls = count_forwards(monkeypatch)
+        calls = count_passes(monkeypatch)
         if report == "imse":
             causal.imse_report(fl, sem, value_count=value_count, n_samples=10, rng=4)
             abduction, starts = 0, [0] * 4
@@ -426,7 +478,7 @@ class TestGenerationInversion:
             causal.cmse_report(fl, sem, value_count=value_count, n_obs=10, rng=4)
             abduction, starts = K, range(4)
         passes = sum(len(flow._generations(dep, start)) * K for start in starts)
-        assert len(calls) == abduction + value_count * passes
+        assert calls == ["forward"] * abduction + ["plan"] * (value_count * passes)
 
     def test_from_noise_returns_independent_arrays(self, monkeypatch):
         A = adjacency.gen_random_sparse(6, 0.5, 3)
@@ -441,6 +493,26 @@ class TestGenerationInversion:
         assert len(plans) == 2 and buffers
         for x in (a, b):
             assert not any(np.shares_memory(x, buf) for buf in buffers)
+
+    @pytest.mark.parametrize("query", ["from_noise", "intervene", "counterfactual"])
+    def test_answers_are_fresh_row_major_batches(self, monkeypatch, query):
+        """The inversion runs coordinate-major, and its callers still get a
+        C-contiguous (n, d) batch that shares no memory with the plan's
+        buffers."""
+        A = adjacency.gen_random_sparse(6, 0.5, 3)
+        fl = jitter_flow(flow.AffineFlow.build(A, 2, [8], 1), 2)
+        plans = []
+        Plan = flow._Plan
+        monkeypatch.setattr(flow, "_Plan", lambda fl: plans.append(Plan(fl)) or plans[-1])
+        x = np.random.default_rng(0).normal(size=(9, 6))
+        run = {"from_noise": lambda: flow.from_noise(fl, x),
+               "intervene": lambda: causal.flow_intervene_sample(fl, 2, 0.5, 9, 0),
+               "counterfactual": lambda: causal.flow_counterfactual(fl, x, 1, 0.5)}[query]
+        out = run()
+        assert out.shape == (9, 6) and out.flags.c_contiguous and out.flags.owndata
+        buffers = [buf for work in plans[0]._buffers.values() for buf in work]
+        assert len(plans) == 1 and buffers
+        assert not any(np.shares_memory(out, buf) for buf in buffers)
 
     def test_plain_forward_returns_a_fresh_array(self):
         net = flow.AffineFlow.build(adjacency.gen_prev_k(4, 1), 1, [5, 6], 0).layers[0]
@@ -462,7 +534,7 @@ class TestGenerationInversion:
         rng = np.random.default_rng(2)
         for n, start in ((20, 0), (33, 2), (20, 1)):
             levels, _ = flow._to_noise(fl, causal.sem_sample(sem, n, rng), keep_levels=True)
-            ours = flow._reconstruct(plan, [lv.copy() for lv in levels], start, (start, 0.5))
+            ours = run_plan(plan, levels, start, (start, 0.5))[-1]
             ref = reconstruct_full_passes(fl, [lv.copy() for lv in levels], plan.dep, start,
                                           (start, 0.5))
             assert_inversion_close([ours], [ref])
@@ -505,19 +577,18 @@ class TestGenerationInversion:
         noise_side = [z] + [np.zeros_like(z) for _ in fl.layers]
         for levels, start, pin in ((noise_side, 0, None), (noise_side, 0, (1, 0.75)),
                                    (observed, 2, (2, -1.5))):
-            ours = [lv.copy() for lv in levels]
             ref = [lv.copy() for lv in levels]
-            ours.append(flow._reconstruct(plan, ours, start, pin))
             ref.append(reconstruct_full_passes(fl, ref, plan.dep, start, pin))
-            for a, b in zip(ours, ref):
+            for a, b in zip(run_plan(plan, levels, start, pin), ref):
                 assert a.tobytes() == b.tobytes()
 
     def test_each_pass_keeps_the_units_its_rows_read(self):
         """Each pass of conditioner k on a generation keeps output rows gen and
         d + gen, and in each hidden layer exactly the units with a nonzero
-        weight into the units kept after it, as the weights' sliced copies.  A
-        root generation reads no hidden unit, so its pass outputs its bias
-        rows whatever the input."""
+        weight into the units kept after it, as the weights' sliced copies
+        and bias columns, and writes (width, n) buffers.  A root generation
+        reads no hidden unit, so its pass outputs its bias rows whatever the
+        input."""
         A = adjacency.gen_random_sparse(7, 0.5, 3)
         fl = jitter_flow(flow.AffineFlow.build(A, 2, [9, 8], 1), 2)
         plan = flow._Plan(fl)
@@ -532,15 +603,17 @@ class TestGenerationInversion:
                         read = (W != 0.0).any(axis=0) if layer else np.ones(7, dtype=bool)
                         expected.insert(0, (W[:, read], b))
                         keep = np.flatnonzero(read)
-                    assert len(layers) == len(expected)
-                    for (W, b), (W_ref, b_ref) in zip(layers, expected):
+                    assert len(layers) == len(expected) == len(work)
+                    for (W, b), (W_ref, b_ref), buf in zip(layers, expected, work):
                         assert W.flags.c_contiguous and W.shape == W_ref.shape
-                        assert np.array_equal(W, W_ref) and np.array_equal(b, b_ref)
+                        assert np.array_equal(W, W_ref) and np.array_equal(b, b_ref[:, None])
+                        assert buf.flags.c_contiguous and buf.shape == (len(b), len(x))
                     if start == 0 and g == 0:
                         assert [W.shape[0] for W, _ in layers[:-1]] == [0, 0]
-                        out = net.forward(x, layers=layers, work=work)
-                        bias = expected[-1][1] + 0.0
-                        assert out.tobytes() == np.tile(bias, (len(x), 1)).tobytes()
+                        t, s = plan.affine(k, gen, x.T.copy())
+                        bias = np.tile(expected[-1][1][:, None] + 0.0, (1, len(x)))
+                        assert t.tobytes() == bias[:len(gen)].tobytes()
+                        assert s.tobytes() == bias[len(gen):].tobytes()
 
     def test_cmse_report_abducts_once(self, monkeypatch):
         sem = causal.gen_linear_sem(5, rng=3)
@@ -667,6 +740,23 @@ class TestFlowTraining:
         fl = flow.AffineFlow.build(A, 2, [8], 8)
         with pytest.raises(ConfigError, match="learning_rate"):
             flow.train_flow(fl, ds, neural.TrainConfig(learning_rate=-1.0))
+
+    @pytest.mark.parametrize("K", [1, 2])
+    def test_overflow_stops_the_run(self, K):
+        """Each layer maps coordinate 2 through 1e200 times coordinate 1, itself
+        1e200 times coordinate 0: on standardized data the NLL overflows, so
+        the first epoch is non-finite and the run stops there, without a
+        numpy warning (the test config turns RuntimeWarning into an error)."""
+        W = np.zeros((4, 4))
+        W[1, 0] = W[2, 1] = 1e200
+        sem = causal.LinearSEM(W)
+        fl = flow.AffineFlow(sem.adjacency(),
+                             [causal.flow_from_linear_sem(sem).layers[0] for _ in range(K)])
+        rng = np.random.default_rng(9)
+        ds = datagen.make_dataset(rng.normal(size=(60, 4)), "real", (0.6, 0.2, 0.2), rng)
+        cfg = neural.TrainConfig(batch_size=20, max_epochs=5, seed=1)
+        fl, history = flow.train_flow(fl, ds, cfg)
+        assert history.stop_reason == "non_finite" and len(history) == 1
 
     def test_deterministic(self):
         A, ds = self.make_dataset(3)

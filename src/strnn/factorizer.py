@@ -25,8 +25,8 @@ MAX_CONNECTIONS = "max_connections"
 CONNECTIONS_MINUS_VARIANCE = "connections_minus_variance"
 OBJECTIVES = (MAX_CONNECTIONS, CONNECTIONS_MINUS_VARIANCE)
 
-EXACT_MAX_CELLS = 42
-EXACT_MAX_WIDTH = 8
+# Steps one exact_factor_layer call may take before it gives up.
+EXACT_STEP_BUDGET = 40_000
 
 
 def mask_product(masks):
@@ -98,15 +98,11 @@ def greedy_factor_layer(A, h):
     return M_V, M_W
 
 
-def within_exact_budget(d1, d2, h):
-    """True when the exact search budget admits this layer instance."""
-    return d1 * d2 <= EXACT_MAX_CELLS and h <= EXACT_MAX_WIDTH
-
-
-def _intersection_closure(supports):
+def _intersection_closure(supports, spend):
     closure = set(supports)
     frontier = set(supports)
     while frontier:
+        spend(len(frontier) * len(supports))
         new = set()
         for a in frontier:
             for b in supports:
@@ -130,54 +126,58 @@ def exact_factor_layer(A, h, objective=MAX_CONNECTIONS):
     variance-penalized objective gets no such reduction and enumerates all
     subsets of row supports.
 
+    The work is capped at EXACT_STEP_BUDGET steps: one per intersection tried
+    for the closure, subset enumerated in variance mode, and node or leaf of
+    the search; a variance leaf costs d1 * d2 more, for the product it rebuilds.
+
     The returned objective value is always >= the greedy layer's on the same
     instance (the greedy configuration is one point of the search space and
-    seeds the incumbent).  Raises BudgetExceededError beyond
-    d1 * d2 <= 42, h <= 8 (or when variance-mode enumeration explodes) and
-    InfeasibleError when no h-unit assignment covers every edge of A.
+    seeds the incumbent).  Raises BudgetExceededError when the budget runs
+    out and InfeasibleError when no h-unit assignment covers every edge of A.
     """
     A = np.asarray(A, dtype=np.int64)
     if A.ndim != 2:
         raise InvalidDimError("A must be 2-D")
     if h < 1:
         raise InvalidDimError("h must be >= 1")
-    d1, d2 = A.shape
-    if not within_exact_budget(d1, d2, h):
-        raise BudgetExceededError(
-            f"exact search limited to d1*d2 <= {EXACT_MAX_CELLS} and h <= {EXACT_MAX_WIDTH}; "
-            f"got {d1}x{d2}, h={h}")
     if objective not in OBJECTIVES:
         raise InvalidDimError(f"unknown objective {objective!r}")
+    d1, d2 = A.shape
     if not A.any():
         return np.zeros((d1, h), dtype=np.int64), np.zeros((h, d2), dtype=np.int64)
+    steps = 0
 
-    row_supports = [frozenset(np.flatnonzero(row)) for row in A]
+    def spend(n):
+        nonlocal steps
+        steps += n
+        if steps > EXACT_STEP_BUDGET:
+            raise BudgetExceededError(f"exact search ran out of its budget of {EXACT_STEP_BUDGET}"
+                                      f" steps on a {d1}x{d2} layer with h={h}")
+
+    row_supports = [frozenset(np.flatnonzero(row).tolist()) for row in A]
     distinct = {s for s in row_supports if s}
+    # Candidates are sorted tuples of input columns.
     if objective == MAX_CONNECTIONS:
-        candidates = _intersection_closure(distinct)
+        candidates = {tuple(sorted(w)) for w in _intersection_closure(distinct, spend)}
     else:
-        if sum(2 ** len(s) for s in distinct) > 4096:
-            raise BudgetExceededError("variance-mode exact enumeration too large")
+        spend(sum(2 ** len(s) - 1 for s in distinct))
         candidates = set()
         for s in distinct:
             items = sorted(s)
             for r in range(1, len(items) + 1):
-                candidates.update(frozenset(c) for c in itertools.combinations(items, r))
+                candidates.update(itertools.combinations(items, r))
 
-    edges = [(i, j) for i in range(d1) for j in range(d2) if A[i, j]]
-    edge_bit = {e: 1 << n for n, e in enumerate(edges)}
-    all_edges = (1 << len(edges)) - 1
+    def block(cols, rows):
+        """The bit set of cells (i, j) of rows i and columns j: bit i * d2 + j."""
+        col_bits = sum(1 << j for j in cols)
+        return sum(col_bits << (i * d2) for i in rows)
 
+    all_edges = sum(block(s, [i]) for i, s in enumerate(row_supports))
+    # Every candidate lies inside some row support, so it covers some row.
     cand = []
     for w in candidates:
-        cover = [i for i in range(d1) if w <= row_supports[i]]
-        if not cover:
-            continue
-        bits = 0
-        for i in cover:
-            for j in w:
-                bits |= edge_bit[(i, j)]
-        cand.append((len(w) * len(cover), tuple(sorted(w)), cover, bits))
+        cover = [i for i, s in enumerate(row_supports) if s.issuperset(w)]
+        cand.append((len(w) * len(cover), w, cover, block(w, cover)))
     cand.sort(key=lambda c: (-c[0], c[1]))
     if objective == CONNECTIONS_MINUS_VARIANCE:
         # A unit may also sit idle (empty input pattern, contributing nothing);
@@ -192,78 +192,76 @@ def exact_factor_layer(A, h, objective=MAX_CONNECTIONS):
     for q in range(n_cand - 1, -1, -1):
         suffix[q] = suffix[q + 1] | covered[q]
 
-    def leaf_value(counts):
-        P = np.zeros((d1, d2), dtype=np.int64)
-        for q, c in counts:
-            _, w, cover, _ = cand[q]
-            P[np.ix_(cover, list(w))] += c
-        return objective_value(P, objective)
+    best = {"value": -np.inf, "units": None}
 
-    best = {"value": -np.inf, "counts": None}
-
-    def consider(counts):
-        val = leaf_value(counts)
+    def consider(units, path_count):
+        if objective == MAX_CONNECTIONS:
+            val = path_count
+        else:
+            groups = [(q, len(list(run))) for q, run in itertools.groupby(units)]
+            spend(d1 * d2 + len(groups))
+            P = np.zeros((d1, d2), dtype=np.int64)
+            for q, c in groups:
+                P[np.ix_(cand[q][2], list(cand[q][1]))] += c
+            val = objective_value(P, objective)
         if val > best["value"]:
             best["value"] = val
-            best["counts"] = list(counts)
+            best["units"] = units
 
     # Seed the incumbent with the greedy solution when it is width-feasible.
+    # Each greedy row is a nonzero row of A, whose support is a candidate.
     try:
         gV, gW = greedy_factor_layer(A, h)
     except InsufficientWidthError:
         pass
     else:
-        seed_counts = {}
-        ok = True
-        for r in range(h):
-            w = frozenset(np.flatnonzero(gW[r]))
-            q = next((n for n, c in enumerate(cand) if frozenset(c[1]) == w), None)
-            if q is None:
-                ok = False
-                break
-            seed_counts[q] = seed_counts.get(q, 0) + 1
-        if ok:
-            consider(sorted(seed_counts.items()))
+        index = {c[1]: q for q, c in enumerate(cand)}
+        seed = sorted(index[tuple(np.flatnonzero(row).tolist())] for row in gW)
+        consider(seed, sum(f[q] for q in seed))
 
-    stack = []
+    units = []
 
-    def dfs(p, slots, sum_value, uncovered):
-        if slots == 0:
-            if uncovered == 0:
-                consider(stack)
-            return
-        if uncovered & ~suffix[p]:
-            return
+    def search(p, slots, sum_value, uncovered):
+        """A search node, run by ``next``: it yields a child node per candidate
+        tried, runs a child with one unit left in place, and scores leaves."""
+        spend(1)
         for q in range(p, n_cand):
             # Candidates are value-sorted, so both the additive bound and the
             # suffix coverage only shrink with q; the first failure ends the loop.
             # The bound is valid for the variance objective too (variance >= 0).
-            if sum_value + slots * f[q] <= best["value"]:
-                break
-            if uncovered & ~suffix[q]:
-                break
-            stack.append((q, 1))
-            dfs(q, slots - 1, sum_value + f[q], uncovered & ~covered[q])
-            stack.pop()
+            if sum_value + slots * f[q] <= best["value"] or uncovered & ~suffix[q]:
+                return
+            if slots == 1:
+                spend(1)
+                if not uncovered & ~covered[q]:
+                    consider(units + [q], sum_value + f[q])
+                continue
+            units.append(q)
+            child = search(q, slots - 1, sum_value + f[q], uncovered & ~covered[q])
+            if slots > 2:
+                yield child
+            else:
+                next(child, None)
+            units.pop()
 
-    dfs(0, h, 0, all_edges)
+    # Depth first on a stack of nodes, so h is not bounded by the recursion limit.
+    nodes = [search(0, h, 0, all_edges)]
+    while nodes:
+        child = next(nodes[-1], None)
+        if child is None:
+            nodes.pop()
+        else:
+            nodes.append(child)
 
-    if best["counts"] is None:
+    if best["units"] is None:
         raise InfeasibleError(f"no {h}-unit assignment covers every edge of A")
 
-    rows = []
-    cover_cols = []
-    for q, c in best["counts"]:
+    M_V = np.zeros((d1, h), dtype=np.int64)
+    M_W = np.zeros((h, d2), dtype=np.int64)
+    for r, q in enumerate(best["units"]):
         _, w, cover, _ = cand[q]
-        w_vec = np.zeros(d2, dtype=np.int64)
-        w_vec[list(w)] = 1
-        v_vec = np.zeros(d1, dtype=np.int64)
-        v_vec[cover] = 1
-        for _ in range(c):
-            rows.append(w_vec)
-            cover_cols.append(v_vec)
-    M_W = np.stack(rows)
-    M_V = np.stack(cover_cols, axis=1)
+        M_W[r, list(w)] = 1
+        M_V[cover, r] = 1
     return M_V, M_W
 
 
@@ -277,6 +275,8 @@ def zuko_factor(A, hidden):
     the single mask is A itself.
     """
     A = adjacency.validate(A)
+    if any(w < 1 for w in hidden):
+        raise InvalidDimError("hidden widths must be >= 1")
     d = A.shape[0]
     u_rows, inverse = np.unique(A, axis=0, return_inverse=True)
     inverse = inverse.reshape(-1)
@@ -337,10 +337,13 @@ def factor_multilayer(A, hidden, method="greedy", objective=MAX_CONNECTIONS):
     greedy/exact split recursively: each step factors the current left matrix
     C ~ C' @ M, emits M as the next mask (input side first), and continues on
     C'; the last left factor is the final mask.  zuko delegates to
-    zuko_factor.  Layer errors (InsufficientWidthError, BudgetExceededError,
+    zuko_factor.  An unknown objective raises InvalidDimError for every
+    method; layer errors (InsufficientWidthError, BudgetExceededError,
     InfeasibleError) propagate.
     """
     A = adjacency.validate(A)
+    if objective not in OBJECTIVES:
+        raise InvalidDimError(f"unknown objective {objective!r}")
     if method == "zuko":
         return zuko_factor(A, hidden)
     if method not in ("greedy", "exact"):

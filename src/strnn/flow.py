@@ -100,7 +100,7 @@ def _to_noise(flow, x, keep_levels, work=None, tape=None):
     ``levels`` is [z, ..., u] (noise side first) with keep_levels, else [z];
     log_det is the per-sample log |det dz/dx|, including the standardization
     Jacobian.  ``x`` is a batch already checked by ``neural._as_batch``, so
-    the conditioners run through ``forward(layers=...)``, which checks no
+    the conditioners run through ``MaskedMLP._layers``, which checks no
     level again.  A value that overflows on the way leaves z non-finite,
     without a numpy warning: ``to_noise`` and ``_abduct`` raise on it
     (``_check_noise``), while ``nll`` and training return it.  Training
@@ -112,9 +112,7 @@ def _to_noise(flow, x, keep_levels, work=None, tape=None):
     with np.errstate(over="ignore", invalid="ignore"):
         levels = [(x - flow.mu) / flow.sigma]
         for k in reversed(range(len(flow.layers))):
-            net = flow.layers[k]
-            out = net.forward(levels[-1], layers=zip(net.weights, net.biases),
-                              work=None if work is None else work[k])
+            out = flow.layers[k]._layers(levels[-1], None if work is None else work[k])
             t, s = neural._split_gaussian(out)
             e = np.exp(-s)
             v = (levels[-1] - t) * e

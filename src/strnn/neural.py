@@ -16,10 +16,10 @@ through it.  A training step (``gradients``) differentiates it and also
 sums it over the batch from the output its forward pass already wrote, so
 an epoch's training NLL costs no pass of its own; only the validation split
 is evaluated after each epoch.
-``MaskedMLP.forward`` is the one row-major layer loop; training runs it into
-buffers reused across steps (``layer_buffers``).  The flow's inversion runs
-its passes coordinate-major, in its own loop over (width, n) views of the
-same buffers (``flow._Plan.affine``).
+``MaskedMLP._layers``, which ``forward`` runs on its checked input, is the
+one row-major layer loop; training runs it into buffers reused across steps
+(``layer_buffers``).  The flow's inversion runs its passes coordinate-major,
+in its own loop over (width, n) views of the same buffers (``flow._Plan.affine``).
 Evaluation runs in blocks of EVAL_BLOCK rows, so the hidden activations stay
 in cache; each sample's NLL is bitwise the one an unblocked pass gives.
 Checkpoints use the text format defined in ``textio``.
@@ -101,29 +101,27 @@ class MaskedMLP:
             biases.append(np.zeros(M.shape[0]))
         return cls(weights, biases, masks, head, pattern)
 
-    def forward(self, x, *, layers=None, work=None):
+    def forward(self, x, *, work=None):
         """Batch forward pass; 1-D input returns a 1-D output.
 
-        ``layers``, one (W, b) per layer, stands in for the weights and
-        biases; the flow's data-to-noise pass passes the network's own, as
-        ``zip(weights, biases)``.  With it, ``x`` must be a 2-D float64
-        batch, and neither it nor the output is checked for non-finite
-        values: the caller checks its data once, at entry.  ``work`` holds
-        one array per layer, of the batch's rows by the layer's width: each
-        layer's activations are written into it and the output returned is
-        the last one.  Without it, every call returns a fresh array.
+        ``work`` holds one array per layer, of the batch's rows by the
+        layer's width: each layer's activations are written into it and the
+        output returned is the last one.  Without it, every call returns a
+        fresh array.
         """
-        squeeze = False
-        if layers is None:
-            x, squeeze = _as_batch(x, self.dim)
-            layers = zip(self.weights, self.biases)
-        h = x
-        for k, (W, b) in enumerate(layers):
+        x, squeeze = _as_batch(x, self.dim)
+        h = self._layers(x, work)
+        return h[0] if squeeze else h
+
+    def _layers(self, h, work=None):
+        """``forward`` on a 2-D float64 batch, checking nothing: the flow's
+        data-to-noise pass checks its data once, at entry."""
+        for k, (W, b) in enumerate(zip(self.weights, self.biases)):
             if k:
                 np.maximum(h, 0.0, out=h)
             h = np.matmul(h, W.T, out=None if work is None else work[k])
             np.add(h, b, out=h)
-        return h[0] if squeeze else h
+        return h
 
     def backward(self, inputs, grad_out, *, input_grad=True, out=None):
         """Reverse-mode pass from an output gradient, given each layer's input

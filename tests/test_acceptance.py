@@ -144,8 +144,8 @@ def _train_density_model(model, A, ds, seed, hidden):
 def test_c01_sparsity_exact_on_random_instances():
     """All factorization methods reproduce the adjacency's zero pattern
     exactly on 500 random instances (d 3-30, thresholds 0.1-0.9, 1-3 hidden
-    layers, widths d-4d); the exact method is checked whenever the instance
-    fits its enumeration budget."""
+    layers, widths d-4d); the exact method is checked whenever it finishes
+    within its budget."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(20250817)
     exact_runs = 0

@@ -6,6 +6,7 @@ left behind.
 
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -82,8 +83,22 @@ class TestFactorCommand:
         cmp_data = json.loads((tmp_path / "cmp" / "compare.json").read_text())
         assert set(cmp_data) == {"greedy", "exact", "zuko"}
         assert cmp_data["greedy"]["sparsity_ok"] is True
-        # two hidden layers blow the exact solver's enumeration budget
-        assert cmp_data["exact"]["error"].startswith("BudgetExceededError")
+        assert cmp_data["exact"] == {"objective_value": 95.0, "sparsity_ok": True}
+
+    @pytest.mark.parametrize("args", [
+        ["--method", "exact", "--objective", factorizer.MAX_CONNECTIONS],
+        ["--method", "exact", "--objective", factorizer.CONNECTIONS_MINUS_VARIANCE],
+        ["--compare"],
+    ])
+    def test_exact_on_a_wide_layer_ends_within_seconds(self, tmp_path, args):
+        """The exact search gives up on its step budget, not on the shape,
+        and does so quickly: d = 20 at width 40 exits 0 or 2 within 5 s."""
+        adj = write_adjacency(tmp_path, adjacency.gen_random_sparse(20, 0.5, 0))
+        t0 = time.perf_counter()
+        code = cli.main(["factor", "--adjacency", adj, "--widths", "40",
+                         "--out-dir", str(tmp_path / "o")] + args)
+        assert code in (0, 2)
+        assert time.perf_counter() - t0 < 5.0
 
     def test_compare_reuses_the_chosen_method(self, tmp_path, monkeypatch):
         """The comparison takes the chosen method's entry from the

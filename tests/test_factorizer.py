@@ -1,6 +1,7 @@
 """Tests for mask factorization schemes against brute-force oracles."""
 
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -220,10 +221,51 @@ class TestExactLayer:
             factorizer.exact_factor_layer(A, 1)
 
     def test_budget_guard(self):
+        """A variance search far beyond the step budget gives up within
+        half a second, naming the budget and the layer's shape."""
+        A = np.array([[0, 0, 1, 1, 0, 1, 0, 0, 1, 1],
+                      [1, 1, 1, 1, 1, 0, 0, 0, 0, 1],
+                      [1, 0, 1, 1, 1, 1, 0, 0, 1, 1],
+                      [1, 1, 1, 0, 1, 1, 1, 0, 1, 1]])
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetExceededError,
+                           match=f"{factorizer.EXACT_STEP_BUDGET} steps on a 4x10 layer with h=8"):
+            factorizer.exact_factor_layer(A, 8, factorizer.CONNECTIONS_MINUS_VARIANCE)
+        assert time.perf_counter() - t0 < 0.5
+
+    def test_budget_is_the_only_limit(self, monkeypatch):
+        A = adjacency.gen_prev_k(4, 1)
+        factorizer.exact_factor_layer(A, 3)
+        monkeypatch.setattr(factorizer, "EXACT_STEP_BUDGET", 3)
         with pytest.raises(BudgetExceededError):
+            factorizer.exact_factor_layer(A, 3)
+
+    def test_too_few_units_is_infeasible(self):
+        """dense_lower(7) has 6 distinct nonzero rows, so 4 units cannot
+        cover its edges."""
+        with pytest.raises(InfeasibleError):
             factorizer.exact_factor_layer(adjacency.dense_lower(7), 4)
-        with pytest.raises(BudgetExceededError):
-            factorizer.exact_factor_layer(adjacency.dense_lower(6), 9)
+
+    @pytest.mark.parametrize("A, h", [(adjacency.dense_lower(6), 9),
+                                      (adjacency.gen_random_sparse(16, 0.8, 3), 32)])
+    def test_solves_beyond_small_shapes(self, A, h):
+        M_V, M_W = factorizer.exact_factor_layer(A, h)
+        assert factorizer.check_sparsity_equal(M_V @ M_W, A)
+        gV, gW = factorizer.greedy_factor_layer(A, h)
+        assert factorizer.objective_value(M_V @ M_W) >= factorizer.objective_value(gV @ gW)
+
+    def test_width_beyond_the_recursion_limit(self):
+        """The search keeps its own stack, so h = 2000 units nest no deeper."""
+        A = adjacency.dense_lower(3)
+        M_V, M_W = factorizer.exact_factor_layer(A, 2000)
+        assert factorizer.check_sparsity_equal(M_V @ M_W, A)
+        gV, gW = factorizer.greedy_factor_layer(A, 2000)
+        assert factorizer.objective_value(M_V @ M_W) >= factorizer.objective_value(gV @ gW)
+
+    def test_unknown_objective_rejected_before_any_work(self, monkeypatch):
+        monkeypatch.setattr(factorizer, "EXACT_STEP_BUDGET", 0)
+        with pytest.raises(InvalidDimError):
+            factorizer.exact_factor_layer(np.ones((60, 60), dtype=int), 5, "bogus")
 
     def test_all_zero_adjacency(self):
         M_V, M_W = factorizer.exact_factor_layer(np.zeros((3, 3), dtype=int), 2)
@@ -263,6 +305,12 @@ class TestZukoFactor:
         masks = factorizer.zuko_factor(np.zeros((3, 3), dtype=int), [4, 2])
         assert [m.shape for m in masks] == [(4, 3), (2, 4), (3, 2)]
         assert not any(m.any() for m in masks)
+
+    def test_rejects_bad_width(self):
+        with pytest.raises(InvalidDimError):
+            factorizer.zuko_factor(adjacency.gen_prev_k(4, 1), [0])
+        with pytest.raises(InvalidDimError):
+            factorizer.zuko_factor(adjacency.gen_prev_k(4, 1), [3, -1])
 
     def test_narrow_width_loses_sparsity_silently(self):
         """Tiling fewer units than unique rows drops patterns (mirroring the
@@ -375,6 +423,12 @@ class TestFactorMultilayer:
         np.testing.assert_array_equal(masks[0], A)
         masks[0][0, 0] = 7
         assert A[0, 0] == 0
+
+    @pytest.mark.parametrize("method", ["greedy", "exact", "zuko"])
+    @pytest.mark.parametrize("hidden", [[4], []])
+    def test_unknown_objective_rejected(self, method, hidden):
+        with pytest.raises(InvalidDimError, match="bogus"):
+            factorizer.factor_multilayer(adjacency.gen_prev_k(4, 1), hidden, method, "bogus")
 
     def test_unknown_method_rejected(self):
         with pytest.raises(InvalidDimError):

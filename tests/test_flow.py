@@ -249,11 +249,11 @@ def n_generations(A):
 
 
 def count_passes(monkeypatch):
-    """Record each conditioner pass: "forward" for a ``MaskedMLP.forward``
-    (the data-to-noise direction), "plan" for a ``_Plan.affine`` (the
-    noise-to-data direction)."""
+    """Record each conditioner pass: "forward" for a row-major
+    ``MaskedMLP._layers`` pass, which ``forward`` also runs (the data-to-noise
+    direction), "plan" for a ``_Plan.affine`` (the noise-to-data direction)."""
     calls = []
-    forward, affine = neural.MaskedMLP.forward, flow._Plan.affine
+    forward, affine = neural.MaskedMLP._layers, flow._Plan.affine
 
     def counted_forward(net, x, *args, **kwargs):
         calls.append("forward")
@@ -263,7 +263,7 @@ def count_passes(monkeypatch):
         calls.append("plan")
         return affine(plan, *args)
 
-    monkeypatch.setattr(neural.MaskedMLP, "forward", counted_forward)
+    monkeypatch.setattr(neural.MaskedMLP, "_layers", counted_forward)
     monkeypatch.setattr(flow._Plan, "affine", counted_affine)
     return calls
 

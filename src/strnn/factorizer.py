@@ -98,6 +98,12 @@ def greedy_factor_layer(A, h):
     return M_V, M_W
 
 
+def _columns(mask):
+    """The sorted column indices of a column bit mask."""
+    bits = np.frombuffer(mask.to_bytes((mask.bit_length() + 7) // 8, "little"), dtype=np.uint8)
+    return tuple(np.flatnonzero(np.unpackbits(bits, bitorder="little")).tolist())
+
+
 def _intersection_closure(supports, spend):
     closure = set(supports)
     frontier = set(supports)
@@ -127,8 +133,9 @@ def exact_factor_layer(A, h, objective=MAX_CONNECTIONS):
     subsets of row supports.
 
     The work is capped at EXACT_STEP_BUDGET steps: one per intersection tried
-    for the closure, subset enumerated in variance mode, and node or leaf of
-    the search; a variance leaf costs d1 * d2 more, for the product it rebuilds.
+    for the closure, subset enumerated in variance mode, candidate cover tested
+    against a distinct row support, and node or leaf of the search; a variance
+    leaf costs d1 * d2 more, for the product it rebuilds.
 
     The returned objective value is always >= the greedy layer's on the same
     instance (the greedy configuration is one point of the search space and
@@ -154,36 +161,37 @@ def exact_factor_layer(A, h, objective=MAX_CONNECTIONS):
             raise BudgetExceededError(f"exact search ran out of its budget of {EXACT_STEP_BUDGET}"
                                       f" steps on a {d1}x{d2} layer with h={h}")
 
-    row_supports = [frozenset(np.flatnonzero(row).tolist()) for row in A]
-    distinct = {s for s in row_supports if s}
-    # Candidates are sorted tuples of input columns.
+    # Row i reads the inputs in bit mask supports[cls[i]]; covers and coverage run
+    # over distinct supports, support k standing for its n_rows[k] equal rows.
+    packed = np.packbits(A != 0, axis=1, bitorder="little")
+    row_supports = np.array([int.from_bytes(row.tobytes(), "little") for row in packed], object)
+    supports, cls, n_rows = np.unique(row_supports, return_inverse=True, return_counts=True)
+    distinct = [s for s in supports if s]
     if objective == MAX_CONNECTIONS:
-        candidates = {tuple(sorted(w)) for w in _intersection_closure(distinct, spend)}
+        candidates = _intersection_closure(distinct, spend)
     else:
-        spend(sum(2 ** len(s) - 1 for s in distinct))
+        spend(sum(2 ** s.bit_count() - 1 for s in distinct))
         candidates = set()
         for s in distinct:
-            items = sorted(s)
-            for r in range(1, len(items) + 1):
-                candidates.update(itertools.combinations(items, r))
+            bits = [1 << j for j in _columns(s)]
+            for r in range(1, len(bits) + 1):
+                candidates.update(map(sum, itertools.combinations(bits, r)))
+    spend(len(candidates) * len(supports))
 
-    def block(cols, rows):
-        """The bit set of cells (i, j) of rows i and columns j: bit i * d2 + j."""
-        col_bits = sum(1 << j for j in cols)
-        return sum(col_bits << (i * d2) for i in rows)
-
-    all_edges = sum(block(s, [i]) for i, s in enumerate(row_supports))
-    # Every candidate lies inside some row support, so it covers some row.
+    # Coverage bit sets hold cell (k, j) of support k and column j at bit k * d2 + j.
+    all_edges = sum(s << (k * d2) for k, s in enumerate(supports))
+    # (paths, sorted columns, cover, coverage, mask); each lies in some support.
     cand = []
     for w in candidates:
-        cover = [i for i, s in enumerate(row_supports) if s.issuperset(w)]
-        cand.append((len(w) * len(cover), w, cover, block(w, cover)))
+        cover = [k for k, s in enumerate(supports) if s & w == w]
+        cand.append((w.bit_count() * int(n_rows[cover].sum()), _columns(w), cover,
+                     sum(w << (k * d2) for k in cover), w))
     cand.sort(key=lambda c: (-c[0], c[1]))
     if objective == CONNECTIONS_MINUS_VARIANCE:
         # A unit may also sit idle (empty input pattern, contributing nothing);
         # trading a duplicated unit for an idle one can reduce the variance
         # penalty.  Idle units are pointless under pure connection counting.
-        cand.append((0, (), list(range(d1)), 0))
+        cand.append((0, (), list(range(len(supports))), 0, 0))
     n_cand = len(cand)
     f = [c[0] for c in cand]
     covered = [c[3] for c in cand]
@@ -200,30 +208,27 @@ def exact_factor_layer(A, h, objective=MAX_CONNECTIONS):
         else:
             groups = [(q, len(list(run))) for q, run in itertools.groupby(units)]
             spend(d1 * d2 + len(groups))
-            P = np.zeros((d1, d2), dtype=np.int64)
+            P = np.zeros((len(supports), d2), dtype=np.int64)
             for q, c in groups:
                 P[np.ix_(cand[q][2], list(cand[q][1]))] += c
-            val = objective_value(P, objective)
+            val = objective_value(P[cls], objective)
         if val > best["value"]:
             best["value"] = val
             best["units"] = units
 
-    # Seed the incumbent with the greedy solution when it is width-feasible.
-    # Each greedy row is a nonzero row of A, whose support is a candidate.
-    try:
-        gV, gW = greedy_factor_layer(A, h)
-    except InsufficientWidthError:
-        pass
-    else:
-        index = {c[1]: q for q, c in enumerate(cand)}
-        seed = sorted(index[tuple(np.flatnonzero(row).tolist())] for row in gW)
+    # Seed the incumbent with greedy_factor_layer's units, which cycle through
+    # the nonzero rows of A, when they carry every distinct nonzero row.
+    nonzero = [s for s in row_supports if s]
+    greedy = [nonzero[r % len(nonzero)] for r in range(h)]
+    if len(set(greedy)) == len(distinct):
+        index = {c[4]: q for q, c in enumerate(cand)}
+        seed = sorted(index[s] for s in greedy)
         consider(seed, sum(f[q] for q in seed))
 
     units = []
 
     def search(p, slots, sum_value, uncovered):
-        """A search node, run by ``next``: it yields a child node per candidate
-        tried, runs a child with one unit left in place, and scores leaves."""
+        """A search node: yields a child node per candidate tried, scores leaves."""
         spend(1)
         for q in range(p, n_cand):
             # Candidates are value-sorted, so both the additive bound and the
@@ -237,11 +242,7 @@ def exact_factor_layer(A, h, objective=MAX_CONNECTIONS):
                     consider(units + [q], sum_value + f[q])
                 continue
             units.append(q)
-            child = search(q, slots - 1, sum_value + f[q], uncovered & ~covered[q])
-            if slots > 2:
-                yield child
-            else:
-                next(child, None)
+            yield search(q, slots - 1, sum_value + f[q], uncovered & ~covered[q])
             units.pop()
 
     # Depth first on a stack of nodes, so h is not bounded by the recursion limit.
@@ -256,13 +257,13 @@ def exact_factor_layer(A, h, objective=MAX_CONNECTIONS):
     if best["units"] is None:
         raise InfeasibleError(f"no {h}-unit assignment covers every edge of A")
 
-    M_V = np.zeros((d1, h), dtype=np.int64)
+    V = np.zeros((len(supports), h), dtype=np.int64)
     M_W = np.zeros((h, d2), dtype=np.int64)
     for r, q in enumerate(best["units"]):
-        _, w, cover, _ = cand[q]
+        _, w, cover, _, _ = cand[q]
         M_W[r, list(w)] = 1
-        M_V[cover, r] = 1
-    return M_V, M_W
+        V[cover, r] = 1
+    return V[cls], M_W
 
 
 def zuko_factor(A, hidden):

@@ -233,6 +233,18 @@ class TestExactLayer:
             factorizer.exact_factor_layer(A, 8, factorizer.CONNECTIONS_MINUS_VARIANCE)
         assert time.perf_counter() - t0 < 0.5
 
+    def test_budget_covers_candidate_setup(self):
+        """A d = 2000 layer whose 1985 last rows share one 15-input support has
+        32,767 variance candidates, inside the budget, each covering 1985 rows.
+        Covers are tested once per distinct support and charged, so the search
+        gives up at once rather than building a bit set per row."""
+        A = np.zeros((2000, 2000), dtype=np.int64)
+        A[15:, :15] = 1
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match="2000x2000 layer"):
+            factorizer.exact_factor_layer(A, 2000, factorizer.CONNECTIONS_MINUS_VARIANCE)
+        assert time.perf_counter() - t0 < 0.5
+
     def test_budget_is_the_only_limit(self, monkeypatch):
         A = adjacency.gen_prev_k(4, 1)
         factorizer.exact_factor_layer(A, 3)
@@ -255,12 +267,16 @@ class TestExactLayer:
         assert factorizer.objective_value(M_V @ M_W) >= factorizer.objective_value(gV @ gW)
 
     def test_width_beyond_the_recursion_limit(self):
-        """The search keeps its own stack, so h = 2000 units nest no deeper."""
-        A = adjacency.dense_lower(3)
+        """The search keeps its own stack, so a branch 2000 units deep nests no
+        Python calls.  dense_lower(4)'s top candidate {0, 1} (4 paths) beats
+        greedy's cycle of rows (10 paths per 3 units), so the first branch
+        takes it for 1998 units before the last two cover rows 1 and 3."""
+        A = adjacency.dense_lower(4)
         M_V, M_W = factorizer.exact_factor_layer(A, 2000)
         assert factorizer.check_sparsity_equal(M_V @ M_W, A)
+        assert factorizer.objective_value(M_V @ M_W) == 1998 * 4 + 3 + 3
         gV, gW = factorizer.greedy_factor_layer(A, 2000)
-        assert factorizer.objective_value(M_V @ M_W) >= factorizer.objective_value(gV @ gW)
+        assert factorizer.objective_value(gV @ gW) < 1998 * 4 + 3 + 3
 
     def test_unknown_objective_rejected_before_any_work(self, monkeypatch):
         monkeypatch.setattr(factorizer, "EXACT_STEP_BUDGET", 0)

@@ -8,11 +8,14 @@ one pass per DAG generation: the intervened coordinate is pinned on the data
 side (its intermediate values are derived by inverting its per-coordinate
 affine chain), all other coordinates push their noise forward, a generation
 at a time.  The inversion runs coordinate-major: the noise is drawn (n, d)
-and the observations abducted row-major, as before, and each query hands
-``_reconstruct`` transposed copies (``flow._noise_levels``; ``cmse_report``
-transposes its abducted levels once per report, in ``flow._abduct``) and
-gets back a C-ordered (n, d) batch.  ``imse_report`` and ``cmse_report``
-score the (j, alpha) queries through one loop, ``_report``.
+and the observations abducted row-major, and ``_reconstruct`` gets
+transposed copies (``flow._noise_levels``, ``flow._abduct``) and gives back a
+C-ordered (n, d) batch.  Counterfactuals, on either side, refill only j and
+its descendants (abduction, action, prediction) and return every other
+coordinate bitwise equal to the observation.  ``imse_report`` and
+``cmse_report`` score the (j, alpha) queries through one loop, ``_report``,
+which hands the flow a target's values in blocks of up to BLOCK_COLUMNS
+columns, one ``_reconstruct`` call per block.
 """
 
 from dataclasses import dataclass
@@ -60,14 +63,21 @@ def gen_linear_sem(d, cutoff=1.5, rng=None):
     return LinearSEM(W)
 
 
-def _ancestral(sem, x, start=0, pin=None):
+def _ancestral(sem, x, start=0, pin=None, observed=None):
     """Fill columns start..d-1 of ``x`` (one row or a batch) in index order:
     x_m = W_m x + (the noise x_m holds on entry), or alpha for the pinned
-    coordinate of ``pin=(j, alpha)``.  Edits ``x`` in place and returns it."""
+    coordinate of ``pin=(j, alpha)``.  With ``observed``, a batch of x's
+    shape, only start and its descendants under the nonzero weights are
+    filled, and every other column is first copied from ``observed``.
+    Edits ``x`` in place and returns it."""
     j, alpha = (None, None) if pin is None else pin
     if pin is not None and not 0 <= j < sem.dim:
         raise InvalidPairError(f"intervention index {j} outside 0..{sem.dim - 1}")
-    for m in range(start, sem.dim):
+    filled = np.arange(sem.dim) >= start
+    if observed is not None:
+        filled = flow_mod._descendants(sem.weights != 0, start)
+        x[..., ~filled] = observed[..., ~filled]
+    for m in np.flatnonzero(filled):
         if m == j:
             x[..., m] = alpha
         else:
@@ -93,13 +103,13 @@ def sem_intervene_sample(sem, j, alpha, n, rng):
 
 
 def sem_counterfactual(sem, x_obs, j, alpha):
-    """Counterfactual values: abduct eps = x - W x, set x_j = alpha, re-propagate
-    downstream.  Accepts a single observation or a batch."""
+    """Counterfactual values: abduct eps = x - W x, set x_j = alpha and
+    re-propagate j's descendants under the nonzero weights; every other
+    coordinate is returned bitwise equal to x_obs.  Accepts a single
+    observation or a batch."""
     x_obs, squeeze = neural._as_batch(x_obs, sem.dim)
-    # The abducted noise from j on, the observations before it.
-    x = x_obs - x_obs @ sem.weights.T
-    x[:, :j] = x_obs[:, :j]
-    x = _ancestral(sem, x, start=j, pin=(j, alpha))
+    x = _ancestral(sem, x_obs - x_obs @ sem.weights.T, start=j, pin=(j, alpha),
+                   observed=x_obs)
     return x[0] if squeeze else x
 
 
@@ -120,16 +130,16 @@ def flow_intervene_sample(fl, j, alpha, n, rng):
 
 def flow_counterfactual(fl, x_obs, j, alpha):
     """Counterfactual under the flow: abduct all noise from x_obs, pin
-    coordinate j to alpha, reconstruct downstream.
+    coordinate j to alpha, reconstruct j's descendants.
 
-    Coordinates before j are returned bitwise equal to x_obs (they cannot be
-    affected), coordinate j equals alpha exactly, and descendants reuse their
-    abducted noise.  Accepts a single observation or a batch.
+    Coordinate j equals alpha exactly, its descendants under the flow's
+    weights (``flow._Plan.dep``) reuse their abducted noise, and every other
+    coordinate, which the intervention cannot affect, is returned bitwise
+    equal to x_obs.  Accepts a single observation or a batch.
     """
     x_obs, squeeze = neural._as_batch(x_obs, fl.dim)
-    levels = flow_mod._abduct(fl, x_obs)
-    x = flow_mod._reconstruct(flow_mod._Plan(fl), levels, start=j, pin=(j, alpha))
-    x[:, :j] = x_obs[:, :j]
+    x = flow_mod._reconstruct(flow_mod._Plan(fl), flow_mod._abduct(fl, x_obs), start=j,
+                              pin=(j, alpha), observed=x_obs.copy())
     return x[0] if squeeze else x
 
 
@@ -138,6 +148,17 @@ def flow_counterfactual(fl, x_obs, j, alpha):
 
 # Draws behind each Monte-Carlo ground-truth mean of imse_report.
 GT_SAMPLES = 1000
+# The reports answer a target's values in blocks of max(1, BLOCK_COLUMNS // n),
+# side by side in one ``flow._reconstruct`` call of up to max(n, BLOCK_COLUMNS)
+# columns: per-pass overhead dominates the inversion, and a block's working
+# set grows with its columns (on the benchmark's flow-serve workload, blocks
+# of 2 values of 1,000 samples raise peak memory 2.2 %, blocks of 4 7.8 %).
+# A query's answer is bitwise its own call's wherever BLAS computes each
+# column of a product alone.  With OpenBLAS 0.3.31 on x86-64 only the last
+# n mod 8 columns of a product round differently from a wider product's:
+# with n a multiple of 8 each answer keeps its bits, and otherwise a
+# query's last n mod 8 samples may move by rounding.
+BLOCK_COLUMNS = 2048
 
 
 def intervention_values(value_count):
@@ -164,24 +185,31 @@ def _report(fl, sem, value_count, n, answers):
     """The loop behind imse_report and cmse_report: (total, breakdown).
 
     The queries are every (j, alpha), j over the coordinates and alpha over
-    ``intervention_values(value_count)``.  ``answers(queries)`` yields, per
-    query with j < d - 1, the SEM's values and the flow's (one row each, or
-    a batch of ``n`` rows); each target i > j scores the mean squared gap
-    between their column i.  The total divides by value_count * d * (d+1) / 2.
-    ``check_queries`` runs before ``answers``.
+    ``intervention_values(value_count)``, in that order.  Those with
+    j < d - 1 go to ``answers`` in blocks (j, first, alphas) of at most
+    max(1, BLOCK_COLUMNS // n) of one target's values, ``first`` the index
+    of the block's first query; ``answers(blocks)`` yields per block, per
+    query, the SEM's values and the flow's (one row each, or a batch of
+    ``n`` rows).  Each target i > j scores the mean squared gap between
+    their column i; a query at j = d - 1 has no target and is not answered.
+    The total divides by value_count * d * (d+1) / 2.  ``check_queries``
+    runs before ``answers``.
     """
     check_queries(fl, sem, value_count, n)
-    d = sem.dim
-    queries = [(j, float(a)) for j in range(d) for a in intervention_values(value_count)]
-    answered = answers([(j, alpha) for j, alpha in queries if j < d - 1])
+    d, values = sem.dim, intervention_values(value_count)
+    size = max(1, BLOCK_COLUMNS // n)
+    blocks = [(j, j * value_count + lo, values[lo:lo + size])
+              for j in range(d - 1) for lo in range(0, value_count, size)]
+    answered = answers(blocks)
     total = 0.0
     breakdown = []
-    for j, alpha in queries:
-        truth, model = next(answered) if j < d - 1 else (None, None)
-        errs = {i: float(np.mean((truth[..., i] - model[..., i]) ** 2))
-                for i in range(j + 1, d)}
-        total += sum(errs.values())
-        breakdown.append({"j": j, "alpha": alpha, "errors": errs})
+    for j, _, alphas in blocks:
+        for alpha, (truth, model) in zip(alphas, next(answered)):
+            errs = {i: float(np.mean((truth[..., i] - model[..., i]) ** 2))
+                    for i in range(j + 1, d)}
+            total += sum(errs.values())
+            breakdown.append({"j": j, "alpha": float(alpha), "errors": errs})
+    breakdown += [{"j": d - 1, "alpha": float(alpha), "errors": {}} for alpha in values]
     return total / (value_count * d * (d + 1) / 2.0), breakdown
 
 
@@ -193,22 +221,29 @@ def imse_report(fl, sem, value_count=8, n_samples=1000, rng=None, ground_truth="
     GT_SAMPLES draws with ground_truth="sample") for every downstream target
     i > j.  The total divides by value_count * d * (d+1) / 2.  RNG streams
     are pre-split per query, so results do not depend on evaluation order.
+    A block of a target's values (``BLOCK_COLUMNS``) runs as one
+    ``flow._reconstruct`` call, each query's noise, drawn from its own
+    stream, in its own n_samples columns.
     """
     if ground_truth not in ("exact", "sample"):
         raise InvalidDimError(f"unknown ground_truth mode {ground_truth!r}")
 
-    def answers(queries):
+    def answers(blocks):
         streams = np.random.default_rng(rng).spawn(value_count * fl.dim)
         plan = flow_mod._Plan(fl)
-        for (j, alpha), stream in zip(queries, streams):
-            flow_rng, sem_rng = stream.spawn(2)
-            z = flow_rng.standard_normal((n_samples, fl.dim))
-            xs = flow_mod._reconstruct(plan, flow_mod._noise_levels(fl, z), pin=(j, alpha))
-            if ground_truth == "exact":
-                gt = sem_intervene_mean_vector(sem, j, alpha)
-            else:
-                gt = sem_intervene_sample(sem, j, alpha, GT_SAMPLES, sem_rng).mean(axis=0)
-            yield gt, xs.mean(axis=0)
+        for j, first, alphas in blocks:
+            flow_rngs, sem_rngs = zip(*(s.spawn(2) for s in streams[first:first + len(alphas)]))
+            z = np.concatenate([r.standard_normal((n_samples, fl.dim)) for r in flow_rngs])
+            xs = flow_mod._reconstruct(plan, flow_mod._noise_levels(fl, z),
+                                       pin=(j, np.repeat(alphas, n_samples)))
+            answered = []
+            for alpha, sem_rng, x in zip(alphas, sem_rngs, np.split(xs, len(alphas))):
+                if ground_truth == "exact":
+                    gt = sem_intervene_mean_vector(sem, j, alpha)
+                else:
+                    gt = sem_intervene_sample(sem, j, alpha, GT_SAMPLES, sem_rng).mean(axis=0)
+                answered.append((gt, x.mean(axis=0)))
+            yield answered
 
     return _report(fl, sem, value_count, n_samples, answers)
 
@@ -219,17 +254,23 @@ def cmse_report(fl, sem, value_count=8, n_obs=1000, rng=None):
     Observations are drawn once from the SEM and their flow noise abducted
     once; for each (j, alpha) both models answer the same counterfactual and
     downstream targets are compared by the mean squared gap over
-    observations.  Denominator as in imse_report.
+    observations.  Denominator as in imse_report.  Each model refills only
+    j's descendants, so a target that does not descend from j under both
+    scores exactly 0.0.  A block of a target's values (``BLOCK_COLUMNS``)
+    runs as one ``flow._reconstruct`` call on copies of the abducted levels
+    side by side.
     """
-    def answers(queries):
+    def answers(blocks):
         plan = flow_mod._Plan(fl)
         x_obs, _ = neural._as_batch(sem_sample(sem, n_obs, rng), fl.dim)
         levels = flow_mod._abduct(fl, x_obs)
-        for j, alpha in queries:
-            fc = flow_mod._reconstruct(plan, [lv.copy() for lv in levels], start=j,
-                                       pin=(j, alpha))
-            fc[:, :j] = x_obs[:, :j]
-            yield sem_counterfactual(sem, x_obs, j, alpha), fc
+        for j, _, alphas in blocks:
+            copies = len(alphas)
+            fc = flow_mod._reconstruct(plan, [np.tile(lv, copies) for lv in levels], start=j,
+                                       pin=(j, np.repeat(alphas, n_obs)),
+                                       observed=np.tile(x_obs, (copies, 1)))
+            yield [(sem_counterfactual(sem, x_obs, j, alpha), x)
+                   for alpha, x in zip(alphas, np.split(fc, copies))]
 
     return _report(fl, sem, value_count, n_obs, answers)
 

@@ -12,8 +12,11 @@ the pass it steps on.  The noise-to-data direction takes one pass per DAG
 generation, where a generation is the set of coordinates whose parents are
 all already filled; ``_reconstruct`` is its one routine, shared by sampling
 and by the interventions and counterfactuals of ``causal``, which pin one
-coordinate to a value in data units.  It runs coordinate-major, each level
-one (d, n) array, and follows a ``_Plan`` built once per query or report:
+coordinate to a value in data units (one value per sample column, so that a
+report answers several queries side by side in one call); a counterfactual
+refills only the pinned coordinate's descendants.  It runs coordinate-major,
+each level one (d, n) array, and follows a ``_Plan`` built once per query or
+report:
 each conditioner pass (``_Plan.affine``) is one product of the weight rows
 and hidden units its generation reads with all n samples per layer, into
 the plan's reused buffers, and a generation's coordinates are contiguous
@@ -183,32 +186,47 @@ def _dependencies(flow):
     return dep
 
 
-def _generations(dep, start):
-    """Coordinates start..d-1 grouped into DAG generations, as index arrays.
+def _descendants(dep, j):
+    """(d,) booleans: coordinate j and every coordinate that reads it under
+    ``dep``, directly or through others.  ``dep`` is strictly lower
+    triangular, as ``_Plan`` checks."""
+    reach = np.zeros(dep.shape[0], dtype=bool)
+    reach[j] = True
+    for k in range(j + 1, len(reach)):
+        reach[k] = dep[k, reach].any()
+    return reach
 
-    Generation 0 holds the coordinates with no parent among start..d-1; each
-    later one holds those whose parents there all sit in earlier generations.
-    ``dep`` is strictly lower triangular, as ``_Plan`` checks.
+
+def _generations(dep, start, descendants=False):
+    """Coordinates start..d-1, or with ``descendants`` only start and its
+    descendants (``_descendants``), grouped into DAG generations, as index
+    arrays.
+
+    Generation 0 holds the coordinates with no parent among those grouped;
+    each later one holds those whose parents there all sit in earlier
+    generations.  ``dep`` is strictly lower triangular, as ``_Plan`` checks.
     """
     d = dep.shape[0]
+    ks = np.flatnonzero(_descendants(dep, start)) if descendants else np.arange(start, d)
     depth = np.zeros(d, dtype=np.int64)
-    for k in range(start, d):
-        parents = np.flatnonzero(dep[k, start:k])
+    for i, k in enumerate(ks):
+        parents = ks[:i][dep[k, ks[:i]]]
         if parents.size:
-            depth[k] = depth[start + parents].max() + 1
-    ks, depth = np.arange(start, d), depth[start:]
+            depth[k] = depth[parents].max() + 1
+    depth = depth[ks]
     # Depth g > 0 implies a parent at depth g - 1, so no generation is empty.
     return [ks[depth == g] for g in range(depth.max(initial=-1) + 1)]
 
 
 class _Plan:
     """The noise-to-data plan of one flow at its current weights, built once
-    per query or report: ``dep`` from ``_dependencies``, the generations of
-    each ``start``, the slices of each conditioner that each generation reads
-    and the activation buffers its passes write into, by sample count.  Like
-    ``dep`` it is never cached on the flow, because training changes the
-    weights.  A flow whose output i reads a coordinate j >= i raises
-    UpperTriangleNonZeroError.
+    per query or report: ``dep`` from ``_dependencies``, the generations
+    from each ``start`` (of every later coordinate, or of start's
+    descendants alone), the slices of each conditioner that each generation
+    reads and the activation buffers its passes write into, by sample
+    count.  Like ``dep`` it is never cached on the flow, because training
+    changes the weights.  A flow whose output i reads a coordinate j >= i
+    raises UpperTriangleNonZeroError.
     """
 
     def __init__(self, flow):
@@ -217,10 +235,11 @@ class _Plan:
         adjacency_mod.validate(self.dep)
         self._generations, self._steps, self._buffers = {}, {}, {}
 
-    def generations(self, start):
-        if start not in self._generations:
-            self._generations[start] = _generations(self.dep, start)
-        return self._generations[start]
+    def generations(self, start, descendants=False):
+        key = start, descendants
+        if key not in self._generations:
+            self._generations[key] = _generations(self.dep, start, descendants)
+        return self._generations[key]
 
     def step(self, k, gen, n):
         """(layers, work) of conditioner k's pass on generation ``gen`` over
@@ -274,39 +293,48 @@ class _Plan:
         return t, s
 
 
-def _reconstruct(plan, levels, start=0, pin=None):
+def _reconstruct(plan, levels, start=0, pin=None, observed=None):
     """Fill coordinates start..d-1 of every level in noise-to-data order,
-    following the ``_Plan`` of the flow, and return the data as a new
-    C-ordered (n, d) batch.
+    following the ``_Plan`` of the flow, and return the data as a C-ordered
+    (n, d) batch.
 
     ``levels`` is the [V_0 (noise), ..., V_K (standardized data)] list, each
     level coordinate-major, one (d, n) array (``_noise_levels``,
     ``_abduct``), edited in place.  Coordinates are filled one DAG
     generation at a time: each layer's conditioner runs once on its level
     (``_Plan.affine``), computing only the units the generation's outputs
-    read, over all samples at once, and the generation's free rows push
+    read, over all n columns at once, and the generation's free rows push
     their noise up through the layers.  With ``pin=(j, alpha)`` coordinate j
     is forced to alpha (data units) on the data side and inverted down
     through the layers with the same per-level shifts and scales, and column
-    j of the returned data is alpha exactly.  A coordinate's conditioner
-    reads only its parents (the plan refuses any other flow), which are
-    final before its generation starts, so rows not yet filled are harmless.
-    The passes drop terms whose weight is exactly 0 and multiply in the
-    other orientation, so they match full row-major conditioner passes up to
-    the order of summation.  A non-finite alpha raises NonFiniteInputError
-    at entry, and so does a returned batch that is not finite (a value that
-    overflowed on the way, for which numpy's warnings are silenced).
+    j of the returned data is alpha exactly.  alpha is one value or one
+    per column: a report lays several queries side by side in one call, and
+    each gets the bits its own call gives wherever BLAS computes each column
+    of a product alone (see ``causal.BLOCK_COLUMNS``).  With ``observed``,
+    the (n, d) data the levels were abducted from, only start and its
+    descendants under ``plan.dep`` are filled, and written into
+    ``observed``, which is returned: every other coordinate keeps its levels
+    and its observed values bitwise (a counterfactual).
+    A coordinate's conditioner reads only its parents (the plan refuses any
+    other flow), which are final before its generation starts, so rows not
+    yet filled are harmless.  The passes drop terms whose weight is exactly
+    0 and multiply in the other orientation, so they match full row-major
+    conditioner passes up to the order of summation.  A non-finite alpha
+    raises NonFiniteInputError at entry, and so does a returned batch that
+    is not finite (a value that overflowed on the way, for which numpy's
+    warnings are silenced).
     """
     flow = plan.flow
     j, alpha = (None, None) if pin is None else pin
     if pin is not None and not 0 <= j < flow.dim:
         raise InvalidPairError(f"intervention index {j} outside 0..{flow.dim - 1}")
-    if pin is not None and not np.isfinite(alpha):
+    if pin is not None and not np.isfinite(alpha).all():
         raise NonFiniteInputError(f"intervention value {alpha} is not finite")
     K, n = len(flow.layers), levels[0].shape[1]
+    gens = plan.generations(start, descendants=observed is not None)
     # An overflow leaves a non-finite value, which the check below raises on.
     with np.errstate(over="ignore", invalid="ignore"):
-        for gen in plan.generations(start):
+        for gen in gens:
             at_pin = gen == j
             free, pinned = gen[~at_pin], gen[at_pin]
             down = []
@@ -325,8 +353,12 @@ def _reconstruct(plan, levels, start=0, pin=None):
                 levels[K][j] = (alpha - flow.mu[j]) / flow.sigma[j]
                 for lvl, (t, s) in zip(range(K, 0, -1), reversed(down)):
                     levels[lvl - 1][pinned] = (levels[lvl][pinned] - t) * np.exp(-s)
-        x = np.multiply(levels[K].T, flow.sigma, out=np.empty((n, flow.dim)))
-        x += flow.mu
+        if observed is None:
+            x = np.multiply(levels[K].T, flow.sigma, out=np.empty((n, flow.dim)))
+            x += flow.mu
+        else:
+            x, filled = observed, np.concatenate(gens)
+            x[:, filled] = levels[K][filled].T * flow.sigma[filled] + flow.mu[filled]
     if pin is not None:
         x[:, j] = alpha
     if not np.isfinite(x).all():

@@ -1,10 +1,12 @@
 """Tests for SEM ground truth and flow-based causal queries."""
 
+import os
+
 import numpy as np
 import pytest
 import scipy.stats
 
-from strnn import causal, flow
+from strnn import causal, cli, flow
 from strnn.errors import DimMismatchError, InvalidDimError, InvalidPairError, NonFiniteInputError
 
 
@@ -132,6 +134,22 @@ class TestSemCounterfactuals:
         np.testing.assert_array_equal(cf[:, :3], x_obs[:, :3])
         np.testing.assert_allclose(cf[:, 3], 9.0)
 
+    def test_only_descendants_move(self):
+        """Coordinates that do not descend from j under the nonzero weights
+        come back bitwise equal to x_obs; the descendants match re-propagating
+        every coordinate from j on, as the SEM did before, within rounding."""
+        sem = causal.gen_linear_sem(8, cutoff=1.0, rng=6)
+        x_obs = causal.sem_sample(sem, 40, 7)
+        for j in range(8):
+            moved = flow._descendants(sem.weights != 0, j)
+            cf = causal.sem_counterfactual(sem, x_obs, j, 2.5)
+            assert cf[:, ~moved].tobytes() == x_obs[:, ~moved].tobytes()
+            full = x_obs - x_obs @ sem.weights.T
+            full[:, :j] = x_obs[:, :j]
+            full = causal._ancestral(sem, full, start=j, pin=(j, 2.5))
+            np.testing.assert_allclose(cf, full, rtol=1e-12, atol=1e-12)
+        assert 0 < flow._descendants(sem.weights != 0, 0).sum() < 8
+
     def test_input_validation(self):
         sem = chain_sem()
         with pytest.raises(DimMismatchError):
@@ -188,10 +206,20 @@ class TestExactFlow:
         assert np.all(cf[:, 2] == 5.0)
 
     def test_total_cmse_is_machine_zero(self):
+        """Both models refill only j's descendants, so every other target
+        scores exactly 0.0."""
         sem = causal.gen_linear_sem(5, rng=20)
         fl = causal.flow_from_linear_sem(sem)
-        assert causal.cmse_report(fl, sem, value_count=4, n_obs=200,
-                                  rng=21)[0] < 1e-20
+        total, breakdown = causal.cmse_report(fl, sem, value_count=4, n_obs=200, rng=21)
+        assert total < 1e-20
+        kept = 0
+        for row in breakdown:
+            moved = flow._descendants(sem.weights != 0, row["j"])
+            for i, err in row["errors"].items():
+                if not moved[i]:
+                    assert err == 0.0
+                    kept += 1
+        assert kept > 0
 
 
 class TestFlowInterventions:
@@ -319,6 +347,25 @@ class TestMetricReports:
                                               n_obs=50, rng=10)
         assert len(breakdown) == 3 * 2
         assert total >= 0
+
+    @pytest.mark.parametrize("n", [1000, 3000])
+    def test_causal_eval_block_widths(self, monkeypatch, tmp_path, n):
+        """``strnn causal-eval`` hands ``flow._reconstruct`` no batch wider
+        than max(n, BLOCK_COLUMNS) columns, with n samples and observations
+        per query: 2 of its 8 values at n = 1,000, one at n = 3,000."""
+        widths, reconstruct = [], flow._reconstruct
+
+        def recorded(plan, levels, *args, **kwargs):
+            widths.append(levels[0].shape[1])
+            return reconstruct(plan, levels, *args, **kwargs)
+
+        monkeypatch.setattr(flow, "_reconstruct", recorded)
+        monkeypatch.chdir(os.path.join(os.path.dirname(__file__), "data", "causal_eval"))
+        assert cli.main(["causal-eval", "--flow", "flow.txt", "--sem", "sem.json",
+                         "--out", str(tmp_path / "report.json"), "--value-count", "8",
+                         "--samples", str(n), "--n-obs", str(n), "--seed", "3"]) == 0
+        assert max(widths) <= max(n, causal.BLOCK_COLUMNS)
+        assert set(widths) == {n * max(1, causal.BLOCK_COLUMNS // n)}
 
     def test_dim_mismatch_rejected(self):
         sem = causal.gen_linear_sem(4, rng=46)

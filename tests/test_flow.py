@@ -1,5 +1,7 @@
 """Tests for structured affine flows: transforms, likelihoods, training."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -463,22 +465,28 @@ class TestGenerationInversion:
     @pytest.mark.parametrize("report", ["imse", "cmse"])
     def test_reports_run_no_pass_for_unscored_queries(self, monkeypatch, report):
         """A query at j = d - 1 has no target i > j to score, so a report
-        runs no conditioner pass for it: imse_report one pass per layer and
-        generation for each other query, cmse_report one per layer and
-        generation from j on, after one abduction."""
+        runs no conditioner pass for it.  The other queries go in blocks of
+        one target's values, at most max(1, BLOCK_COLUMNS // n) of them:
+        imse_report runs one pass per layer and generation for each block,
+        cmse_report one per layer and generation of j's descendants, after
+        one abduction.  With n = BLOCK_COLUMNS // 2 the 3 values of a target
+        take two blocks, with n = 10 one."""
         sem = causal.gen_linear_sem(5, cutoff=0.5, rng=3)
         fl = jitter_flow(flow.AffineFlow.build(sem.adjacency(), 2, [8], 0), 1)
         dep = flow._dependencies(fl)
         value_count, K = 3, len(fl.layers)
         calls = count_passes(monkeypatch)
-        if report == "imse":
-            causal.imse_report(fl, sem, value_count=value_count, n_samples=10, rng=4)
-            abduction, starts = 0, [0] * 4
-        else:
-            causal.cmse_report(fl, sem, value_count=value_count, n_obs=10, rng=4)
-            abduction, starts = K, range(4)
-        passes = sum(len(flow._generations(dep, start)) * K for start in starts)
-        assert calls == ["forward"] * abduction + ["plan"] * (value_count * passes)
+        for n, blocks in ((10, 1), (causal.BLOCK_COLUMNS // 2, 2)):
+            calls.clear()
+            if report == "imse":
+                causal.imse_report(fl, sem, value_count=value_count, n_samples=n, rng=4)
+                abduction, gens = 0, [flow._generations(dep, 0)] * 4
+            else:
+                causal.cmse_report(fl, sem, value_count=value_count, n_obs=n, rng=4)
+                abduction = K
+                gens = [flow._generations(dep, j, descendants=True) for j in range(4)]
+            passes = blocks * K * sum(len(g) for g in gens)
+            assert calls == ["forward"] * abduction + ["plan"] * passes
 
     def test_from_noise_returns_independent_arrays(self, monkeypatch):
         A = adjacency.gen_random_sparse(6, 0.5, 3)
@@ -642,6 +650,117 @@ class TestGenerationInversion:
         causal.flow_intervene_sample(fl, 1, 0.5, 20, 5)
         causal.flow_counterfactual(fl, np.zeros(5), 1, 0.5)
         assert len(calls) == 5
+
+
+# With the OpenBLAS build the goldens pin (tests/data/README.md), only the
+# last n mod BLAS_TILE columns of an n-column product round differently from
+# the same columns of a wider product.  So a query of a multiple of
+# BLAS_TILE samples keeps its bits inside a report's block, and another
+# query's last samples may move by rounding.
+BLAS_TILE = 8
+
+
+def imse_per_query(fl, sem, value_count, n, rng, ground_truth):
+    """Oracle: ``causal.imse_report`` as it ran before blocks, one
+    ``flow._reconstruct`` call per query.  Returns (total, breakdown, the
+    flow's data batches of the scored queries, in order)."""
+    d = fl.dim
+    streams = np.random.default_rng(rng).spawn(value_count * d)
+    plan = flow._Plan(fl)
+    total, breakdown, batches = 0.0, [], []
+    queries = [(j, float(a)) for j in range(d) for a in causal.intervention_values(value_count)]
+    for (j, alpha), stream in zip(queries, streams):
+        errs = {}
+        if j < d - 1:
+            flow_rng, sem_rng = stream.spawn(2)
+            z = flow_rng.standard_normal((n, d))
+            batches.append(flow._reconstruct(plan, flow._noise_levels(fl, z), pin=(j, alpha)))
+            if ground_truth == "exact":
+                gt = causal.sem_intervene_mean_vector(sem, j, alpha)
+            else:
+                gt = causal.sem_intervene_sample(sem, j, alpha, causal.GT_SAMPLES,
+                                                 sem_rng).mean(axis=0)
+            model = batches[-1].mean(axis=0)
+            errs = {i: float(np.mean((gt[i] - model[i]) ** 2)) for i in range(j + 1, d)}
+        total += sum(errs.values())
+        breakdown.append({"j": j, "alpha": alpha, "errors": errs})
+    return total / (value_count * d * (d + 1) / 2.0), breakdown, batches
+
+
+class TestReportBlocks:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), d=st.integers(2, 6), K=st.sampled_from([1, 2, 3]),
+           n=st.sampled_from([1, 7, 8, 300]), value_count=st.sampled_from([1, 3, 8]),
+           ground_truth=st.sampled_from(["exact", "sample"]), seed=st.integers(0, 2**16))
+    def test_imse_blocks_match_per_query_calls(self, data, d, K, n, value_count,
+                                               ground_truth, seed):
+        """imse_report answers a target's values in blocks, one
+        ``_reconstruct`` call each, with each query's noise in its own
+        columns.  Each query's samples, and so the report, are bitwise what
+        one call per query gives when n is a multiple of BLAS_TILE or a block
+        holds one value; otherwise within ``assert_inversion_close`` (the
+        report's errors within INVERSION_RTOL of the squared scale)."""
+        A = draw_dag(data, d)
+        fl = jitter_flow(flow.AffineFlow.build(A, K, [d + 2], seed), seed + 1)
+        rng = np.random.default_rng(seed)
+        fl.mu, fl.sigma = rng.normal(size=d), rng.uniform(0.5, 2.0, size=d)
+        sem = causal.LinearSEM(np.tril(A * rng.uniform(-2.0, 2.0, size=(d, d)), -1))
+        batches, reconstruct = [], flow._reconstruct
+
+        def recorded(*args, **kwargs):
+            batches.append(reconstruct(*args, **kwargs).copy())
+            return batches[-1]
+
+        with mock.patch.object(flow, "_reconstruct", recorded):
+            total, breakdown = causal.imse_report(fl, sem, value_count, n, seed, ground_truth)
+        ref_total, ref_breakdown, ref_batches = imse_per_query(fl, sem, value_count, n, seed,
+                                                               ground_truth)
+        assert len(batches) == (d - 1) * -(-value_count // max(1, causal.BLOCK_COLUMNS // n))
+        ours, ref = np.concatenate(batches), np.concatenate(ref_batches)
+        if n % BLAS_TILE == 0 or value_count == 1:
+            assert ours.tobytes() == ref.tobytes()
+            assert (total, breakdown) == (ref_total, ref_breakdown)
+            return
+        assert_inversion_close([ours], [ref])
+        scale = max(np.abs(ref).max(), *(abs(a) for a in causal.intervention_values(value_count)))
+        errors = [[e for row in rows for e in row["errors"].values()] + [t]
+                  for rows, t in ((breakdown, total), (ref_breakdown, ref_total))]
+        np.testing.assert_allclose(*errors, rtol=INVERSION_RTOL, atol=INVERSION_RTOL * scale ** 2)
+
+    def test_imse_blocks_keep_every_bit_at_the_benchmark_shape(self):
+        """At 1,000 samples and 8 values, the benchmark's causal-eval shape,
+        blocks of 2 values give the per-query report bitwise."""
+        sem = causal.gen_linear_sem(6, cutoff=0.5, rng=5)
+        fl = jitter_flow(flow.AffineFlow.build(sem.adjacency(), 3, [12], 6), 7)
+        assert causal.BLOCK_COLUMNS // 1000 == 2
+        total, breakdown = causal.imse_report(fl, sem, 8, 1000, 8)
+        assert (total, breakdown) == imse_per_query(fl, sem, 8, 1000, 8, "exact")[:2]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), d=st.integers(1, 7), K=st.sampled_from([1, 2, 3]),
+           n=st.sampled_from([1, 7, 30]), seed=st.integers(0, 2**16))
+    def test_counterfactual_refills_only_descendants(self, data, d, K, n, seed):
+        """A counterfactual refills j and its descendants under the plan's
+        dependencies, in the generations of those coordinates alone (j first,
+        by itself): every other coordinate comes back bitwise equal to x_obs,
+        and the descendants match the full reconstruction from j within
+        ``assert_inversion_close``."""
+        A = draw_dag(data, d)
+        fl = jitter_flow(flow.AffineFlow.build(A, K, [d + 2], seed), seed + 1)
+        rng = np.random.default_rng(seed)
+        fl.mu, fl.sigma = rng.normal(size=d), rng.uniform(0.5, 2.0, size=d)
+        x_obs = fl.mu + fl.sigma * rng.normal(size=(n, d))
+        j, alpha = data.draw(st.integers(0, d - 1)), data.draw(st.floats(-3, 3))
+        plan = flow._Plan(fl)
+        moved = flow._descendants(plan.dep, j)
+        gens = plan.generations(j, descendants=True)
+        assert gens[0].tolist() == [j]
+        assert sorted(np.concatenate(gens).tolist()) == np.flatnonzero(moved).tolist()
+        cf = causal.flow_counterfactual(fl, x_obs, j, alpha)
+        assert cf[:, ~moved].tobytes() == x_obs[:, ~moved].tobytes()
+        assert np.all(cf[:, j] == alpha)
+        full = flow._reconstruct(plan, flow._abduct(fl, x_obs), start=j, pin=(j, alpha))
+        assert_inversion_close([cf[:, moved]], [full[:, moved]])
 
 
 def hidden_preacts(net, x):

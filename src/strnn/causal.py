@@ -9,13 +9,15 @@ side (its intermediate values are derived by inverting its per-coordinate
 affine chain), all other coordinates push their noise forward, a generation
 at a time.  The inversion runs coordinate-major: the noise is drawn (n, d)
 and the observations abducted row-major, and ``_reconstruct`` gets
-transposed copies (``flow._noise_levels``, ``flow._abduct``) and gives back a
-C-ordered (n, d) batch.  Counterfactuals, on either side, refill only j and
-its descendants (abduction, action, prediction) and return every other
-coordinate bitwise equal to the observation.  ``imse_report`` and
-``cmse_report`` score the (j, alpha) queries through one loop, ``_report``,
-which hands the flow a target's values in blocks of up to BLOCK_COLUMNS
-columns, one ``_reconstruct`` call per block.
+transposed copies, each over a row of ones (``flow._noise_levels``,
+``flow._abduct``), and gives back a C-ordered (n, d) batch.
+Counterfactuals, on either side, refill only j and its descendants
+(abduction, action, prediction) and return every other coordinate bitwise
+equal to the observation.  ``imse_report`` and ``cmse_report`` score the
+(j, alpha) queries through one loop, ``_report``, which hands the flow a
+target's values in blocks of up to BLOCK_COLUMNS columns, one
+``_reconstruct`` call per block, into levels allocated once per report and
+block width and refilled in place from block to block.
 """
 
 from dataclasses import dataclass
@@ -150,9 +152,11 @@ def flow_counterfactual(fl, x_obs, j, alpha):
 GT_SAMPLES = 1000
 # The reports answer a target's values in blocks of max(1, BLOCK_COLUMNS // n),
 # side by side in one ``flow._reconstruct`` call of up to max(n, BLOCK_COLUMNS)
-# columns: per-pass overhead dominates the inversion, and a block's working
-# set grows with its columns (on the benchmark's flow-serve workload, blocks
-# of 2 values of 1,000 samples raise peak memory 2.2 %, blocks of 4 7.8 %).
+# columns.  Wider blocks would not pay: a pass costs about 13 us plus 22-27 ns
+# per column from 2,000 to 8,000 columns (the elementwise traffic, not the
+# per-pass overhead, dominates), and a block's working set grows with its
+# columns (on the benchmark's flow-serve workload, blocks of 4 values of
+# 1,000 samples raised peak memory 7.8 %, blocks of 2 2.2 %).
 # A query's answer is bitwise its own call's wherever BLAS computes each
 # column of a product alone.  With OpenBLAS 0.3.31 on x86-64 only the last
 # n mod 8 columns of a product round differently from a wider product's:
@@ -190,10 +194,13 @@ def _report(fl, sem, value_count, n, answers):
     max(1, BLOCK_COLUMNS // n) of one target's values, ``first`` the index
     of the block's first query; ``answers(blocks)`` yields per block, per
     query, the SEM's values and the flow's (one row each, or a batch of
-    ``n`` rows).  Each target i > j scores the mean squared gap between
-    their column i; a query at j = d - 1 has no target and is not answered.
-    The total divides by value_count * d * (d+1) / 2.  ``check_queries``
-    runs before ``answers``.
+    ``n`` rows), which need hold only until the next block is asked for.
+    Each target i > j scores the mean squared gap between their column i:
+    for batches, all targets of a query from one mean over the rows of the
+    C-contiguous (targets, n) gap, which sums each row as a 1-D mean of
+    column i alone would.  A query at j = d - 1 has no target and is not
+    answered.  The total divides by value_count * d * (d+1) / 2.
+    ``check_queries`` runs before ``answers``.
     """
     check_queries(fl, sem, value_count, n)
     d, values = sem.dim, intervention_values(value_count)
@@ -205,8 +212,15 @@ def _report(fl, sem, value_count, n, answers):
     breakdown = []
     for j, _, alphas in blocks:
         for alpha, (truth, model) in zip(alphas, next(answered)):
-            errs = {i: float(np.mean((truth[..., i] - model[..., i]) ** 2))
-                    for i in range(j + 1, d)}
+            if truth.ndim == 1:
+                # A mean over one value is its square by libm's pow, which
+                # Python's float power calls too; it differs from g * g in
+                # the last bit for about 1 value in 1,200.
+                errs = [g ** 2 for g in (truth[j + 1:] - model[j + 1:]).tolist()]
+            else:
+                gap = np.subtract(truth[:, j + 1:].T, model[:, j + 1:].T, order="C")
+                errs = np.mean(gap * gap, axis=1).tolist()
+            errs = dict(zip(range(j + 1, d), errs))
             total += sum(errs.values())
             breakdown.append({"j": j, "alpha": float(alpha), "errors": errs})
     breakdown += [{"j": d - 1, "alpha": float(alpha), "errors": {}} for alpha in values]
@@ -223,7 +237,8 @@ def imse_report(fl, sem, value_count=8, n_samples=1000, rng=None, ground_truth="
     are pre-split per query, so results do not depend on evaluation order.
     A block of a target's values (``BLOCK_COLUMNS``) runs as one
     ``flow._reconstruct`` call, each query's noise, drawn from its own
-    stream, in its own n_samples columns.
+    stream, in its own n_samples columns.  The levels of each block width
+    are allocated once per report: each call refills every row it reads.
     """
     if ground_truth not in ("exact", "sample"):
         raise InvalidDimError(f"unknown ground_truth mode {ground_truth!r}")
@@ -231,17 +246,26 @@ def imse_report(fl, sem, value_count=8, n_samples=1000, rng=None, ground_truth="
     def answers(blocks):
         streams = np.random.default_rng(rng).spawn(value_count * fl.dim)
         plan = flow_mod._Plan(fl)
+        noise, block_levels = np.empty((n_samples, fl.dim)), {}
         for j, first, alphas in blocks:
-            flow_rngs, sem_rngs = zip(*(s.spawn(2) for s in streams[first:first + len(alphas)]))
-            z = np.concatenate([r.standard_normal((n_samples, fl.dim)) for r in flow_rngs])
-            xs = flow_mod._reconstruct(plan, flow_mod._noise_levels(fl, z),
-                                       pin=(j, np.repeat(alphas, n_samples)))
+            width = len(alphas) * n_samples
+            if width not in block_levels:
+                block_levels[width] = flow_mod._empty_levels(fl, width)
+            levels = block_levels[width]
+            # Only the sample mode draws from the SEM's child; spawn(1) gives
+            # the same first child as spawn(2).
+            children = [s.spawn(1 if ground_truth == "exact" else 2)
+                        for s in streams[first:first + len(alphas)]]
+            for q, (flow_rng, *_) in enumerate(children):
+                flow_rng.standard_normal(out=noise)
+                levels[0][:-1, q * n_samples:(q + 1) * n_samples] = noise.T
+            xs = flow_mod._reconstruct(plan, levels, pin=(j, np.repeat(alphas, n_samples)))
             answered = []
-            for alpha, sem_rng, x in zip(alphas, sem_rngs, np.split(xs, len(alphas))):
+            for alpha, rngs, x in zip(alphas, children, np.split(xs, len(alphas))):
                 if ground_truth == "exact":
                     gt = sem_intervene_mean_vector(sem, j, alpha)
                 else:
-                    gt = sem_intervene_sample(sem, j, alpha, GT_SAMPLES, sem_rng).mean(axis=0)
+                    gt = sem_intervene_sample(sem, j, alpha, GT_SAMPLES, rngs[1]).mean(axis=0)
                 answered.append((gt, x.mean(axis=0)))
             yield answered
 
@@ -251,26 +275,37 @@ def imse_report(fl, sem, value_count=8, n_samples=1000, rng=None, ground_truth="
 def cmse_report(fl, sem, value_count=8, n_obs=1000, rng=None):
     """Total counterfactual MSE and its per-query breakdown.
 
-    Observations are drawn once from the SEM and their flow noise abducted
-    once; for each (j, alpha) both models answer the same counterfactual and
-    downstream targets are compared by the mean squared gap over
-    observations.  Denominator as in imse_report.  Each model refills only
-    j's descendants, so a target that does not descend from j under both
-    scores exactly 0.0.  A block of a target's values (``BLOCK_COLUMNS``)
-    runs as one ``flow._reconstruct`` call on copies of the abducted levels
-    side by side.
+    Observations are drawn once from the SEM, and both models' noise
+    abducted from them once; for each (j, alpha) both models answer the
+    same counterfactual and downstream targets are compared by the mean
+    squared gap over observations.  Denominator as in imse_report.  Each
+    model refills only j's descendants, so a target that does not descend
+    from j under both scores exactly 0.0.  A block of a target's values
+    (``BLOCK_COLUMNS``) runs as one ``flow._reconstruct`` call on copies of
+    the abducted levels and observations side by side, tiled once per
+    report and block width; after each block only the rows it refilled, j
+    and its descendants, are copied back from the abduction.
     """
     def answers(blocks):
         plan = flow_mod._Plan(fl)
         x_obs, _ = neural._as_batch(sem_sample(sem, n_obs, rng), fl.dim)
         levels = flow_mod._abduct(fl, x_obs)
+        eps = x_obs - x_obs @ sem.weights.T
+        tiled = {}
         for j, _, alphas in blocks:
             copies = len(alphas)
-            fc = flow_mod._reconstruct(plan, [np.tile(lv, copies) for lv in levels], start=j,
-                                       pin=(j, np.repeat(alphas, n_obs)),
-                                       observed=np.tile(x_obs, (copies, 1)))
-            yield [(sem_counterfactual(sem, x_obs, j, alpha), x)
+            if copies not in tiled:
+                tiled[copies] = [np.tile(lv, copies) for lv in levels], np.tile(x_obs, (copies, 1))
+            block, observed = tiled[copies]
+            fc = flow_mod._reconstruct(plan, block, start=j, pin=(j, np.repeat(alphas, n_obs)),
+                                       observed=observed)
+            yield [(_ancestral(sem, eps.copy(), start=j, pin=(j, alpha), observed=x_obs), x)
                    for alpha, x in zip(alphas, np.split(fc, copies))]
+            # ``_report`` has scored the block: put back what it refilled.
+            filled = np.concatenate(plan.generations(j, descendants=True))
+            for lv_block, lv in zip(block, levels):
+                lv_block.reshape(-1, copies, n_obs)[filled] = lv[filled, None]
+            observed.reshape(copies, n_obs, -1)[:, :, filled] = x_obs[:, filled]
 
     return _report(fl, sem, value_count, n_obs, answers)
 

@@ -15,13 +15,14 @@ and by the interventions and counterfactuals of ``causal``, which pin one
 coordinate to a value in data units (one value per sample column, so that a
 report answers several queries side by side in one call); a counterfactual
 refills only the pinned coordinate's descendants.  It runs coordinate-major,
-each level one (d, n) array, and follows a ``_Plan`` built once per query or
-report:
-each conditioner pass (``_Plan.affine``) is one product of the weight rows
-and hidden units its generation reads with all n samples per layer, into
-the plan's reused buffers, and a generation's coordinates are contiguous
-rows.  It drops only terms whose weight is exactly 0 and sums in BLAS's
-other orientation, so it matches row-major full passes up to the order of
+each level one (d + 1, n) array whose last row is ones, and follows a
+``_Plan`` built once per query or report: each conditioner pass
+(``_Plan.affine``) is one product per layer of the weight rows and hidden
+units its generation reads, each bias riding as one more column against a
+row of ones, with all n samples, into the plan's reused buffers, and a
+generation's coordinates are contiguous rows.  It drops only terms whose
+weight is exactly 0, sums in BLAS's other orientation and adds each bias
+inside the product, so it matches row-major full passes up to the order of
 summation.  An affine standardization (train-split mean/std) sits
 outermost and its log-Jacobian is part of the density.  The noise-to-data
 direction needs a triangular flow, each conditioner output k reading
@@ -161,11 +162,14 @@ def to_noise(flow, x):
 
 def _abduct(flow, x):
     """The levels [z, ..., u] of the checked batch ``x`` for ``_reconstruct``,
-    coordinate-major (one (d, n) array each); finite data that overflows on
-    the way raises NonFiniteInputError."""
-    levels, _ = _to_noise(flow, x, keep_levels=True)
-    _check_noise(levels[0])
-    return [lv.T.copy() for lv in levels]
+    coordinate-major (``_empty_levels``); finite data that overflows on the
+    way raises NonFiniteInputError."""
+    rows, _ = _to_noise(flow, x, keep_levels=True)
+    _check_noise(rows[0])
+    levels = _empty_levels(flow, len(x))
+    for level, lv in zip(levels, rows):
+        level[:-1] = lv.T
+    return levels
 
 
 def _dependencies(flow):
@@ -224,9 +228,12 @@ class _Plan:
     from each ``start`` (of every later coordinate, or of start's
     descendants alone), the slices of each conditioner that each generation
     reads and the activation buffers its passes write into, by sample
-    count.  Like ``dep`` it is never cached on the flow, because training
-    changes the weights.  A flow whose output i reads a coordinate j >= i
-    raises UpperTriangleNonZeroError.
+    count.  Each bias rides in its weight slice as one more column, which
+    multiplies a row of ones: the last row of every level and the first row
+    of every hidden buffer, which no pass writes.  Like ``dep`` the plan is
+    never cached on the flow, because training changes the weights.  A flow
+    whose output i reads a coordinate j >= i raises
+    UpperTriangleNonZeroError.
     """
 
     def __init__(self, flow):
@@ -241,55 +248,77 @@ class _Plan:
             self._generations[key] = _generations(self.dep, start, descendants)
         return self._generations[key]
 
-    def step(self, k, gen, n):
-        """(layers, work) of conditioner k's pass on generation ``gen`` over
-        n samples, which ``affine`` runs.
+    def buffers(self, net, n):
+        """The flat activation buffers of ``net``'s widths over n samples,
+        shared by every pass of those widths: per hidden layer (width + 1) * n
+        entries, the first n of them a row of ones, then 2d * n for the
+        output layer."""
+        widths = tuple(len(b) for b in net.biases)
+        key = widths, n
+        if key not in self._buffers:
+            hidden = [np.empty((w + 1) * n) for w in widths[:-1]]
+            for buf in hidden:
+                buf[:n] = 1.0
+            self._buffers[key] = hidden + [np.empty(widths[-1] * n)]
+        return self._buffers[key]
 
-        ``layers`` is one (W, b) per layer: W a contiguous slice of the
-        weights, b its bias entries as a (width, 1) column.  The output layer
-        keeps rows ``gen`` and ``d + gen``; walking back, each hidden layer
-        keeps the units with a nonzero weight into the units kept after it,
-        as ``neural.support`` reads them, and layer 0 every input.  A
-        generation whose rows read no hidden unit thus outputs b + 0.0.
-        ``work`` holds one (width, n) array per layer, the front of the
-        buffers ``neural.layer_buffers`` keeps for the conditioner's full
-        widths, shared by every pass over n samples.
+    def step(self, k, gen, n):
+        """Conditioner k's pass on generation ``gen`` over n samples, which
+        ``affine`` runs: one (W, out, h) per layer.
+
+        W is a contiguous copy of the weight rows the pass keeps with their
+        biases as one more column, last in layer 0, whose input is a level,
+        and first in every later layer, whose input is a hidden buffer.  The
+        output layer keeps rows ``gen`` and ``d + gen``; walking back, each
+        hidden layer keeps the units with a nonzero weight into the units
+        kept after it, as ``neural.support`` reads them, and layer 0 every
+        input.  A generation whose rows read no hidden unit thus outputs its
+        biases times the row of ones, exactly.  ``out`` is the (width, n)
+        array the product writes and ``h`` what the next layer reads: the
+        front of one of the plan's ``buffers``, for a hidden layer out under
+        the row of ones, for the output layer out itself.
         """
         key = (k, gen.tobytes(), n)
         if key not in self._steps:
             net, d = self.flow.layers[k], self.flow.dim
-            rows, layers = np.concatenate([gen, gen + d]), []
+            rows, weights = np.concatenate([gen, gen + d]), []
             for layer in reversed(range(len(net.weights))):
                 W, b = net.weights[layer][rows], net.biases[layer][rows, None]
                 if layer:
                     rows = np.flatnonzero((W != 0.0).any(axis=0))
-                    W = np.ascontiguousarray(W[:, rows])
-                layers.insert(0, (W, b))
-            work = neural.layer_buffers(self._buffers, "plan", net, n)
-            self._steps[key] = layers, [buf.ravel()[:len(b) * n].reshape(len(b), n)
-                                        for buf, (_, b) in zip(work, layers)]
+                    columns = [b, W[:, rows]]
+                else:
+                    columns = [W, b]
+                weights.insert(0, np.ascontiguousarray(np.hstack(columns)))
+            *hidden, last = self.buffers(net, n)
+            step = []
+            for W, buf in zip(weights[:-1], hidden):
+                h = buf[:(len(W) + 1) * n].reshape(len(W) + 1, n)
+                step.append((W, h[1:], h))
+            out = last[:len(weights[-1]) * n].reshape(len(weights[-1]), n)
+            self._steps[key] = step + [(weights[-1], out, out)]
         return self._steps[key]
 
     def affine(self, k, gen, level):
         """(t, s): conditioner k's shifts and clamped log-scales of generation
         ``gen``, one row per coordinate of ``gen`` and one column per sample,
-        from the coordinate-major ``level`` (d, n).
+        from the coordinate-major ``level`` (d + 1, n).
 
-        Each layer is one product W @ h of the sliced weights with all n
-        samples, plus a bias column, written into the plan's buffers; t and s
-        are views of them, which the next pass overwrites.  Neither the level
-        nor the output is checked for non-finite values: ``_reconstruct``
-        checks its answer.
+        Each layer is one product W @ h of the sliced weights, bias column
+        included, with all n samples, written into the plan's buffers, and a
+        ReLU on each hidden layer's (its row of ones stays 1); t and s are
+        views of the output buffer, which the next pass overwrites.  Neither
+        the level nor the output is checked for non-finite values:
+        ``_reconstruct`` checks its answer.
         """
-        layers, work = self.step(k, gen, level.shape[1])
         h = level
-        for i, ((W, b), out) in enumerate(zip(layers, work)):
+        for i, (W, out, nxt) in enumerate(self.step(k, gen, level.shape[1])):
             if i:
                 np.maximum(h, 0.0, out=h)
-            h = np.matmul(W, h, out=out)
-            h += b
+            np.matmul(W, h, out=out)
+            h = nxt
         t, s = h[:len(gen)], h[len(gen):]
-        np.clip(s, -neural.LOG_SIGMA_CLAMP, neural.LOG_SIGMA_CLAMP, out=s)
+        s.clip(-neural.LOG_SIGMA_CLAMP, neural.LOG_SIGMA_CLAMP, out=s)
         return t, s
 
 
@@ -299,8 +328,9 @@ def _reconstruct(plan, levels, start=0, pin=None, observed=None):
     (n, d) batch.
 
     ``levels`` is the [V_0 (noise), ..., V_K (standardized data)] list, each
-    level coordinate-major, one (d, n) array (``_noise_levels``,
-    ``_abduct``), edited in place.  Coordinates are filled one DAG
+    level coordinate-major, one (d + 1, n) array over a last row of ones
+    that nothing writes (``_empty_levels``, ``_noise_levels``, ``_abduct``),
+    edited in place.  Coordinates are filled one DAG
     generation at a time: each layer's conditioner runs once on its level
     (``_Plan.affine``), computing only the units the generation's outputs
     read, over all n columns at once, and the generation's free rows push
@@ -317,8 +347,9 @@ def _reconstruct(plan, levels, start=0, pin=None, observed=None):
     and its observed values bitwise (a counterfactual).
     A coordinate's conditioner reads only its parents (the plan refuses any
     other flow), which are final before its generation starts, so rows not
-    yet filled are harmless.  The passes drop terms whose weight is exactly
-    0 and multiply in the other orientation, so they match full row-major
+    yet filled are harmless as long as they are finite.  The passes drop
+    terms whose weight is exactly 0, multiply in the other orientation and
+    add each bias inside the product, so they match full row-major
     conditioner passes up to the order of summation.  A non-finite alpha
     raises NonFiniteInputError at entry, and so does a returned batch that
     is not finite (a value that overflowed on the way, for which numpy's
@@ -354,7 +385,7 @@ def _reconstruct(plan, levels, start=0, pin=None, observed=None):
                 for lvl, (t, s) in zip(range(K, 0, -1), reversed(down)):
                     levels[lvl - 1][pinned] = (levels[lvl][pinned] - t) * np.exp(-s)
         if observed is None:
-            x = np.multiply(levels[K].T, flow.sigma, out=np.empty((n, flow.dim)))
+            x = np.multiply(levels[K][:-1].T, flow.sigma, out=np.empty((n, flow.dim)))
             x += flow.mu
         else:
             x, filled = observed, np.concatenate(gens)
@@ -366,10 +397,22 @@ def _reconstruct(plan, levels, start=0, pin=None, observed=None):
     return x
 
 
+def _empty_levels(flow, n):
+    """K + 1 levels of n samples for ``_reconstruct``, each a coordinate-major
+    (d + 1, n) array: zeros, which a row not yet filled must hold finite,
+    over a last row of ones, which each pass's layer-0 product reads against
+    its bias column.  One allocation holds them all."""
+    levels = np.zeros((len(flow.layers) + 1, flow.dim + 1, n))
+    levels[:, -1] = 1.0
+    return list(levels)
+
+
 def _noise_levels(flow, z):
     """The levels [z, 0, ..., 0] of the noise batch ``z`` (n, d) for
-    ``_reconstruct``, coordinate-major (one (d, n) array each)."""
-    return [z.T.copy()] + [np.zeros(z.shape[::-1]) for _ in flow.layers]
+    ``_reconstruct`` (``_empty_levels``)."""
+    levels = _empty_levels(flow, len(z))
+    levels[0][:-1] = z.T
+    return levels
 
 
 def from_noise(flow, z):

@@ -19,7 +19,8 @@ is evaluated after each epoch.
 ``MaskedMLP._layers``, which ``forward`` runs on its checked input, is the
 one row-major layer loop; training runs it into buffers reused across steps
 (``layer_buffers``).  The flow's inversion runs its passes coordinate-major,
-in its own loop over (width, n) views of the same buffers (``flow._Plan.affine``).
+in its own loop over (width, n) views of its own buffers, each bias folded
+into its product (``flow._Plan.affine``).
 Evaluation runs in blocks of EVAL_BLOCK rows, so the hidden activations stay
 in cache; each sample's NLL is bitwise the one an unblocked pass gives.
 Checkpoints use the text format defined in ``textio``.
@@ -213,7 +214,7 @@ def _split_gaussian(out):
     gaussian-head output (for a flow conditioner: the shifts and
     log-scales)."""
     d = out.shape[-1] // 2
-    return out[..., :d], np.clip(out[..., d:], -LOG_SIGMA_CLAMP, LOG_SIGMA_CLAMP)
+    return out[..., :d], out[..., d:].clip(-LOG_SIGMA_CLAMP, LOG_SIGMA_CLAMP)
 
 
 def head_nll(head, out, x):

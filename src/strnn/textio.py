@@ -190,5 +190,5 @@ def write_json(path, payload):
     """Write strict JSON with sorted keys and one-space indents; a non-finite
     float is written as null."""
     with open(path, "w") as fh:
-        json.dump(_finite_or_null(payload), fh, indent=1, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(json.dumps(_finite_or_null(payload), indent=1, sort_keys=True,
+                            allow_nan=False) + "\n")

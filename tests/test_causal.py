@@ -373,3 +373,38 @@ class TestMetricReports:
         fl = causal.flow_from_linear_sem(other)
         with pytest.raises(DimMismatchError):
             causal.imse_report(fl, sem, value_count=2, n_samples=10, rng=0)
+
+    @pytest.mark.parametrize("n", [None, 1, 7, 8, 100, 1000])
+    def test_errors_match_per_target_means(self, n):
+        """``_report`` takes a query's errors from one mean over the rows of
+        its (targets, n) gap: bitwise a mean per target, at every n.  With
+        ``n`` None the answers are single rows, as imse_report gives them,
+        whose squares the per-target mean takes by libm's pow: the draws
+        hold gaps where that differs from g * g."""
+        d, value_count = 20, 8
+        sem = causal.gen_linear_sem(d, rng=1)
+        rng = np.random.default_rng(n)
+        drawn = []
+
+        def answers(blocks):
+            shape = (d,) if n is None else (n, d)
+            for j, _, alphas in blocks:
+                pairs = [(rng.normal(size=shape), 3.0 * rng.normal(size=shape))
+                         for _ in alphas]
+                drawn.append((j, pairs))
+                yield pairs
+
+        total, breakdown = causal._report(causal.flow_from_linear_sem(sem), sem, value_count,
+                                          n or 1, answers)
+        expected, raw = [], 0.0
+        for j, pairs in drawn:
+            for truth, model in pairs:
+                expected.append({i: float(np.mean((truth[..., i] - model[..., i]) ** 2))
+                                 for i in range(j + 1, d)})
+                raw += sum(expected[-1].values())
+        assert [row["errors"] for row in breakdown] == expected + [{}] * value_count
+        assert total == raw / (value_count * d * (d + 1) / 2.0)
+        if n is None:
+            gaps = [g for j, pairs in drawn for truth, model in pairs
+                    for g in (truth[j + 1:] - model[j + 1:]).tolist()]
+            assert any(g ** 2 != g * g for g in gaps)

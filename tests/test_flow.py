@@ -159,12 +159,13 @@ class TestTransforms:
         np.testing.assert_allclose(xs.std(axis=0), fl.sigma, atol=0.03)
 
 
-# The planned passes drop terms whose weight is exactly 0 and multiply
-# coordinate-major, W @ level, both of which change BLAS's order of summation:
-# an inversion oracle of row-major full passes is matched to within
-# INVERSION_RTOL of the largest magnitude in the oracle's levels and data.
-# Over 3,000 random flows (up to three layers, two hidden layers of 46 units,
-# 1,000 samples) the largest gap was 7.3e-12.
+# The planned passes drop terms whose weight is exactly 0, multiply
+# coordinate-major, W @ level, and add each bias inside its product, all of
+# which change BLAS's order of summation: an inversion oracle of row-major
+# full passes is matched to within INVERSION_RTOL of the largest magnitude in
+# the oracle's levels and data.  Over 10,000 random flows (up to three
+# layers, two hidden layers of up to 47 units, up to 1,000 samples) the
+# largest gap was 4.7e-11, and 7.1e-11 with the bias added after each product.
 INVERSION_RTOL = 1e-10
 
 
@@ -272,10 +273,12 @@ def count_passes(monkeypatch):
 
 def run_plan(plan, levels, start=0, pin=None):
     """``flow._reconstruct`` on coordinate-major copies of the row-major
-    ``levels``: the levels it leaves, row-major again, then the data."""
-    ours = [lv.T.copy() for lv in levels]
+    ``levels``, each (d + 1, n) with a last row of ones: the levels it
+    leaves, row-major again, then the data.  No pass writes the ones."""
+    ours = [np.vstack([lv.T, np.ones(len(lv))]) for lv in levels]
     x = flow._reconstruct(plan, ours, start, pin)
-    return [lv.T for lv in ours] + [x]
+    assert all((lv[-1] == 1.0).all() for lv in ours)
+    return [lv[:-1].T for lv in ours] + [x]
 
 
 def draw_dag(data, d):
@@ -380,8 +383,8 @@ class TestGenerationInversion:
         if chain:
             assert all(len(gen) == 1 for gen in plan.generations(0))
         for k in range(K):
-            layers, _ = plan.step(k, plan.generations(0)[0], n)
-            assert [W.shape[0] for W, _ in layers[:-1]] == [0, 0]
+            layers = plan.step(k, plan.generations(0)[0], n)
+            assert [W.shape[0] for W, _, _ in layers[:-1]] == [0, 0]
         j = data.draw(st.integers(0, d - 1))
         pin = data.draw(st.sampled_from([None, (j, data.draw(st.floats(-3, 3)))]))
         start = data.draw(st.integers(0, j))
@@ -576,9 +579,9 @@ class TestGenerationInversion:
         for start in (0, 2):
             for gen in plan.generations(start):
                 for k, net in enumerate(fl.layers):
-                    layers, _ = plan.step(k, gen, 1)
+                    W = plan.step(k, gen, 1)[0][0]
                     allowed = (net.masks[-1][gen] != 0.0).any(axis=0)
-                    narrower |= layers[0][0].shape[0] < allowed.sum()
+                    narrower |= W.shape[0] < allowed.sum()
         assert narrower == drop_units
         z = rng.integers(-8, 9, size=(7, d)) / 4
         observed, _ = flow._to_noise(fl, z, keep_levels=True)
@@ -593,35 +596,65 @@ class TestGenerationInversion:
     def test_each_pass_keeps_the_units_its_rows_read(self):
         """Each pass of conditioner k on a generation keeps output rows gen and
         d + gen, and in each hidden layer exactly the units with a nonzero
-        weight into the units kept after it, as the weights' sliced copies
-        and bias columns, and writes (width, n) buffers.  A root generation
-        reads no hidden unit, so its pass outputs its bias rows whatever the
-        input."""
+        weight into the units kept after it, as contiguous copies of the
+        weights with their biases as one more column: last in layer 0, which
+        reads a level's row of ones, first in each later layer.  Each layer
+        writes a (width, n) array at the front of one of the plan's buffers;
+        a hidden layer's sits under the buffer's row of ones, and the next
+        layer reads both."""
         A = adjacency.gen_random_sparse(7, 0.5, 3)
         fl = jitter_flow(flow.AffineFlow.build(A, 2, [9, 8], 1), 2)
         plan = flow._Plan(fl)
-        x = np.random.default_rng(4).normal(size=(6, 7))
+        n = 6
         for start in range(7):
-            for g, gen in enumerate(plan.generations(start)):
+            for gen in plan.generations(start):
                 for k, net in enumerate(fl.layers):
-                    layers, work = plan.step(k, gen, len(x))
+                    layers = plan.step(k, gen, n)
                     keep, expected = np.concatenate([gen, gen + 7]), []
                     for layer in (2, 1, 0):
-                        W, b = net.weights[layer][keep], net.biases[layer][keep]
+                        W, b = net.weights[layer][keep], net.biases[layer][keep, None]
                         read = (W != 0.0).any(axis=0) if layer else np.ones(7, dtype=bool)
-                        expected.insert(0, (W[:, read], b))
+                        expected.insert(0, np.hstack([b, W[:, read]] if layer else [W, b]))
                         keep = np.flatnonzero(read)
-                    assert len(layers) == len(expected) == len(work)
-                    for (W, b), (W_ref, b_ref), buf in zip(layers, expected, work):
+                    buffers = plan.buffers(net, n)
+                    assert len(layers) == len(expected) == len(buffers)
+                    for i, ((W, out, h), W_ref, buf) in enumerate(zip(layers, expected, buffers)):
                         assert W.flags.c_contiguous and W.shape == W_ref.shape
-                        assert np.array_equal(W, W_ref) and np.array_equal(b, b_ref[:, None])
-                        assert buf.flags.c_contiguous and buf.shape == (len(b), len(x))
-                    if start == 0 and g == 0:
-                        assert [W.shape[0] for W, _ in layers[:-1]] == [0, 0]
-                        t, s = plan.affine(k, gen, x.T.copy())
-                        bias = np.tile(expected[-1][1][:, None] + 0.0, (1, len(x)))
-                        assert t.tobytes() == bias[:len(gen)].tobytes()
-                        assert s.tobytes() == bias[len(gen):].tobytes()
+                        assert np.array_equal(W, W_ref)
+                        assert out.flags.c_contiguous and out.shape == (len(W), n)
+                        assert h.ctypes.data == buf.ctypes.data
+                        if i < len(layers) - 1:
+                            assert h.shape == (len(W) + 1, n) and (h[0] == 1.0).all()
+                            assert out.ctypes.data == h[1:].ctypes.data
+                        else:
+                            assert out is h
+
+    @settings(max_examples=40)
+    @given(data=st.data(), d=st.integers(1, 7), K=st.sampled_from([1, 2]),
+           hidden=st.lists(st.sampled_from([1, 4, 16]), min_size=1, max_size=2),
+           seed=st.integers(0, 2**16), n=st.sampled_from([1, 7, 1000]))
+    def test_generation_reading_no_hidden_unit_outputs_its_biases(self, data, d, K, hidden,
+                                                                  seed, n):
+        """A generation whose rows read no hidden unit, as every root
+        generation from start 0 does, outputs its biases times the row of
+        ones: exactly its output biases, clamped, and bitwise the row-major
+        full pass, whatever the level holds."""
+        A = draw_dag(data, d)
+        fl = jitter_flow(flow.AffineFlow.build(A, K, [d + w for w in hidden], seed), seed + 1)
+        plan = flow._Plan(fl)
+        x = 3.0 * np.random.default_rng(seed).normal(size=(n, d))
+        level = np.vstack([x.T, np.ones(n)])
+        gen = plan.generations(0)[0]
+        for k, net in enumerate(fl.layers):
+            assert all(W.shape[0] == 0 for W, _, _ in plan.step(k, gen, n)[:-1])
+            t, s = plan.affine(k, gen, level)
+            t_ref, s_ref = neural._split_gaussian(net.forward(x))
+            assert t.tobytes() == np.ascontiguousarray(t_ref[:, gen].T).tobytes()
+            assert s.tobytes() == np.ascontiguousarray(s_ref[:, gen].T).tobytes()
+            b = net.biases[-1]
+            assert (t == b[gen, None]).all()
+            assert (s == b[d + gen, None].clip(-neural.LOG_SIGMA_CLAMP,
+                                               neural.LOG_SIGMA_CLAMP)).all()
 
     def test_cmse_report_abducts_once(self, monkeypatch):
         sem = causal.gen_linear_sem(5, rng=3)
@@ -687,6 +720,38 @@ def imse_per_query(fl, sem, value_count, n, rng, ground_truth):
     return total / (value_count * d * (d + 1) / 2.0), breakdown, batches
 
 
+def report_with_fresh_blocks(fl, sem, report, value_count, n, rng):
+    """Oracle: ``causal.imse_report`` (exact ground truth) or ``cmse_report``
+    as they ran before a report reused its block buffers: each block's
+    levels fresh from ``flow._noise_levels`` of the block's stacked noise, or
+    from ``np.tile`` of the abducted levels and the observations, and the
+    SEM's noise abducted per query (``causal.sem_counterfactual``)."""
+    d, plan = fl.dim, flow._Plan(fl)
+
+    def imse_answers(blocks):
+        streams = np.random.default_rng(rng).spawn(value_count * d)
+        for j, first, alphas in blocks:
+            flow_rngs = [s.spawn(2)[0] for s in streams[first:first + len(alphas)]]
+            z = np.concatenate([r.standard_normal((n, d)) for r in flow_rngs])
+            xs = flow._reconstruct(plan, flow._noise_levels(fl, z), pin=(j, np.repeat(alphas, n)))
+            yield [(causal.sem_intervene_mean_vector(sem, j, a), x.mean(axis=0))
+                   for a, x in zip(alphas, np.split(xs, len(alphas)))]
+
+    def cmse_answers(blocks):
+        x_obs = causal.sem_sample(sem, n, rng)
+        levels = flow._abduct(fl, x_obs)
+        for j, _, alphas in blocks:
+            copies = len(alphas)
+            fc = flow._reconstruct(plan, [np.tile(lv, copies) for lv in levels], start=j,
+                                   pin=(j, np.repeat(alphas, n)),
+                                   observed=np.tile(x_obs, (copies, 1)))
+            yield [(causal.sem_counterfactual(sem, x_obs, j, a), x)
+                   for a, x in zip(alphas, np.split(fc, copies))]
+
+    answers = imse_answers if report == "imse" else cmse_answers
+    return causal._report(fl, sem, value_count, n, answers)
+
+
 class TestReportBlocks:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), d=st.integers(2, 6), K=st.sampled_from([1, 2, 3]),
@@ -735,6 +800,37 @@ class TestReportBlocks:
         assert causal.BLOCK_COLUMNS // 1000 == 2
         total, breakdown = causal.imse_report(fl, sem, 8, 1000, 8)
         assert (total, breakdown) == imse_per_query(fl, sem, 8, 1000, 8, "exact")[:2]
+
+    @pytest.mark.parametrize("report", ["imse", "cmse"])
+    @pytest.mark.parametrize("value_count, n", [(3, 10), (3, causal.BLOCK_COLUMNS // 2),
+                                                (8, 1000)])
+    def test_reused_block_buffers_match_fresh_ones(self, report, value_count, n):
+        """A report allocates each block width's levels once (and cmse_report
+        its tiled observations) and refills them block after block.  Every
+        block's data, and so the report, is bitwise what fresh buffers per
+        block give: at n = BLOCK_COLUMNS // 2 each target's 3 values take a
+        block of 2 and a short last block of 1, each width reused from
+        target to target."""
+        sem = causal.gen_linear_sem(6, cutoff=0.5, rng=5)
+        fl = jitter_flow(flow.AffineFlow.build(sem.adjacency(), 2, [12], 6), 7)
+        run = causal.imse_report if report == "imse" else causal.cmse_report
+        sides = []
+        for compute in (lambda: run(fl, sem, value_count, n, 8),
+                        lambda: report_with_fresh_blocks(fl, sem, report, value_count, n, 8)):
+            batches, reconstruct = [], flow._reconstruct
+
+            def recorded(*args, **kwargs):
+                x = reconstruct(*args, **kwargs)
+                batches.append(x.copy())
+                return x
+
+            with mock.patch.object(flow, "_reconstruct", recorded):
+                sides.append((compute(), batches))
+        (ours, ours_batches), (ref, ref_batches) = sides
+        blocks = 5 * -(-value_count // max(1, causal.BLOCK_COLUMNS // n))
+        assert len(ours_batches) == len(ref_batches) == blocks
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(ours_batches, ref_batches))
+        assert ours == ref
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), d=st.integers(1, 7), K=st.sampled_from([1, 2, 3]),

@@ -18,7 +18,6 @@ from .errors import (
     NonBinaryEntryError,
     UpperTriangleNonZeroError,
     check_field_types,
-    decode,
 )
 
 
@@ -141,6 +140,14 @@ def read_matrix(path, adjacency=False):
     return M
 
 
+# Each scheme's generator and the spec fields it takes, in call order.
+_SCHEMES = {"prev_k": (gen_prev_k, ("d", "k")),
+            "every_other": (gen_every_other, ("d",)),
+            "random_sparse": (gen_random_sparse, ("d", "threshold", "seed")),
+            "neighborhood": (gen_neighborhood, ("rows", "cols", "nbr_size")),
+            "dense": (dense_lower, ("d",))}
+
+
 @dataclass
 class GeneratorSpec:
     """Declarative recipe for an adjacency matrix (used by configs/sidecars)."""
@@ -154,42 +161,23 @@ class GeneratorSpec:
     nbr_size: int = 1
     seed: int = 0
 
-    _SCHEMES = ("prev_k", "every_other", "random_sparse", "neighborhood", "dense")
+    def _scheme(self):
+        """(generator, fields in call order) of the spec's scheme."""
+        if self.scheme not in _SCHEMES:
+            raise ConfigError(f"unknown scheme {self.scheme!r}; known: {tuple(_SCHEMES)}")
+        return _SCHEMES[self.scheme]
 
     def generate(self):
-        if self.scheme == "prev_k":
-            return gen_prev_k(self.d, self.k)
-        if self.scheme == "every_other":
-            return gen_every_other(self.d)
-        if self.scheme == "random_sparse":
-            return gen_random_sparse(self.d, self.threshold, self.seed)
-        if self.scheme == "neighborhood":
-            return gen_neighborhood(self.rows, self.cols, self.nbr_size)
-        if self.scheme == "dense":
-            return dense_lower(self.d)
-        raise ConfigError(f"unknown scheme {self.scheme!r}; known: {self._SCHEMES}")
+        gen, fields = self._scheme()
+        return gen(*(getattr(self, name) for name in fields))
 
     def to_dict(self):
-        out = {"scheme": self.scheme}
-        if self.scheme in ("prev_k", "every_other", "random_sparse", "dense"):
-            out["d"] = self.d
-        if self.scheme == "prev_k":
-            out["k"] = self.k
-        if self.scheme == "random_sparse":
-            out["threshold"] = self.threshold
-            out["seed"] = self.seed
-        if self.scheme == "neighborhood":
-            out.update(rows=self.rows, cols=self.cols, nbr_size=self.nbr_size)
-        return out
+        """The scheme and the fields its generator takes."""
+        return {"scheme": self.scheme, **{name: getattr(self, name) for name in self._scheme()[1]}}
 
     def validate(self):
         check_field_types(self, "adjacency spec ")
-        if self.scheme not in self._SCHEMES:
-            raise ConfigError(f"unknown scheme {self.scheme!r}; known: {self._SCHEMES}")
+        self._scheme()
         if self.seed < 0:
             raise ConfigError("adjacency spec seed must be >= 0")
         return self
-
-    @classmethod
-    def from_dict(cls, cfg):
-        return decode(cls, cfg, "adjacency spec ").validate()

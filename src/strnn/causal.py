@@ -16,8 +16,8 @@ Counterfactuals, on either side, refill only j and its descendants
 equal to the observation.  ``imse_report`` and ``cmse_report`` score the
 (j, alpha) queries through one loop, ``_report``, which hands the flow a
 target's values in blocks of up to BLOCK_COLUMNS columns, one
-``_reconstruct`` call per block, into levels allocated once per report and
-block width and refilled in place from block to block.
+``_reconstruct`` call per block, into levels allocated once per report, at
+its first and widest block, and refilled in place from block to block.
 """
 
 from dataclasses import dataclass
@@ -65,19 +65,19 @@ def gen_linear_sem(d, cutoff=1.5, rng=None):
     return LinearSEM(W)
 
 
-def _ancestral(sem, x, start=0, pin=None, observed=None):
-    """Fill columns start..d-1 of ``x`` (one row or a batch) in index order:
+def _ancestral(sem, x, pin=None, observed=None):
+    """Fill every column of ``x`` (one row or a batch) in index order:
     x_m = W_m x + (the noise x_m holds on entry), or alpha for the pinned
     coordinate of ``pin=(j, alpha)``.  With ``observed``, a batch of x's
-    shape, only start and its descendants under the nonzero weights are
-    filled, and every other column is first copied from ``observed``.
-    Edits ``x`` in place and returns it."""
+    shape, only j and its descendants under the nonzero weights are filled,
+    and every other column is first copied from ``observed``.  Edits ``x``
+    in place and returns it."""
     j, alpha = (None, None) if pin is None else pin
     if pin is not None and not 0 <= j < sem.dim:
         raise InvalidPairError(f"intervention index {j} outside 0..{sem.dim - 1}")
-    filled = np.arange(sem.dim) >= start
+    filled = np.ones(sem.dim, dtype=bool)
     if observed is not None:
-        filled = flow_mod._descendants(sem.weights != 0, start)
+        filled = flow_mod._descendants(sem.weights != 0, j)
         x[..., ~filled] = observed[..., ~filled]
     for m in np.flatnonzero(filled):
         if m == j:
@@ -94,8 +94,9 @@ def sem_sample(sem, n, rng):
 
 def sem_intervene_mean_vector(sem, j, alpha):
     """Exact means of every coordinate under do(x_j = alpha), by forward
-    substitution; upstream coordinates keep their observational mean 0."""
-    return _ancestral(sem, np.zeros(sem.dim), start=j, pin=(j, alpha))
+    substitution from zero noise; upstream coordinates keep their
+    observational mean 0."""
+    return _ancestral(sem, np.zeros(sem.dim), pin=(j, alpha))
 
 
 def sem_intervene_sample(sem, j, alpha, n, rng):
@@ -110,8 +111,7 @@ def sem_counterfactual(sem, x_obs, j, alpha):
     coordinate is returned bitwise equal to x_obs.  Accepts a single
     observation or a batch."""
     x_obs, squeeze = neural._as_batch(x_obs, sem.dim)
-    x = _ancestral(sem, x_obs - x_obs @ sem.weights.T, start=j, pin=(j, alpha),
-                   observed=x_obs)
+    x = _ancestral(sem, x_obs - x_obs @ sem.weights.T, pin=(j, alpha), observed=x_obs)
     return x[0] if squeeze else x
 
 
@@ -140,7 +140,7 @@ def flow_counterfactual(fl, x_obs, j, alpha):
     equal to x_obs.  Accepts a single observation or a batch.
     """
     x_obs, squeeze = neural._as_batch(x_obs, fl.dim)
-    x = flow_mod._reconstruct(flow_mod._Plan(fl), flow_mod._abduct(fl, x_obs), start=j,
+    x = flow_mod._reconstruct(flow_mod._Plan(fl), flow_mod._abduct(fl, x_obs),
                               pin=(j, alpha), observed=x_obs.copy())
     return x[0] if squeeze else x
 
@@ -237,8 +237,9 @@ def imse_report(fl, sem, value_count=8, n_samples=1000, rng=None, ground_truth="
     are pre-split per query, so results do not depend on evaluation order.
     A block of a target's values (``BLOCK_COLUMNS``) runs as one
     ``flow._reconstruct`` call, each query's noise, drawn from its own
-    stream, in its own n_samples columns.  The levels of each block width
-    are allocated once per report: each call refills every row it reads.
+    stream, in its own n_samples columns.  The levels are allocated once per
+    report, at the first block, which is the widest; a shorter block runs on
+    their first columns.  Each call refills every row it reads.
     """
     if ground_truth not in ("exact", "sample"):
         raise InvalidDimError(f"unknown ground_truth mode {ground_truth!r}")
@@ -246,12 +247,10 @@ def imse_report(fl, sem, value_count=8, n_samples=1000, rng=None, ground_truth="
     def answers(blocks):
         streams = np.random.default_rng(rng).spawn(value_count * fl.dim)
         plan = flow_mod._Plan(fl)
-        noise, block_levels = np.empty((n_samples, fl.dim)), {}
+        noise = np.empty((n_samples, fl.dim))
+        widest = flow_mod._empty_levels(fl, len(blocks[0][2]) * n_samples)
         for j, first, alphas in blocks:
-            width = len(alphas) * n_samples
-            if width not in block_levels:
-                block_levels[width] = flow_mod._empty_levels(fl, width)
-            levels = block_levels[width]
+            levels = [lv[:, :len(alphas) * n_samples] for lv in widest]
             # Only the sample mode draws from the SEM's child; spawn(1) gives
             # the same first child as spawn(2).
             children = [s.spawn(1 if ground_truth == "exact" else 2)
@@ -283,29 +282,29 @@ def cmse_report(fl, sem, value_count=8, n_obs=1000, rng=None):
     from j under both scores exactly 0.0.  A block of a target's values
     (``BLOCK_COLUMNS``) runs as one ``flow._reconstruct`` call on copies of
     the abducted levels and observations side by side, tiled once per
-    report and block width; after each block only the rows it refilled, j
-    and its descendants, are copied back from the abduction.
+    report for the first block, which is the widest; a shorter block runs
+    on the first copies.  After each block only the rows it refilled, j and
+    its descendants, are copied back from the abduction.
     """
     def answers(blocks):
         plan = flow_mod._Plan(fl)
         x_obs, _ = neural._as_batch(sem_sample(sem, n_obs, rng), fl.dim)
         levels = flow_mod._abduct(fl, x_obs)
         eps = x_obs - x_obs @ sem.weights.T
-        tiled = {}
+        most = len(blocks[0][2])
+        tiled, observed = [np.tile(lv, most) for lv in levels], np.tile(x_obs, (most, 1))
         for j, _, alphas in blocks:
-            copies = len(alphas)
-            if copies not in tiled:
-                tiled[copies] = [np.tile(lv, copies) for lv in levels], np.tile(x_obs, (copies, 1))
-            block, observed = tiled[copies]
-            fc = flow_mod._reconstruct(plan, block, start=j, pin=(j, np.repeat(alphas, n_obs)),
-                                       observed=observed)
-            yield [(_ancestral(sem, eps.copy(), start=j, pin=(j, alpha), observed=x_obs), x)
+            copies, width = len(alphas), len(alphas) * n_obs
+            fc = flow_mod._reconstruct(plan, [lv[:, :width] for lv in tiled],
+                                       pin=(j, np.repeat(alphas, n_obs)),
+                                       observed=observed[:width])
+            yield [(_ancestral(sem, eps.copy(), pin=(j, alpha), observed=x_obs), x)
                    for alpha, x in zip(alphas, np.split(fc, copies))]
             # ``_report`` has scored the block: put back what it refilled.
-            filled = np.concatenate(plan.generations(j, descendants=True))
-            for lv_block, lv in zip(block, levels):
-                lv_block.reshape(-1, copies, n_obs)[filled] = lv[filled, None]
-            observed.reshape(copies, n_obs, -1)[:, :, filled] = x_obs[:, filled]
+            filled = np.concatenate(plan.generations(j))
+            for lv_tiled, lv in zip(tiled, levels):
+                lv_tiled.reshape(-1, most, n_obs)[filled, :copies] = lv[filled, None]
+            observed.reshape(most, n_obs, -1)[:copies, :, filled] = x_obs[:, filled]
 
     return _report(fl, sem, value_count, n_obs, answers)
 

@@ -166,12 +166,14 @@ class SynthSpec:
     threshold: float = 0.8            # nonlinear_multimodal sparsity
     cutoff: float = 1.5               # linear_sem weight cutoff
 
-    _FAMILIES = ("binary", "gaussian", "nonlinear_multimodal", "linear_sem")
+    # Each family and the fields it takes beyond n, seed, ratios and adjacency.
+    _FAMILIES = {"binary": (), "gaussian": (), "nonlinear_multimodal": ("d", "threshold"),
+                 "linear_sem": ("d", "cutoff")}
 
     def validate(self):
         check_field_types(self)
         if self.family not in self._FAMILIES:
-            raise ConfigError(f"unknown family {self.family!r}; known: {self._FAMILIES}")
+            raise ConfigError(f"unknown family {self.family!r}; known: {tuple(self._FAMILIES)}")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         _check_ratios(self.ratios)
@@ -181,7 +183,7 @@ class SynthSpec:
             raise ConfigError(f"family {self.family!r} needs an adjacency spec")
         if self.adjacency is not None:
             self.adjacency.validate()
-        if self.family in ("nonlinear_multimodal", "linear_sem") and self.d < 1:
+        if "d" in self._FAMILIES[self.family] and self.d < 1:
             raise ConfigError(f"family {self.family!r} needs d >= 1")
         return self
 
@@ -190,10 +192,7 @@ class SynthSpec:
                "ratios": list(self.ratios)}
         if self.adjacency is not None:
             out["adjacency"] = self.adjacency.to_dict()
-        if self.family == "nonlinear_multimodal":
-            out.update(d=self.d, threshold=self.threshold)
-        if self.family == "linear_sem":
-            out.update(d=self.d, cutoff=self.cutoff)
+        out.update((name, getattr(self, name)) for name in self._FAMILIES[self.family])
         return out
 
     @classmethod

@@ -13,8 +13,9 @@ generation, where a generation is the set of coordinates whose parents are
 all already filled; ``_reconstruct`` is its one routine, shared by sampling
 and by the interventions and counterfactuals of ``causal``, which pin one
 coordinate to a value in data units (one value per sample column, so that a
-report answers several queries side by side in one call); a counterfactual
-refills only the pinned coordinate's descendants.  It runs coordinate-major,
+report answers several queries side by side in one call).  It fills every
+coordinate, or, for a counterfactual, the pinned coordinate and its
+descendants alone: the pin names the fill set.  It runs coordinate-major,
 each level one (d + 1, n) array whose last row is ones, and follows a
 ``_Plan`` built once per query or report: each conditioner pass
 (``_Plan.affine``) is one product per layer of the weight rows and hidden
@@ -201,17 +202,16 @@ def _descendants(dep, j):
     return reach
 
 
-def _generations(dep, start, descendants=False):
-    """Coordinates start..d-1, or with ``descendants`` only start and its
-    descendants (``_descendants``), grouped into DAG generations, as index
-    arrays.
+def _generations(dep, j=None):
+    """Every coordinate, or with ``j`` only j and its descendants
+    (``_descendants``), grouped into DAG generations, as index arrays.
 
     Generation 0 holds the coordinates with no parent among those grouped;
     each later one holds those whose parents there all sit in earlier
     generations.  ``dep`` is strictly lower triangular, as ``_Plan`` checks.
     """
     d = dep.shape[0]
-    ks = np.flatnonzero(_descendants(dep, start)) if descendants else np.arange(start, d)
+    ks = np.arange(d) if j is None else np.flatnonzero(_descendants(dep, j))
     depth = np.zeros(d, dtype=np.int64)
     for i, k in enumerate(ks):
         parents = ks[:i][dep[k, ks[:i]]]
@@ -224,16 +224,15 @@ def _generations(dep, start, descendants=False):
 
 class _Plan:
     """The noise-to-data plan of one flow at its current weights, built once
-    per query or report: ``dep`` from ``_dependencies``, the generations
-    from each ``start`` (of every later coordinate, or of start's
-    descendants alone), the slices of each conditioner that each generation
-    reads and the activation buffers its passes write into, by sample
-    count.  Each bias rides in its weight slice as one more column, which
-    multiplies a row of ones: the last row of every level and the first row
-    of every hidden buffer, which no pass writes.  Like ``dep`` the plan is
-    never cached on the flow, because training changes the weights.  A flow
-    whose output i reads a coordinate j >= i raises
-    UpperTriangleNonZeroError.
+    per query or report: ``dep`` from ``_dependencies``, the generations of
+    every coordinate or of one coordinate's descendants (``_generations``),
+    the slices of each conditioner that each generation reads and the
+    activation buffers its passes write into, by sample count.  Each bias
+    rides in its weight slice as one more column, which multiplies a row of
+    ones: the last row of every level and the first row of every hidden
+    buffer, which no pass writes.  Like ``dep`` the plan is never cached on
+    the flow, because training changes the weights.  A flow whose output i
+    reads a coordinate j >= i raises UpperTriangleNonZeroError.
     """
 
     def __init__(self, flow):
@@ -242,11 +241,10 @@ class _Plan:
         adjacency_mod.validate(self.dep)
         self._generations, self._steps, self._buffers = {}, {}, {}
 
-    def generations(self, start, descendants=False):
-        key = start, descendants
-        if key not in self._generations:
-            self._generations[key] = _generations(self.dep, start, descendants)
-        return self._generations[key]
+    def generations(self, j=None):
+        if j not in self._generations:
+            self._generations[j] = _generations(self.dep, j)
+        return self._generations[j]
 
     def buffers(self, net, n):
         """The flat activation buffers of ``net``'s widths over n samples,
@@ -322,16 +320,15 @@ class _Plan:
         return t, s
 
 
-def _reconstruct(plan, levels, start=0, pin=None, observed=None):
-    """Fill coordinates start..d-1 of every level in noise-to-data order,
-    following the ``_Plan`` of the flow, and return the data as a C-ordered
-    (n, d) batch.
+def _reconstruct(plan, levels, pin=None, observed=None):
+    """Fill the levels in noise-to-data order, following the ``_Plan`` of
+    the flow, and return the data as a C-ordered (n, d) batch.
 
     ``levels`` is the [V_0 (noise), ..., V_K (standardized data)] list, each
-    level coordinate-major, one (d + 1, n) array over a last row of ones
-    that nothing writes (``_empty_levels``, ``_noise_levels``, ``_abduct``),
-    edited in place.  Coordinates are filled one DAG
-    generation at a time: each layer's conditioner runs once on its level
+    level coordinate-major, one (d + 1, n) array, or a view of its first n
+    columns, over a last row of ones that nothing writes (``_empty_levels``,
+    ``_noise_levels``, ``_abduct``), edited in place.  Every coordinate is
+    filled, one DAG generation at a time: each layer's conditioner runs once on its level
     (``_Plan.affine``), computing only the units the generation's outputs
     read, over all n columns at once, and the generation's free rows push
     their noise up through the layers.  With ``pin=(j, alpha)`` coordinate j
@@ -341,7 +338,7 @@ def _reconstruct(plan, levels, start=0, pin=None, observed=None):
     per column: a report lays several queries side by side in one call, and
     each gets the bits its own call gives wherever BLAS computes each column
     of a product alone (see ``causal.BLOCK_COLUMNS``).  With ``observed``,
-    the (n, d) data the levels were abducted from, only start and its
+    the (n, d) data the levels were abducted from, only the pinned j and its
     descendants under ``plan.dep`` are filled, and written into
     ``observed``, which is returned: every other coordinate keeps its levels
     and its observed values bitwise (a counterfactual).
@@ -362,7 +359,7 @@ def _reconstruct(plan, levels, start=0, pin=None, observed=None):
     if pin is not None and not np.isfinite(alpha).all():
         raise NonFiniteInputError(f"intervention value {alpha} is not finite")
     K, n = len(flow.layers), levels[0].shape[1]
-    gens = plan.generations(start, descendants=observed is not None)
+    gens = plan.generations(None if observed is None else j)
     # An overflow leaves a non-finite value, which the check below raises on.
     with np.errstate(over="ignore", invalid="ignore"):
         for gen in gens:

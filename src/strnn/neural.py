@@ -73,10 +73,6 @@ class MaskedMLP:
     def dim(self):
         return self.masks[0].shape[1]
 
-    @property
-    def out_dim(self):
-        return self.masks[-1].shape[0]
-
     @classmethod
     def from_masks(cls, masks, head, rng):
         """Build a network from a factorization mask list (input side first).
@@ -507,7 +503,7 @@ def test_summary(per):
 
 
 def support(net):
-    """(out_dim, d) booleans: entry (i, j) is set when output i reads input j
+    """(outputs, d) booleans: entry (i, j) is set when output i reads input j
     through a chain of nonzero weights.  ``W != 0`` also holds for NaN and
     inf, so a non-finite weight counts as an edge."""
     return factorizer.mask_product([W != 0 for W in net.weights]) > 0

@@ -12,6 +12,7 @@ from strnn.errors import (
     ParseError,
     UpperTriangleNonZeroError,
     UsageError,
+    decode,
 )
 
 
@@ -221,6 +222,10 @@ class TestMatrixIO:
             np.testing.assert_array_equal(adjacency.read_matrix(path), B)
 
 
+def load_spec(cfg):
+    return decode(adjacency.GeneratorSpec, cfg, "adjacency spec ").validate()
+
+
 class TestGeneratorSpec:
     def test_roundtrip_each_scheme(self):
         specs = [
@@ -233,7 +238,7 @@ class TestGeneratorSpec:
             adjacency.GeneratorSpec(scheme="dense", d=5),
         ]
         for spec in specs:
-            again = adjacency.GeneratorSpec.from_dict(spec.to_dict())
+            again = load_spec(spec.to_dict())
             np.testing.assert_array_equal(spec.generate(), again.generate())
 
     def test_generate_matches_direct_calls(self):
@@ -244,12 +249,11 @@ class TestGeneratorSpec:
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
-            adjacency.GeneratorSpec.from_dict({"scheme": "prev_k", "d": 4,
-                                               "k": 1, "wat": True})
+            load_spec({"scheme": "prev_k", "d": 4, "k": 1, "wat": True})
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ConfigError):
-            adjacency.GeneratorSpec.from_dict({"scheme": "mystery", "d": 4})
+            load_spec({"scheme": "mystery", "d": 4})
 
     def test_unset_dimension_rejected(self):
         with pytest.raises(InvalidDimError):

@@ -85,7 +85,8 @@ JSON = st.recursive(
     max_leaves=5)
 
 VALID = {
-    "adjacency spec": (adjacency.GeneratorSpec.from_dict, {
+    "adjacency spec": (lambda cfg: decode(adjacency.GeneratorSpec, cfg,
+                                          "adjacency spec ").validate(), {
         "scheme": "random_sparse", "d": 4, "k": 1, "threshold": 0.5, "rows": 2,
         "cols": 2, "nbr_size": 1, "seed": 1}),
     "dataset spec": (datagen.SynthSpec.from_dict, {

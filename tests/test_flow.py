@@ -178,8 +178,12 @@ def assert_inversion_close(ours, ref):
 
 def reconstruct_per_coordinate(fl, levels, pin, start):
     """Reference inversion: one conditioner forward per coordinate per layer,
-    in index order, then de-standardization.  ``flow._reconstruct`` must
-    match it, levels and data, within ``assert_inversion_close``."""
+    in index order from ``start``, then de-standardization.
+    ``flow._reconstruct`` must match it, levels and data, within
+    ``assert_inversion_close``: from start 0 for a whole refill, from j for
+    a counterfactual, whose refill skips the coordinates after j that do not
+    descend from it and which the oracle recomputes to their abducted values
+    up to rounding."""
     K = len(fl.layers)
     j, alpha = pin if pin else (None, None)
     for k in range(start, fl.dim):
@@ -200,13 +204,15 @@ def reconstruct_per_coordinate(fl, levels, pin, start):
 
 def reconstruct_full_passes(fl, levels, dep, start=0, pin=None):
     """Oracle: the generation-by-generation inversion as it was before the
-    inversion plan, with every conditioner pass a plain full forward.  The
+    inversion plan, with every conditioner pass a plain full forward, of
+    coordinates start..d-1 (see ``reconstruct_per_coordinate``).  The
     planned ``flow._reconstruct`` must match it, levels and data, within
     ``assert_inversion_close``, and bitwise when every product and sum is
     exact."""
     j, alpha = (None, None) if pin is None else pin
     K = len(fl.layers)
-    for gen in flow._generations(dep, start):
+    for gen in flow._generations(dep):
+        gen = gen[gen >= start]
         at_pin = gen == j
         free, pinned = gen[~at_pin], gen[at_pin]
         down = []
@@ -271,12 +277,13 @@ def count_passes(monkeypatch):
     return calls
 
 
-def run_plan(plan, levels, start=0, pin=None):
+def run_plan(plan, levels, pin=None, observed=None):
     """``flow._reconstruct`` on coordinate-major copies of the row-major
-    ``levels``, each (d + 1, n) with a last row of ones: the levels it
-    leaves, row-major again, then the data.  No pass writes the ones."""
+    ``levels``, each (d + 1, n) with a last row of ones, and on a copy of
+    ``observed``: the levels it leaves, row-major again, then the data.  No
+    pass writes the ones."""
     ours = [np.vstack([lv.T, np.ones(len(lv))]) for lv in levels]
-    x = flow._reconstruct(plan, ours, start, pin)
+    x = flow._reconstruct(plan, ours, pin, None if observed is None else observed.copy())
     assert all((lv[-1] == 1.0).all() for lv in ours)
     return [lv[:-1].T for lv in ours] + [x]
 
@@ -290,41 +297,56 @@ def draw_dag(data, d):
     return A
 
 
-def assert_same_inversion(fl, levels, pin, start):
+# The refills the inversion tests draw from (``refill_levels``).
+REFILLS = ("noise", "abducted", "counterfactual")
+
+
+def refill_levels(fl, x, kind):
+    """The levels of one refill of ``kind``: "noise" reads ``x`` as the noise
+    of a whole refill; "abducted" (a whole refill) and "counterfactual"
+    abduct the levels from the data ``x``."""
+    if kind == "noise":
+        return [x] + [np.zeros_like(x) for _ in fl.layers]
+    return flow._to_noise(fl, x, keep_levels=True)[0]
+
+
+def assert_same_inversion(fl, levels, pin, observed=None):
+    """The planned refill of ``levels``, whole or, given ``observed``, the
+    counterfactual of ``pin``, matches ``reconstruct_per_coordinate``."""
     ref = [lv.copy() for lv in levels]
-    ref.append(reconstruct_per_coordinate(fl, ref, pin, start))
-    assert_inversion_close(run_plan(flow._Plan(fl), levels, start, pin), ref)
+    ref.append(reconstruct_per_coordinate(fl, ref, pin, 0 if observed is None else pin[0]))
+    assert_inversion_close(run_plan(flow._Plan(fl), levels, pin, observed), ref)
 
 
 class TestGenerationInversion:
     @settings(max_examples=60)
     @given(data=st.data(), d=st.integers(1, 7), K=st.sampled_from([1, 2, 3]),
-           seed=st.integers(0, 2**16), observed=st.booleans())
-    def test_matches_per_coordinate_reference(self, data, d, K, seed, observed):
+           seed=st.integers(0, 2**16), kind=st.sampled_from(REFILLS))
+    def test_matches_per_coordinate_reference(self, data, d, K, seed, kind):
+        """Whole refills of noise or abducted levels, with a pin or none, and
+        counterfactual refills match the per-coordinate oracle."""
         A = draw_dag(data, d)
         fl = jitter_flow(flow.AffineFlow.build(A, K, [d + 2], seed), seed + 1)
         rng = np.random.default_rng(seed)
         fl.mu, fl.sigma = rng.normal(size=d), rng.uniform(0.5, 2.0, size=d)
-        if observed:
-            levels, _ = flow._to_noise(fl, rng.normal(size=(30, d)), keep_levels=True)
+        x = rng.normal(size=(30, d))
+        pin = (data.draw(st.integers(0, d - 1)), data.draw(st.floats(-3, 3)))
+        if kind == "counterfactual":
+            assert_same_inversion(fl, refill_levels(fl, x, kind), pin, x)
         else:
-            levels = [rng.normal(size=(30, d))] + [np.zeros((30, d)) for _ in range(K)]
-        j = data.draw(st.integers(0, d - 1))
-        pin = data.draw(st.sampled_from([None, (j, data.draw(st.floats(-3, 3)))]))
-        start = data.draw(st.sampled_from([0, j]))
-        assert_same_inversion(fl, levels, pin, start)
+            pin = data.draw(st.sampled_from([None, pin]))
+            assert_same_inversion(fl, refill_levels(fl, x, kind), pin)
 
     @settings(max_examples=60)
     @given(data=st.data(), d=st.integers(1, 6), K=st.sampled_from([1, 2, 3]),
            hidden=st.lists(st.sampled_from([0, 8, 40]), min_size=1, max_size=2),
-           seed=st.integers(0, 2**16), observed=st.booleans(),
+           seed=st.integers(0, 2**16), kind=st.sampled_from(REFILLS),
            ns=st.lists(st.sampled_from([1, 2, 7, 1000]), min_size=1, max_size=3),
            defect=st.sampled_from([None, "upper", "self"]))
-    def test_plan_matches_full_passes(self, data, d, K, hidden, seed, observed, ns,
-                                      defect):
-        """One plan serves every row count in turn; each run matches the full
-        pass inversion on the data and on every level it edits, within
-        ``assert_inversion_close``.
+    def test_plan_matches_full_passes(self, data, d, K, hidden, seed, kind, ns, defect):
+        """One plan serves every row count in turn; each run, a whole or a
+        counterfactual refill, matches the full pass inversion on the data
+        and on every level it edits, within ``assert_inversion_close``.
         "upper" breaks the mask so that a coordinate reads a later one, and
         "self" so that the pinned coordinate reads itself: the plan refuses
         both, naming the pair."""
@@ -348,53 +370,53 @@ class TestGenerationInversion:
                 flow._Plan(fl)
             assert (refused.value.i, refused.value.j) == pair
             return
-        pin = data.draw(st.sampled_from([None, (j, data.draw(st.floats(-3, 3)))]))
-        start = data.draw(st.integers(0, j))
+        pin = (j, data.draw(st.floats(-3, 3)))
+        if kind != "counterfactual":
+            pin = data.draw(st.sampled_from([None, pin]))
         plan = flow._Plan(fl)
         for n in ns:
-            if observed:
-                levels, _ = flow._to_noise(fl, rng.normal(size=(n, d)), keep_levels=True)
-            else:
-                levels = [rng.normal(size=(n, d))] + [np.zeros((n, d)) for _ in range(K)]
+            x = rng.normal(size=(n, d))
+            levels = refill_levels(fl, x, kind)
+            observed, start = (x, j) if kind == "counterfactual" else (None, 0)
             ref = [lv.copy() for lv in levels]
             ref.append(reconstruct_full_passes(fl, ref, plan.dep, start, pin))
-            assert_inversion_close(run_plan(plan, levels, start, pin), ref)
+            assert_inversion_close(run_plan(plan, levels, pin, observed), ref)
 
     @settings(max_examples=60)
     @given(data=st.data(), d=st.integers(1, 6), K=st.sampled_from([1, 2]),
            hidden=st.lists(st.sampled_from([1, 4, 16]), min_size=2, max_size=2),
-           chain=st.booleans(), seed=st.integers(0, 2**16), observed=st.booleans(),
+           chain=st.booleans(), seed=st.integers(0, 2**16), kind=st.sampled_from(REFILLS),
            n=st.sampled_from([0, 1, 7]))
     def test_coordinate_major_matches_full_passes(self, data, d, K, hidden, chain, seed,
-                                                  observed, n):
+                                                  kind, n):
         """The plan's passes run coordinate-major, W @ level, where the oracle
         runs row-major full forwards, level @ W.T: BLAS sums the two in other
         orders, and the inversions still match within
         ``assert_inversion_close``.  The thin shapes where the orientations
         round differently most often: two hidden layers, n of 0, 1 or 7
         samples and, with ``chain``, one coordinate per generation, so every
-        output layer keeps 2 rows.  Each root generation from start 0 reads
-        no hidden unit."""
+        output layer keeps 2 rows.  Each root generation of a whole refill
+        reads no hidden unit."""
         A = adjacency.gen_prev_k(d, 1) if chain else draw_dag(data, d)
         fl = jitter_flow(flow.AffineFlow.build(A, K, [d + w for w in hidden], seed), seed + 1)
         rng = np.random.default_rng(seed)
         fl.mu, fl.sigma = rng.normal(size=d), rng.uniform(0.5, 2.0, size=d)
         plan = flow._Plan(fl)
         if chain:
-            assert all(len(gen) == 1 for gen in plan.generations(0))
+            assert all(len(gen) == 1 for gen in plan.generations())
         for k in range(K):
-            layers = plan.step(k, plan.generations(0)[0], n)
+            layers = plan.step(k, plan.generations()[0], n)
             assert [W.shape[0] for W, _, _ in layers[:-1]] == [0, 0]
         j = data.draw(st.integers(0, d - 1))
-        pin = data.draw(st.sampled_from([None, (j, data.draw(st.floats(-3, 3)))]))
-        start = data.draw(st.integers(0, j))
-        if observed:
-            levels, _ = flow._to_noise(fl, rng.normal(size=(n, d)), keep_levels=True)
-        else:
-            levels = [rng.normal(size=(n, d))] + [np.zeros((n, d)) for _ in range(K)]
+        pin = (j, data.draw(st.floats(-3, 3)))
+        if kind != "counterfactual":
+            pin = data.draw(st.sampled_from([None, pin]))
+        x = rng.normal(size=(n, d))
+        levels = refill_levels(fl, x, kind)
+        observed, start = (x, j) if kind == "counterfactual" else (None, 0)
         ref = [lv.copy() for lv in levels]
         ref.append(reconstruct_full_passes(fl, ref, plan.dep, start, pin))
-        assert_inversion_close(run_plan(plan, levels, start, pin), ref)
+        assert_inversion_close(run_plan(plan, levels, pin, observed), ref)
 
     @pytest.mark.parametrize("direction", ["lower", "upper", "self"])
     def test_weights_outside_adjacency(self, direction):
@@ -427,14 +449,15 @@ class TestGenerationInversion:
                 assert (refused.value.i, refused.value.j) == (reader, source)
             return
         expected = [[0, 3], [1, 4, 5], [2]]
-        assert [g.tolist() for g in flow._generations(flow._dependencies(fl), 0)] == expected
+        assert [g.tolist() for g in flow._generations(flow._dependencies(fl))] == expected
         rng = np.random.default_rng(5)
         z = rng.normal(size=(200, d))
         noise_side = [z] + [np.zeros_like(z) for _ in fl.layers]
-        assert_same_inversion(fl, noise_side, None, 0)
-        assert_same_inversion(fl, noise_side, (2, 0.5), 0)
-        levels, _ = flow._to_noise(fl, rng.normal(size=(200, d)), keep_levels=True)
-        assert_same_inversion(fl, levels, (0, -1.0), 0)
+        assert_same_inversion(fl, noise_side, None)
+        assert_same_inversion(fl, noise_side, (2, 0.5))
+        x_obs = rng.normal(size=(200, d))
+        levels, _ = flow._to_noise(fl, x_obs, keep_levels=True)
+        assert_same_inversion(fl, levels, (0, -1.0), x_obs)
         x = rng.normal(size=(200, d))
         back = flow.from_noise(fl, flow.to_noise(fl, x)[0])
         assert np.max(np.abs(back - x)) < 1e-8
@@ -444,7 +467,7 @@ class TestGenerationInversion:
         fl = flow.AffineFlow.build(A, 1, [3], 0)
         fl.layers[0].weights[0][0, 0] = np.nan
         fl.layers[0].weights[1][2, 0] = np.inf
-        assert [g.tolist() for g in flow._generations(flow._dependencies(fl), 0)] == [[0, 1], [2]]
+        assert [g.tolist() for g in flow._generations(flow._dependencies(fl))] == [[0, 1], [2]]
 
     @pytest.mark.parametrize("A", [adjacency.gen_prev_k(6, 1),
                                    adjacency.gen_random_sparse(9, 0.6, 2),
@@ -460,7 +483,7 @@ class TestGenerationInversion:
         """A batch of no rows comes back as no rows of width d, also when the
         flow has more than one generation."""
         fl = jitter_flow(flow.AffineFlow.build(adjacency.gen_prev_k(6, 2), 2, [8], 0), 1)
-        assert len(flow._generations(flow._dependencies(fl), 0)) > 1
+        assert len(flow._generations(flow._dependencies(fl))) > 1
         assert flow.sample(fl, 0, 0).shape == (0, 6)
         assert causal.flow_intervene_sample(fl, 2, 1.0, 0, 0).shape == (0, 6)
         assert causal.flow_counterfactual(fl, np.zeros((0, 6)), 2, 1.0).shape == (0, 6)
@@ -483,11 +506,11 @@ class TestGenerationInversion:
             calls.clear()
             if report == "imse":
                 causal.imse_report(fl, sem, value_count=value_count, n_samples=n, rng=4)
-                abduction, gens = 0, [flow._generations(dep, 0)] * 4
+                abduction, gens = 0, [flow._generations(dep)] * 4
             else:
                 causal.cmse_report(fl, sem, value_count=value_count, n_obs=n, rng=4)
                 abduction = K
-                gens = [flow._generations(dep, j, descendants=True) for j in range(4)]
+                gens = [flow._generations(dep, j) for j in range(4)]
             passes = blocks * K * sum(len(g) for g in gens)
             assert calls == ["forward"] * abduction + ["plan"] * passes
 
@@ -543,11 +566,12 @@ class TestGenerationInversion:
         fl = jitter_flow(flow.AffineFlow.build(sem.adjacency(), 2, [40], 0), 1)
         plan = flow._Plan(fl)
         rng = np.random.default_rng(2)
-        for n, start in ((20, 0), (33, 2), (20, 1)):
-            levels, _ = flow._to_noise(fl, causal.sem_sample(sem, n, rng), keep_levels=True)
-            ours = run_plan(plan, levels, start, (start, 0.5))[-1]
-            ref = reconstruct_full_passes(fl, [lv.copy() for lv in levels], plan.dep, start,
-                                          (start, 0.5))
+        for n, j in ((20, 0), (33, 2), (20, 1)):
+            x_obs = causal.sem_sample(sem, n, rng)
+            levels, _ = flow._to_noise(fl, x_obs, keep_levels=True)
+            ours = run_plan(plan, levels, (j, 0.5), x_obs)[-1]
+            ref = reconstruct_full_passes(fl, [lv.copy() for lv in levels], plan.dep, j,
+                                          (j, 0.5))
             assert_inversion_close([ours], [ref])
         assert {key[1] for key in plan._buffers} == {20, 33}
 
@@ -560,8 +584,8 @@ class TestGenerationInversion:
         are 0 as well and some pass keeps fewer units.  Either way weights,
         biases and noise are small multiples of 1/4 and every log-scale is 0,
         so every product and sum is exact and no order of summation can round
-        differently: the planned inversion gives the full passes' bits, from
-        start 0, with a pin and from an observed start."""
+        differently: the planned inversion gives the full passes' bits, in a
+        whole refill with a pin or none and in a counterfactual."""
         d = 5
         A = np.zeros((d, d), dtype=np.int64)
         A[1, 0] = A[2, 0] = A[3, 1] = A[4, 1] = A[4, 2] = 1     # generations 0, 12, 34
@@ -576,21 +600,22 @@ class TestGenerationInversion:
             net.weights[-1][d:] = net.biases[-1][d:] = 0.0
         plan = flow._Plan(fl)
         narrower = False
-        for start in (0, 2):
-            for gen in plan.generations(start):
+        for j in (None, 2):
+            for gen in plan.generations(j):
                 for k, net in enumerate(fl.layers):
                     W = plan.step(k, gen, 1)[0][0]
                     allowed = (net.masks[-1][gen] != 0.0).any(axis=0)
                     narrower |= W.shape[0] < allowed.sum()
         assert narrower == drop_units
         z = rng.integers(-8, 9, size=(7, d)) / 4
-        observed, _ = flow._to_noise(fl, z, keep_levels=True)
+        abducted, _ = flow._to_noise(fl, z, keep_levels=True)
         noise_side = [z] + [np.zeros_like(z) for _ in fl.layers]
-        for levels, start, pin in ((noise_side, 0, None), (noise_side, 0, (1, 0.75)),
-                                   (observed, 2, (2, -1.5))):
+        for levels, pin, observed in ((noise_side, None, None), (noise_side, (1, 0.75), None),
+                                      (abducted, (2, -1.5), z)):
             ref = [lv.copy() for lv in levels]
+            start = 0 if observed is None else pin[0]
             ref.append(reconstruct_full_passes(fl, ref, plan.dep, start, pin))
-            for a, b in zip(run_plan(plan, levels, start, pin), ref):
+            for a, b in zip(run_plan(plan, levels, pin, observed), ref):
                 assert a.tobytes() == b.tobytes()
 
     def test_each_pass_keeps_the_units_its_rows_read(self):
@@ -606,8 +631,8 @@ class TestGenerationInversion:
         fl = jitter_flow(flow.AffineFlow.build(A, 2, [9, 8], 1), 2)
         plan = flow._Plan(fl)
         n = 6
-        for start in range(7):
-            for gen in plan.generations(start):
+        for j in (None, *range(7)):
+            for gen in plan.generations(j):
                 for k, net in enumerate(fl.layers):
                     layers = plan.step(k, gen, n)
                     keep, expected = np.concatenate([gen, gen + 7]), []
@@ -635,8 +660,8 @@ class TestGenerationInversion:
            seed=st.integers(0, 2**16), n=st.sampled_from([1, 7, 1000]))
     def test_generation_reading_no_hidden_unit_outputs_its_biases(self, data, d, K, hidden,
                                                                   seed, n):
-        """A generation whose rows read no hidden unit, as every root
-        generation from start 0 does, outputs its biases times the row of
+        """A generation whose rows read no hidden unit, as the root
+        generation of a whole refill does, outputs its biases times the row of
         ones: exactly its output biases, clamped, and bitwise the row-major
         full pass, whatever the level holds."""
         A = draw_dag(data, d)
@@ -644,7 +669,7 @@ class TestGenerationInversion:
         plan = flow._Plan(fl)
         x = 3.0 * np.random.default_rng(seed).normal(size=(n, d))
         level = np.vstack([x.T, np.ones(n)])
-        gen = plan.generations(0)[0]
+        gen = plan.generations()[0]
         for k, net in enumerate(fl.layers):
             assert all(W.shape[0] == 0 for W, _, _ in plan.step(k, gen, n)[:-1])
             t, s = plan.affine(k, gen, level)
@@ -742,7 +767,7 @@ def report_with_fresh_blocks(fl, sem, report, value_count, n, rng):
         levels = flow._abduct(fl, x_obs)
         for j, _, alphas in blocks:
             copies = len(alphas)
-            fc = flow._reconstruct(plan, [np.tile(lv, copies) for lv in levels], start=j,
+            fc = flow._reconstruct(plan, [np.tile(lv, copies) for lv in levels],
                                    pin=(j, np.repeat(alphas, n)),
                                    observed=np.tile(x_obs, (copies, 1)))
             yield [(causal.sem_counterfactual(sem, x_obs, j, a), x)
@@ -803,14 +828,16 @@ class TestReportBlocks:
 
     @pytest.mark.parametrize("report", ["imse", "cmse"])
     @pytest.mark.parametrize("value_count, n", [(3, 10), (3, causal.BLOCK_COLUMNS // 2),
-                                                (8, 1000)])
+                                                (8, 1000), (5, 1000), (8, 300)])
     def test_reused_block_buffers_match_fresh_ones(self, report, value_count, n):
-        """A report allocates each block width's levels once (and cmse_report
-        its tiled observations) and refills them block after block.  Every
-        block's data, and so the report, is bitwise what fresh buffers per
-        block give: at n = BLOCK_COLUMNS // 2 each target's 3 values take a
-        block of 2 and a short last block of 1, each width reused from
-        target to target."""
+        """A report allocates its levels (and cmse_report its tiled
+        observations) once, at its first block, which is the widest, and
+        refills them block after block; a shorter block runs on their first
+        columns.  Every block's data, and so the report, is bitwise what
+        fresh buffers per block give: each target's values take blocks of
+        2 and 1 at (3, BLOCK_COLUMNS // 2), of 2, 2 and 1 at (5, 1000) and
+        of 6 and 2 at (8, 300), the short views reused from target to
+        target."""
         sem = causal.gen_linear_sem(6, cutoff=0.5, rng=5)
         fl = jitter_flow(flow.AffineFlow.build(sem.adjacency(), 2, [12], 6), 7)
         run = causal.imse_report if report == "imse" else causal.cmse_report
@@ -839,8 +866,8 @@ class TestReportBlocks:
         """A counterfactual refills j and its descendants under the plan's
         dependencies, in the generations of those coordinates alone (j first,
         by itself): every other coordinate comes back bitwise equal to x_obs,
-        and the descendants match the full reconstruction from j within
-        ``assert_inversion_close``."""
+        and the descendants match a whole refill of the abducted levels
+        within ``assert_inversion_close``."""
         A = draw_dag(data, d)
         fl = jitter_flow(flow.AffineFlow.build(A, K, [d + 2], seed), seed + 1)
         rng = np.random.default_rng(seed)
@@ -849,13 +876,13 @@ class TestReportBlocks:
         j, alpha = data.draw(st.integers(0, d - 1)), data.draw(st.floats(-3, 3))
         plan = flow._Plan(fl)
         moved = flow._descendants(plan.dep, j)
-        gens = plan.generations(j, descendants=True)
+        gens = plan.generations(j)
         assert gens[0].tolist() == [j]
         assert sorted(np.concatenate(gens).tolist()) == np.flatnonzero(moved).tolist()
         cf = causal.flow_counterfactual(fl, x_obs, j, alpha)
         assert cf[:, ~moved].tobytes() == x_obs[:, ~moved].tobytes()
         assert np.all(cf[:, j] == alpha)
-        full = flow._reconstruct(plan, flow._abduct(fl, x_obs), start=j, pin=(j, alpha))
+        full = flow._reconstruct(plan, flow._abduct(fl, x_obs), pin=(j, alpha))
         assert_inversion_close([cf[:, moved]], [full[:, moved]])
 
 

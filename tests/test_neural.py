@@ -150,8 +150,7 @@ class TestMaskedMLP:
 
     def test_gaussian_head_doubles_output(self):
         A, net = build_net(5, [8], "gaussian", 1)
-        assert net.out_dim == 10
-        assert net.weights[-1].shape == (10, 8)
+        assert net.masks[-1].shape == net.weights[-1].shape == (10, 8)
         np.testing.assert_array_equal(net.masks[-1][:5], net.masks[-1][5:])
 
     def test_pattern_matches_mask_product(self):
@@ -341,7 +340,7 @@ class TestGradients:
         rng = np.random.default_rng(17)
         x = rng.normal(size=(3, 4))
         net = well_conditioned_net(4, [6], "gaussian", x, start=300)
-        c = rng.normal(size=(3, net.out_dim))
+        c = rng.normal(size=(3, len(net.biases[-1])))
 
         def f():
             return float(np.sum(net.forward(x) * c))
@@ -361,7 +360,7 @@ class TestGradients:
         x = rng.normal(size=(9, 4))
         work = neural.layer_buffers({}, "net", net, 9)
         net.forward(x, work=work)
-        c = rng.normal(size=(9, net.out_dim))
+        c = rng.normal(size=(9, len(net.biases[-1])))
         (gW, gb), grad_in = net.backward([x] + work[:-1], c)
         (gW2, gb2), none = net.backward([x] + work[:-1], c, input_grad=False)
         assert grad_in.shape == (9, 4) and none is None
@@ -485,7 +484,7 @@ class TestOneLoopStep:
         x = rng.normal(size=(4, 3))
         z = rng.normal(size=(4, 7))
         z[:, :special.size] = special
-        c = rng.normal(size=(4, net.out_dim))
+        c = rng.normal(size=(4, len(net.biases[-1])))
         with np.errstate(invalid="ignore"):
             got = net.backward([x, np.maximum(z, 0.0)], c)
             want = backward_reference(net, ([x, np.maximum(z, 0.0)], [z]), c)
@@ -1269,7 +1268,7 @@ class TestAudit:
         work = neural.layer_buffers({}, "net", net, len(x))
         net.forward(x, work=work)
         for i, j, bound in found:
-            grad_out = np.zeros((len(x), net.out_dim))
+            grad_out = np.zeros((len(x), len(net.biases[-1])))
             grad_out[:, i] = 1.0
             _, grad_in = net.backward([x] + work[:-1], grad_out)
             assert np.abs(grad_in[:, j]).max() <= bound * (1.0 + 1e-12)

@@ -4,16 +4,20 @@ Each sub-flow applies the per-coordinate affine map
 ``x_j = exp(s_j(x_{<j})) * z_j + t_j(x_{<j})`` whose conditioner is a
 gaussian-head masked network built from the shared adjacency, so s_j and t_j
 read only the declared parents of j (a parentless coordinate gets learned
-constants).  The data-to-noise direction evaluates in one parallel pass per
-layer, row-major (one sample per row); ``to_noise``, ``nll`` and training
-(``gradients``, into buffers reused from step to step) share that pass, so
-training differentiates the evaluation NLL and takes each batch's NLL from
-the pass it steps on.  The noise-to-data direction takes one pass per DAG
-generation, where a generation is the set of coordinates whose parents are
-all already filled; ``_reconstruct`` is its one routine, shared by sampling
-and by the interventions and counterfactuals of ``causal``, which pin one
-coordinate to a value in data units (one value per sample column, so that a
-report answers several queries side by side in one call).  It fills every
+constants).  The conditioners' parameters are one (K, ...) stack per layer
+position (``AffineFlow``).  The data-to-noise direction evaluates in one
+parallel pass per layer, row-major (one sample per row); ``to_noise``,
+``nll`` and training share that pass, so training differentiates the
+evaluation NLL and takes each batch's NLL from the pass it steps on.
+Training (``gradients``) writes the pass into a ``_Workspace`` of stacks
+made once per row count, runs the delta chain conditioner by conditioner,
+and each layer position's weight-gradient pass once over the stack.  The
+noise-to-data direction takes one pass per DAG generation, where a
+generation is the set of coordinates whose parents are all already filled;
+``_reconstruct`` is its one routine, shared by sampling and by the
+interventions and counterfactuals of ``causal``, which pin one coordinate
+to a value in data units (one value per sample column, so that a report
+answers several queries side by side in one call).  It fills every
 coordinate, or, for a counterfactual, the pinned coordinate and its
 descendants alone: the pin names the fill set.  It runs coordinate-major,
 each level one (d + 1, n) array whose last row is ones, and follows a
@@ -44,18 +48,31 @@ class AffineFlow:
     Sampling applies layers in list order (noise -> layers[0] -> ... ->
     layers[K-1] -> de-standardize -> data); to_noise inverts them in reverse
     list order.  No permutations sit between layers.
+
+    The conditioners have equal layer shapes, and their parameters are held
+    as one stack per layer position: ``weights[l]`` (K, out, in) and
+    ``biases[l]`` (K, out).  Conditioner k's ``weights[l]`` and ``biases[l]``
+    are views of slice k, so an edit through either shows through the other,
+    and ``params()`` is the stacks.
     """
 
     def __init__(self, A, layers, mu=None, sigma=None):
         self.adjacency = adjacency_mod.validate(A)
         if not layers:
             raise InvalidDimError("flow needs at least one layer")
-        self.layers = layers
         d = self.adjacency.shape[0]
-        for net in layers:
+        shapes = [W.shape for W in layers[0].weights]
+        for k, net in enumerate(layers):
             if net.head != "gaussian" or net.dim != d:
                 raise ConfigError("each sub-flow conditioner must be a "
                                   f"gaussian-head network of width {d}")
+            if [W.shape for W in net.weights] != shapes:
+                raise ConfigError(f"conditioner {k}'s layer shapes differ from "
+                                  f"conditioner 0's {shapes}")
+        if len({id(net) for net in layers}) < len(layers):
+            raise ConfigError("a network appears twice among the conditioners")
+        self.layers = layers
+        self.set_params([np.array(group) for group in zip(*(net.params() for net in layers))])
         self.mu = np.zeros(d) if mu is None else np.asarray(mu, dtype=np.float64)
         self.sigma = np.ones(d) if sigma is None else np.asarray(sigma, dtype=np.float64)
 
@@ -87,19 +104,59 @@ class AffineFlow:
 
     # Optimizer protocol shared with MaskedMLP.
     def params(self):
-        return [p for net in self.layers for p in net.params()]
+        return self.weights + self.biases
 
     def set_params(self, params):
-        for net in self.layers:
-            k = len(net.weights) + len(net.biases)
-            net.set_params(params[:k])
-            params = params[k:]
+        """Take the stacks ``params``, aligned with ``params()``, as the
+        weights and biases, and bind each conditioner to its slices."""
+        n_layers = len(params) // 2
+        self.weights, self.biases = params[:n_layers], params[n_layers:]
+        for k, net in enumerate(self.layers):
+            net.set_params([p[k] for p in params])
 
     def param_masks(self):
-        return [M for net in self.layers for M in net.param_masks()]
+        return [np.array(group) for group in zip(*(net.masks for net in self.layers))] \
+            + [None] * len(self.biases)
 
 
-def _to_noise(flow, x, keep_levels, work=None, tape=None):
+class _Workspace:
+    """Flow training's arrays for batches of n rows, made at a run's first
+    step at n and reused by every later one (``gradients``).
+
+    Per layer position the K conditioners' arrays are one stack: ``levels``
+    (K + 1, n, d); each hidden layer's activations, ReLU gates and output
+    gradients (``hidden``, ``relu``, ``deltas``, each (K, n, width)); the
+    output layer's ``out`` (K, n, 2d), the shifts t and raw log-scales, which
+    their gradients overwrite once the levels have consumed them; and ``s``,
+    ``e`` and ``clamp`` (K, n, d), the clamped log-scales, exp(-s) and the
+    clamp's gates.  The gates are float 0/1 masks.  ``forward`` and
+    ``backward`` hold each conditioner's slices in the order that the
+    data-to-noise pass and the delta chain visit them, so a step slices no
+    stack.  ``g`` and ``rows`` are (n, d) arrays for the gradient the chain
+    carries from level to level.
+    """
+
+    def __init__(self, flow, n):
+        K, d = len(flow.layers), flow.dim
+        widths = [b.shape[1] for b in flow.biases[:-1]]
+        self.levels = np.empty((K + 1, n, d))
+        self.hidden, self.relu, self.deltas = ([np.empty((K, n, w)) for w in widths]
+                                               for _ in range(3))
+        self.out = np.empty((K, n, 2 * d))
+        self.s, self.e, self.clamp = (np.empty((K, n, d)) for _ in range(3))
+        self.g, self.rows = np.empty((n, d)), np.empty((n, d))
+        # Row 0 the standardization's log-det, row K - k conditioner k's.
+        self.log_dets, self.log_det = np.empty((K + 1, n)), np.empty(n)
+        t, raw_s = self.out[..., :d], self.out[..., d:]
+        self.forward = [(self.levels[k + 1], self.levels[k], t[k], raw_s[k], self.s[k],
+                         self.e[k], [h[k] for h in self.hidden] + [self.out[k]])
+                        for k in reversed(range(K))]
+        self.backward = [(self.levels[k], t[k], raw_s[k], self.e[k], self.clamp[k], self.out[k],
+                          [r[k] for r in self.relu], [h[k] for h in self.deltas])
+                         for k in range(K)]
+
+
+def _to_noise(flow, x, keep_levels, ws=None):
     """The data-to-noise pass of a batch: (levels, log_det).
 
     ``levels`` is [z, ..., u] (noise side first) with keep_levels, else [z];
@@ -109,21 +166,37 @@ def _to_noise(flow, x, keep_levels, work=None, tape=None):
     level again.  A value that overflows on the way leaves z non-finite,
     without a numpy warning: ``to_noise`` and ``_abduct`` raise on it
     (``_check_noise``), while ``nll`` and training return it.  Training
-    passes ``work``, each conditioner's layer buffers, and a list ``tape``
-    that each layer, data side first, appends its log-scales s and exp(-s)
-    to for the backward pass.
+    passes ``ws``, the ``_Workspace`` of the batch's row count: every
+    level, activation, log-scale and exp(-s) goes into it, ``levels`` is
+    ``ws.levels``, and one reduce over ``ws.s`` gives the K log-det sums.
+    Without ``ws`` (evaluation) each level is a new array, and only the last
+    is kept without keep_levels.
     """
-    log_det = np.full(x.shape[0], -float(np.sum(np.log(flow.sigma))))
+    log_det = -float(np.add.reduce(np.log(flow.sigma)))
+    K = len(flow.layers)
     with np.errstate(over="ignore", invalid="ignore"):
+        if ws is not None:
+            levels = ws.levels
+            np.subtract(x, flow.mu, out=levels[K])
+            levels[K] /= flow.sigma
+            # Conditioner k maps u = levels[k + 1] to v = levels[k].
+            for net, (u, v, t, raw_s, s, e, work) in zip(reversed(flow.layers), ws.forward):
+                net._layers(u, work)
+                raw_s.clip(-neural.LOG_SIGMA_CLAMP, neural.LOG_SIGMA_CLAMP, out=s)
+                np.negative(s, out=e)
+                np.exp(e, out=e)
+                np.subtract(u, t, out=v)
+                v *= e
+            # log_det - s_{K-1} - ... - s_0, bitwise the running sum below.
+            ws.log_dets[0] = log_det
+            np.add.reduce(ws.s[::-1], axis=-1, out=ws.log_dets[1:])
+            return levels, np.subtract.reduce(ws.log_dets, axis=0, out=ws.log_det)
         levels = [(x - flow.mu) / flow.sigma]
-        for k in reversed(range(len(flow.layers))):
-            out = flow.layers[k]._layers(levels[-1], None if work is None else work[k])
-            t, s = neural._split_gaussian(out)
-            e = np.exp(-s)
-            v = (levels[-1] - t) * e
+        log_det = np.full(x.shape[0], log_det)
+        for k in reversed(range(K)):
+            t, s = neural._split_gaussian(flow.layers[k]._layers(levels[-1]))
+            v = (levels[-1] - t) * np.exp(-s)
             log_det -= s.sum(axis=1)
-            if tape is not None:
-                tape.append((s, e))
             if keep_levels:
                 levels.append(v)
             else:
@@ -145,7 +218,7 @@ def _nll(z, log_det):
     log-det of the data-to-noise map; a non-finite z gives +inf or NaN,
     without a numpy warning."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return 0.5 * np.sum(z * z, axis=-1) + z.shape[-1] * neural.HALF_LOG_2PI - log_det
+        return 0.5 * np.add.reduce(z * z, axis=-1) + z.shape[-1] * neural.HALF_LOG_2PI - log_det
 
 
 def to_noise(flow, x):
@@ -440,34 +513,54 @@ def sample(flow, n, rng):
 
 
 def gradients(flow, x, buffers, out=None):
-    """(grads, nll_sum): the gradients of ``mean_nll(flow, x)`` for every
-    conditioner parameter, aligned with ``flow.params()``, and the batch's
-    NLL summed over its rows, from one data-to-noise pass into
-    ``neural.layer_buffers``.  The gradients are written into ``out`` when it
-    is given (see ``MaskedMLP.backward``); each row's NLL is bitwise what
-    ``nll`` gives for the row."""
+    """(grads, nll_sum): the gradients of ``mean_nll(flow, x)``, stacks
+    aligned with ``flow.params()``, and the batch's NLL summed over its
+    rows, from one data-to-noise pass into the ``_Workspace`` of the batch's
+    row count, kept in ``buffers``.  The gradients are written into ``out``
+    when it is given (training passes ``AdamW.grads``), else into new
+    arrays; each row's NLL is bitwise what ``nll`` gives for the row.
+
+    The delta chain runs conditioner by conditioner, noise side first, each
+    into its slices of the workspace (``MaskedMLP._deltas``).  Everything
+    else runs once over the stacks: the clamp and ReLU gates before the
+    chain, and after it one weight-gradient product and one bias sum per
+    layer position for all K conditioners (``neural._weight_gradients``).
+    """
     x, _ = neural._as_batch(x, flow.dim)
-    n = x.shape[0]
-    work = [neural.layer_buffers(buffers, k, net, n) for k, net in enumerate(flow.layers)]
-    tape = []
-    levels, log_det = _to_noise(flow, x, keep_levels=True, work=work, tape=tape)
-    grads = []
-    g = levels[0] / n
-    last = len(flow.layers) - 1
-    # Layer k maps levels[k + 1] to levels[k]; the tape runs data side first.
-    # The data side's input gradient is unread: mu and sigma are frozen.
-    for k, (net, (s, e)) in enumerate(zip(flow.layers, reversed(tape))):
-        g_t = -g * e
-        g_s = (-g * levels[k] + 1.0 / n) * (np.abs(s) < neural.LOG_SIGMA_CLAMP)
-        size = len(net.weights) + len(net.biases)
-        part = None if out is None else out[len(grads):len(grads) + size]
-        (gW, gb), g_in = net.backward([levels[k + 1]] + work[k][:-1],
-                                      np.concatenate([g_t, g_s], axis=1),
-                                      input_grad=k < last, out=part)
-        grads += gW + gb
+    n, last = x.shape[0], len(flow.layers) - 1
+    if ("flow", n) not in buffers:
+        buffers["flow", n] = _Workspace(flow, n)
+    ws = buffers["flow", n]
+    levels, log_det = _to_noise(flow, x, keep_levels=True, ws=ws)
+    if out is None:
+        out = [np.empty(p.shape) for p in flow.params()]
+    # A clamped log-scale passes no gradient, nor does a ReLU whose output
+    # is not positive.
+    np.abs(ws.s, out=ws.clamp)
+    np.less(ws.clamp, neural.LOG_SIGMA_CLAMP, out=ws.clamp)
+    for h, gate in zip(ws.hidden, ws.relu):
+        np.greater(h, 0.0, out=gate)
+    g, rows = np.divide(levels[0], n, out=ws.g), ws.rows
+    # Layer k maps levels[k + 1] to v = levels[k], and its output buffer
+    # takes the gradients -g e and (-g v + 1/n) [|s| < clamp] of its shifts
+    # and log-scales, each half written once: a strided write costs more
+    # than a contiguous one.  The data side's input gradient is unread: mu
+    # and sigma are frozen.
+    for k, (net, (v, g_t, g_s, e, clamp, grad_out, gates, hidden_deltas)) in enumerate(
+            zip(flow.layers, ws.backward)):
+        np.negative(g, out=rows)
+        np.multiply(rows, e, out=g_t)
+        rows *= v
+        rows += 1.0 / n
+        np.multiply(rows, clamp, out=g_s)
+        deltas = net._deltas(grad_out, gates, hidden_deltas)
         if k < last:
-            g = g * e + g_in
-    return grads, _nll(levels[0], log_det).sum()
+            g *= e
+            g += np.matmul(deltas[0], net.weights[0], out=rows)
+    n_layers = len(flow.weights)
+    neural._weight_gradients([levels[1:]] + ws.hidden, ws.deltas + [ws.out],
+                             out[:n_layers], out[n_layers:])
+    return out, np.add.reduce(_nll(levels[0], log_det))
 
 
 def train_flow(flow, dataset, config):
@@ -527,7 +620,8 @@ def _read_flow_body(reader):
     nets = []
     for k in range(n_layers):
         reader.label(f"conditioner {k}")
-        nets.append(neural.read_mlp_body(reader, head="gaussian", dim=d))
+        nets.append(neural.read_mlp_body(reader, head="gaussian", dim=d,
+                                         like=nets[0] if nets else None))
     return AffineFlow(A, nets, mu=mu, sigma=sigma)
 
 

@@ -7,7 +7,9 @@ entries, so structural zeros stay exactly +0.0 through training.  A training
 run keeps all parameters of a model (every conditioner of a flow) in one
 flat vector and their gradients in another: each weight and bias becomes a
 view into the first, ``backward`` writes into views of the second, and the
-step updates the free entries of the first in place.
+step updates the free entries of the first in place.  A flow's parameters
+are one stack per layer position over its K conditioners, so the views are
+stacks too.
 Hidden layers use ReLU; the head is either ``binary`` (d logits) or
 ``gaussian`` (2d outputs: means then log-sigmas, the final mask stacked twice
 vertically).  Each head has one likelihood, ``head_nll`` of the raw outputs:
@@ -18,9 +20,16 @@ an epoch's training NLL costs no pass of its own; only the validation split
 is evaluated after each epoch.
 ``MaskedMLP._layers``, which ``forward`` runs on its checked input, is the
 one row-major layer loop; training runs it into buffers reused across steps
-(``layer_buffers``).  The flow's inversion runs its passes coordinate-major,
-in its own loop over (width, n) views of its own buffers, each bias folded
-into its product (``flow._Plan.affine``).
+(``layer_buffers`` for a network, the flow's own workspace for a flow).
+The backward pass is split in two: the delta chain (``MaskedMLP._deltas``),
+which carries the output gradient down through the layers, into the
+caller's buffers when given, and the weight-gradient pass
+(``_weight_gradients``), one product and one row sum per layer, which
+works on any rank.  ``backward`` runs both on one network; flow training
+runs the chain per conditioner and the pass once over the K conditioners'
+stacks.  The flow's inversion runs its passes coordinate-major, in its own
+loop over (width, n) views of its own buffers, each bias folded into its
+product (``flow._Plan.affine``).
 Evaluation runs in blocks of EVAL_BLOCK rows, so the hidden activations stay
 in cache; each sample's NLL is bitwise the one an unblocked pass gives.
 Checkpoints use the text format defined in ``textio``.
@@ -122,9 +131,9 @@ class MaskedMLP:
 
     def backward(self, inputs, grad_out, *, input_grad=True, out=None):
         """Reverse-mode pass from an output gradient, given each layer's input
-        ``[x] + work[:-1]`` of ``forward(x, work=work)``; a ReLU passes
-        gradient where its output max(z, 0), hence z, is positive.  The
-        parameter gradients are written into ``out``, arrays aligned with
+        ``[x] + work[:-1]`` of ``forward(x, work=work)``: the delta chain
+        (``_deltas``), then the weight-gradient pass (``_weight_gradients``).
+        The parameter gradients are written into ``out``, arrays aligned with
         ``params()`` (training passes views of ``AdamW.grads``), or into new
         arrays without it.  Returns ((weight_grads, bias_grads), grad_input).
         Gradients are dense; masked positions are irrelevant because the
@@ -135,15 +144,26 @@ class MaskedMLP:
         if out is None:
             out = [np.empty(p.shape) for p in self.params()]
         weight_grads, bias_grads = out[:len(self.weights)], out[len(self.weights):]
-        delta = np.asarray(grad_out, dtype=np.float64)
-        for layer in range(len(self.weights) - 1, -1, -1):
-            np.matmul(delta.T, inputs[layer], out=weight_grads[layer])
-            np.add.reduce(delta, axis=0, out=bias_grads[layer])
-            if layer:
-                delta = delta @ self.weights[layer]
-                np.multiply(delta, inputs[layer] > 0.0, out=delta)
-        grad_input = delta @ self.weights[0] if input_grad else None
+        deltas = self._deltas(np.asarray(grad_out, dtype=np.float64),
+                              [h > 0.0 for h in inputs[1:]])
+        _weight_gradients(inputs, deltas, weight_grads, bias_grads)
+        grad_input = deltas[0] @ self.weights[0] if input_grad else None
         return (weight_grads, bias_grads), grad_input
+
+    def _deltas(self, grad_out, gates, out=None):
+        """The gradient of every layer's output, input side first and
+        ``grad_out`` last.  Hidden layer l's is the next layer's times that
+        layer's weight, times ``gates[l]``: 1 or True where the layer's
+        output is positive, 0 or False elsewhere, as a ReLU passes gradient
+        where its output max(z, 0), hence z, is positive.  It is written into
+        ``out[l]`` when given, else into a new array."""
+        deltas = [grad_out]
+        for layer in range(len(self.weights) - 1, 0, -1):
+            delta = np.matmul(deltas[0], self.weights[layer],
+                              out=None if out is None else out[layer - 1])
+            np.multiply(delta, gates[layer - 1], out=delta)
+            deltas.insert(0, delta)
+        return deltas
 
     def params(self):
         return self.weights + self.biases
@@ -158,13 +178,25 @@ class MaskedMLP:
         return self.masks + [None] * len(self.biases)
 
 
-def layer_buffers(buffers, key, net, n):
-    """``forward``'s ``work`` for ``net`` on n rows, kept under ``key`` in the
-    caller's dict ``buffers``: a later request gets the same arrays back."""
-    key = (key, n, tuple(len(b) for b in net.biases))
+def layer_buffers(buffers, net, n):
+    """``forward``'s ``work`` for ``net`` on n rows, kept in the caller's
+    dict ``buffers``: a later request gets the same arrays back."""
+    key = (n, tuple(len(b) for b in net.biases))
     if key not in buffers:
         buffers[key] = [np.empty((n, len(b))) for b in net.biases]
     return buffers[key]
+
+
+def _weight_gradients(inputs, deltas, weight_grads, bias_grads):
+    """Each layer's weight gradient delta^T @ input and bias gradient, the
+    delta summed over rows, from its input and the gradient of its output
+    (``_deltas``), written into ``weight_grads`` and ``bias_grads``.  Any
+    rank: a (K, n, width) stack of K networks' inputs and deltas takes one
+    product and one sum per layer for all K, each slice bitwise what its
+    network alone gives."""
+    for x, delta, gW, gb in zip(inputs, deltas, weight_grads, bias_grads):
+        np.matmul(delta.swapaxes(-1, -2), x, out=gW)
+        np.add.reduce(delta, axis=-2, out=gb)
 
 
 def _as_batch(x, dim):
@@ -260,7 +292,7 @@ def gradients(net, x, buffers, out=None):
     what ``nll`` gives for the row."""
     x = _targets(net.head, x)
     n = x.shape[0]
-    work = layer_buffers(buffers, "net", net, n)
+    work = layer_buffers(buffers, net, n)
     y = net.forward(x, work=work)
     if net.head == "binary":
         grad_out = (sigmoid(y) - x) / n
@@ -557,10 +589,12 @@ def write_mlp_body(fh, net):
             textio.write_block(fh, f"{name} {k}", a)
 
 
-def read_mlp_body(reader, head=None, dim=None):
+def read_mlp_body(reader, head=None, dim=None, like=None):
     """Read a network body, checking that every block has the shape the
     header and the previous layers imply, and the header's head and dim
-    against ``head`` and ``dim`` where given.  Weights are taken as written,
+    against ``head`` and ``dim`` where given.  With ``like``, a network,
+    the layer count and every block's shape must be ``like``'s too (a
+    flow's conditioners share their shapes).  Weights are taken as written,
     even where their mask is zero, so that an audit can report them."""
     found = reader.field("head")
     if found not in ((head,) if head else ("binary", "gaussian")):
@@ -570,11 +604,16 @@ def read_mlp_body(reader, head=None, dim=None):
     if dim not in (None, d):
         raise reader.error(f"expected dim {dim}, got {d}")
     n_layers = reader.count("layers")
+    if like is not None and n_layers != len(like.weights):
+        raise reader.error(f"expected layers {len(like.weights)}, got {n_layers}")
     pattern = reader.named_block("pattern", d, d, valid=lambda a: (a == 0) | (a == 1),
                                  why="pattern entries must be 0 or 1")
     weights, biases, masks, width = [], [], [], d
     for k in range(n_layers):
-        rows = None if k < n_layers - 1 else (d if head == "binary" else 2 * d)
+        if k == n_layers - 1:
+            rows = d if head == "binary" else 2 * d
+        else:
+            rows = None if like is None else len(like.biases[k])
         masks.append(reader.named_block(f"mask {k}", rows, width))
         width = len(masks[-1])
         weights.append(reader.named_block(f"weight {k}", width, masks[-1].shape[1]))

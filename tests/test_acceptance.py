@@ -252,9 +252,11 @@ def test_c04_gradients_match_finite_differences():
     rng = np.random.default_rng(11)
     x = rng.standard_normal((5, 4))
     fl = _conditioned_flow(4, 2, [6], x)
-    flat, _ = flow.gradients(fl, x, {})
+    # One stack per layer position, each (K, ...) like fl.params().
+    stacked, _ = flow.gradients(fl, x, {})
+    assert [g.shape for g in stacked] == [p.shape for p in fl.params()]
     numeric = _fd_grads(lambda: flow.mean_nll(fl, x), fl.params(), eps)
-    worst = max(worst, _max_rel_err(flat, numeric))
+    worst = max(worst, _max_rel_err(stacked, numeric))
     elapsed = time.perf_counter() - t0
     assert worst < 1e-4, f"worst relative error {worst}"
     assert elapsed < 30.0

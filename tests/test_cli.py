@@ -653,23 +653,34 @@ class TestVerifyCommand:
         assert err.startswith(f"error: {path}:{at + 1}: ") and block in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("field", ["head", "dim"])
+    @pytest.mark.parametrize("field", ["head", "dim", "hidden", "layers"])
     def test_conditioner_unlike_its_flow_names_its_line(self, tmp_path, capsys, field):
         """A flow's conditioner must be a gaussian-head network of the flow's
-        width: a binary head, or a network consistent in itself but of
-        another width, exits 2 with an error at its head or dim line."""
+        width with conditioner 0's layer shapes: a binary head, a network
+        consistent in itself but of another width, or one of another hidden
+        width or layer count exits 2 with an error at its head, dim or layers
+        line, or at the shape line of its first mask block."""
         fl = flow.AffineFlow.build(adjacency.gen_prev_k(3, 1), 2, [4], 0)
-        width, head = (3, "binary") if field == "head" else (4, "gaussian")
-        masks = factorizer.factor_multilayer(adjacency.gen_prev_k(width, 1), [4], "greedy")
+        width, head, hidden = {"head": (3, "binary", [4]), "dim": (4, "gaussian", [4]),
+                               "hidden": (3, "gaussian", [5]),
+                               "layers": (3, "gaussian", [4, 4])}[field]
+        masks = factorizer.factor_multilayer(adjacency.gen_prev_k(width, 1), hidden, "greedy")
         fl.layers[1] = neural.MaskedMLP.from_masks(masks, head, 0)
         path = tmp_path / "flow.txt"
         flow.save_flow(fl, path)
         lines = path.read_text().split("\n")
-        at = lines.index("conditioner 1") + (2 if field == "head" else 3)
-        assert lines[at - 1] == (f"head {head}" if field == "head" else f"dim {width}")
+        start = lines.index("conditioner 1")
+        at, line, message = {
+            "head": (start + 2, f"head {head}", "expected head "),
+            "dim": (start + 3, f"dim {width}", "expected dim "),
+            "hidden": (lines.index("mask 0", start) + 2, "5 3",
+                       "mask 0 block is 5 x 3, expected 4 x 3"),
+            "layers": (start + 4, "layers 3", "expected layers 2, got 3"),
+        }[field]
+        assert lines[at - 1] == line
         assert cli.main(["verify", "--checkpoint", str(path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}:{at}: expected {field} ")
+        assert err.startswith(f"error: {path}:{at}: {message}")
         assert "Traceback" not in err
 
 

@@ -1,5 +1,6 @@
 """Tests for structured affine flows: transforms, likelihoods, training."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -54,6 +55,41 @@ class TestConstruction:
         net = neural.MaskedMLP.from_masks(masks, "gaussian", 0)
         with pytest.raises(ConfigError):
             flow.AffineFlow(A3, [net])
+
+    @pytest.mark.parametrize("hidden", [[5], [4, 4]])
+    def test_rejects_conditioners_of_unequal_shapes(self, hidden):
+        """Conditioners of one width but another hidden width or layer
+        count cannot share the flow's stacks."""
+        A = adjacency.gen_prev_k(3, 1)
+        nets = [neural.MaskedMLP.from_masks(factorizer.factor_multilayer(A, h, "greedy"),
+                                            "gaussian", 0) for h in ([4], hidden)]
+        with pytest.raises(ConfigError, match="conditioner 1's layer shapes"):
+            flow.AffineFlow(A, nets)
+
+    def test_rejects_a_network_twice(self):
+        A = adjacency.gen_prev_k(3, 1)
+        net = neural.MaskedMLP.from_masks(factorizer.factor_multilayer(A, [4], "greedy"),
+                                          "gaussian", 0)
+        with pytest.raises(ConfigError, match="twice"):
+            flow.AffineFlow(A, [net, net])
+
+    def test_conditioners_are_views_of_the_stacks(self):
+        """Each conditioner's weights and biases are slice k of the flow's
+        stacks: an edit through either shows through the other."""
+        fl = flow.AffineFlow.build(adjacency.gen_prev_k(4, 1), 3, [6], 0)
+        stacks = fl.params()
+        assert [p.shape for p in stacks] == [(3, 6, 4), (3, 8, 6), (3, 6), (3, 8)]
+        for k, net in enumerate(fl.layers):
+            for p, stack in zip(net.params(), stacks, strict=True):
+                assert np.shares_memory(p, stack) and p.shape == stack.shape[1:]
+                assert p.tobytes() == stack[k].tobytes()
+        fl.layers[1].weights[0][2, 1] = 7.0
+        assert fl.weights[0][1, 2, 1] == 7.0
+        fl.biases[1][2, 3] = -5.0
+        assert fl.layers[2].biases[1][3] == -5.0
+        masks = fl.param_masks()
+        assert [None if M is None else M.shape for M in masks] == [(3, 6, 4), (3, 8, 6),
+                                                                   None, None]
 
 
 class TestTransforms:
@@ -939,6 +975,26 @@ class TestFlowGradients:
                 numeric[k] = (hi - lo) / (2 * eps)
             scale = np.maximum(np.abs(numeric), 1.0)
             assert np.max(np.abs(analytic[pi].ravel() - numeric) / scale) < 1e-6
+
+    def test_steps_allocate_nothing_after_the_first(self):
+        """After its first call at a row count, a step writes into its
+        workspace and the optimizer's gradient views: at the benchmark's
+        shape (n = 32, d = 20, K = 5, hidden [40]) 20 more steps peak below
+        4 * n * d float64s of newly traced memory."""
+        n, d = 32, 20
+        fl = jitter_flow(flow.AffineFlow.build(adjacency.gen_prev_k(d, 2), 5, [40], 0), 1, 0.1)
+        x = np.random.default_rng(2).normal(size=(n, d))
+        out = neural.AdamW(fl.params(), 0.0).grads
+        buffers = {}
+        flow.gradients(fl, x, buffers, out)
+        tracemalloc.start()
+        try:
+            for _ in range(20):
+                flow.gradients(fl, x, buffers, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * n * d * 8
 
 
 class TestFlowTraining:

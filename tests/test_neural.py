@@ -112,14 +112,16 @@ def flow_gradients_reference(fl, x, buffers=None, out=None):
         levels.append((levels[-1] - t) * e)
         tape.append((cache, s, e))
     levels.reverse()
-    grads = []
+    per_net = []
     g = levels[0] / n
     for k, (net, (cache, s, e)) in enumerate(zip(fl.layers, reversed(tape))):
         g_t = -g * e
         g_s = (-g * levels[k] + 1.0 / n) * (np.abs(s) < neural.LOG_SIGMA_CLAMP)
         (gW, gb), g_in = backward_reference(net, cache, np.concatenate([g_t, g_s], axis=1))
-        grads += gW + gb
+        per_net.append(gW + gb)
         g = g * e + g_in
+    # Stacked like ``fl.params()``: one (K, ...) array per layer position.
+    grads = [np.stack(group) for group in zip(*per_net)]
     return copied_into(grads, out), flow.nll(fl, x).sum()
 
 
@@ -345,7 +347,7 @@ class TestGradients:
         def f():
             return float(np.sum(net.forward(x) * c))
 
-        work = neural.layer_buffers({}, "net", net, len(x))
+        work = neural.layer_buffers({}, net, len(x))
         net.forward(x, work=work)
         _, grad_in = net.backward([x] + work[:-1], c)
         numeric = numerical_grad(f, [x])[0]
@@ -358,7 +360,7 @@ class TestGradients:
         for W, M in zip(net.weights, net.masks):
             W += 0.3 * rng.normal(size=W.shape) * M
         x = rng.normal(size=(9, 4))
-        work = neural.layer_buffers({}, "net", net, 9)
+        work = neural.layer_buffers({}, net, 9)
         net.forward(x, work=work)
         c = rng.normal(size=(9, len(net.biases[-1])))
         (gW, gb), grad_in = net.backward([x] + work[:-1], c)
@@ -393,6 +395,16 @@ def jittered(model, seed, scale=0.3):
     return model
 
 
+def arrays_in(value):
+    """Every array held in ``value``, a dict, list, tuple or object of them,
+    at any depth, in a fixed order."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    items = value.values() if isinstance(value, dict) else \
+        value if isinstance(value, (list, tuple)) else vars(value).values()
+    return [a for item in items for a in arrays_in(item)]
+
+
 def batch(head, rng, n, d):
     x = rng.normal(size=(n, d))
     return (x < 0.0).astype(np.float64) if head == "binary" else x
@@ -415,38 +427,48 @@ class TestOneLoopStep:
             x = batch(head, rng, n, 5)
             assert_steps_equal(neural.gradients(net, x, buffers),
                                gradients_reference(net, x))
-        assert {key[1] for key in buffers} == {24, 7, 1}
+        assert {key[0] for key in buffers} == {24, 7, 1}
 
     @pytest.mark.parametrize("hidden", [[], [6], [7, 5]])
     def test_flow_matches_forward_cached_oracle(self, hidden):
+        """At K = 1, 3 and 5 conditioners."""
         rng = np.random.default_rng(63)
-        fl = jittered(flow.AffineFlow.build(adjacency.gen_prev_k(5, 2), 3, hidden, 23), 24)
-        fl.mu, fl.sigma = rng.normal(size=5), rng.uniform(0.5, 2.0, size=5)
-        buffers = {}
-        for n in (20, 20, 3, 20):
-            x = rng.normal(size=(n, 5))
-            assert_steps_equal(flow.gradients(fl, x, buffers),
-                               flow_gradients_reference(fl, x))
-        # One set of buffers per conditioner and row count.
-        assert sorted((key[0], key[1]) for key in buffers) == [
-            (k, n) for k in range(3) for n in (3, 20)]
+        for n_layers in (1, 3, 5):
+            fl = jittered(flow.AffineFlow.build(adjacency.gen_prev_k(5, 2), n_layers, hidden, 23),
+                          24)
+            fl.mu, fl.sigma = rng.normal(size=5), rng.uniform(0.5, 2.0, size=5)
+            buffers, made = {}, {}
+            for n in (20, 20, 3, 20):
+                x = rng.normal(size=(n, 5))
+                assert_steps_equal(flow.gradients(fl, x, buffers),
+                                   flow_gradients_reference(fl, x))
+                # One workspace per row count, reused by every later step at it.
+                assert made.setdefault(n, buffers["flow", n]) is buffers["flow", n]
+            assert sorted(buffers) == [("flow", 3), ("flow", 20)]
 
-    @pytest.mark.parametrize("kind", ["binary", "real", "flow"])
+    @pytest.mark.parametrize("kind", ["binary", "real", "flow", "flow-train"])
     def test_training_with_a_short_trailing_minibatch(self, monkeypatch, kind):
         """54 training rows in batches of 8, so every epoch ends on 6 rows:
-        the run and a run through the oracle step agree bitwise."""
-        A, ds = toy_dataset(7, kind="binary" if kind == "binary" else "real")
-        assert len(ds.idx_train) % 8 == 6
-        cfg = neural.TrainConfig(learning_rate=0.02, batch_size=8, max_epochs=4, seed=3)
-        module, fit, reference = {
-            "flow": (flow, flow.train_flow, flow_gradients_reference),
-        }.get(kind, (neural, neural.train, gradients_reference))
+        the run and a run through the oracle step agree bitwise.  The
+        "flow-train" case has the benchmark workload's shape: K = 5 over
+        prev_k(20, 2), hidden [40], batches of 32 ending on 28 rows."""
+        if kind == "flow-train":
+            A, ds = toy_dataset(7, d=20, n=100, kind="real")
+            batch_size, model_args = 32, (5, [40], 4)
+        else:
+            A, ds = toy_dataset(7, kind="binary" if kind == "binary" else "real")
+            batch_size, model_args = 8, (2, [6], 4)
+        assert len(ds.idx_train) % batch_size == (28 if kind == "flow-train" else 6)
+        cfg = neural.TrainConfig(learning_rate=0.02, batch_size=batch_size, max_epochs=4,
+                                 seed=3)
+        module, fit, reference = (flow, flow.train_flow, flow_gradients_reference) \
+            if kind.startswith("flow") else (neural, neural.train, gradients_reference)
         runs = []
         for step in ("one loop", "oracle"):
             if step == "oracle":
                 monkeypatch.setattr(module, "gradients", reference)
-            if kind == "flow":
-                model = flow.AffineFlow.build(A, 2, [6], 4)
+            if kind.startswith("flow"):
+                model = flow.AffineFlow.build(A, *model_args)
             else:
                 masks = factorizer.factor_multilayer(A, [6], "greedy")
                 model = neural.MaskedMLP.from_masks(
@@ -494,9 +516,10 @@ class TestOneLoopStep:
     @pytest.mark.parametrize("kind", ["network", "flow"])
     def test_reused_buffers_do_not_alias(self, kind):
         """Two steps on different batches with one set of activation buffers
-        and one set of gradient views into a flat vector, as in training,
-        give the gradients that fresh arrays give.  The gradients land in the
-        views, which share no memory with the activation buffers."""
+        (a flow's: its workspace) and one set of gradient views into a flat
+        vector, as in training, give the gradients that fresh arrays give.
+        The second step reuses the first one's arrays.  The gradients land in
+        the views, which share no memory with the buffers."""
         rng = np.random.default_rng(69)
         if kind == "flow":
             model = jittered(flow.AffineFlow.build(adjacency.gen_prev_k(5, 2), 2, [8], 29), 30)
@@ -510,9 +533,9 @@ class TestOneLoopStep:
         first = step(model, xa, buffers, out)
         assert all(g is view for g, view in zip(first[0], out, strict=True))
         assert_steps_equal(first, step(model, xa, {}))
-        arrays = [a for work in buffers.values() for a in work]
+        arrays = arrays_in(buffers)
         second = step(model, xb, buffers, out)
-        again = [a for work in buffers.values() for a in work]
+        again = arrays_in(buffers)
         assert len(again) == len(arrays) and all(a is b for a, b in zip(again, arrays))
         assert all(g is view for g, view in zip(second[0], out, strict=True))
         assert_steps_equal(second, step(model, xb, {}))
@@ -1043,6 +1066,7 @@ class TestTraining:
         assert flat.size == sum(p.size for p in params)
         np.testing.assert_array_equal(flat, np.concatenate([p.ravel() for p in params]))
         assert all(p.base is flat for p in params)
+        assert all(p.base is flat for net in fl.layers for p in net.params())
 
     def test_history_row_shape(self):
         A, ds = toy_dataset(6)
@@ -1265,7 +1289,7 @@ class TestAudit:
             break_mask(data, net, data.draw(st.integers(0, n_hidden)))
         found = neural.audit_invariance(net)
         x = np.random.default_rng(seed).normal(0.0, 3.0, size=(16, d))
-        work = neural.layer_buffers({}, "net", net, len(x))
+        work = neural.layer_buffers({}, net, len(x))
         net.forward(x, work=work)
         for i, j, bound in found:
             grad_out = np.zeros((len(x), len(net.biases[-1])))

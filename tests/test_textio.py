@@ -93,7 +93,8 @@ def test_golden_flow(arrays, tmp_path):
     fl = flow.load_flow(golden("flow.txt"))
     assert_bitwise(fl.mu, arrays["flow_mu"])
     assert_bitwise(fl.sigma, arrays["flow_sigma"])
-    for k, p in enumerate(fl.params()):
+    # The arrays are numbered conditioner by conditioner, each in params() order.
+    for k, p in enumerate(p for net in fl.layers for p in net.params()):
         assert_bitwise(p, arrays[f"flow_{k}"])
     assert fl.adjacency.dtype == np.int64
     flow.save_flow(fl, tmp_path / "fl.txt")

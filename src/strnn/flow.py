@@ -319,19 +319,18 @@ class _Plan:
             self._generations[j] = _generations(self.dep, j)
         return self._generations[j]
 
-    def buffers(self, net, n):
-        """The flat activation buffers of ``net``'s widths over n samples,
-        shared by every pass of those widths: per hidden layer (width + 1) * n
-        entries, the first n of them a row of ones, then 2d * n for the
-        output layer."""
-        widths = tuple(len(b) for b in net.biases)
-        key = widths, n
-        if key not in self._buffers:
+    def buffers(self, n):
+        """The flat activation buffers over n samples, shared by every pass
+        of every conditioner (they have equal widths): per hidden layer
+        (width + 1) * n entries, the first n of them a row of ones, then
+        2d * n for the output layer."""
+        if n not in self._buffers:
+            widths = [b.shape[1] for b in self.flow.biases]
             hidden = [np.empty((w + 1) * n) for w in widths[:-1]]
             for buf in hidden:
                 buf[:n] = 1.0
-            self._buffers[key] = hidden + [np.empty(widths[-1] * n)]
-        return self._buffers[key]
+            self._buffers[n] = hidden + [np.empty(widths[-1] * n)]
+        return self._buffers[n]
 
     def step(self, k, gen, n):
         """Conditioner k's pass on generation ``gen`` over n samples, which
@@ -361,7 +360,7 @@ class _Plan:
                 else:
                     columns = [W, b]
                 weights.insert(0, np.ascontiguousarray(np.hstack(columns)))
-            *hidden, last = self.buffers(net, n)
+            *hidden, last = self.buffers(n)
             step = []
             for W, buf in zip(weights[:-1], hidden):
                 h = buf[:(len(W) + 1) * n].reshape(len(W) + 1, n)
@@ -516,21 +515,21 @@ def gradients(flow, x, buffers, out=None):
     """(grads, nll_sum): the gradients of ``mean_nll(flow, x)``, stacks
     aligned with ``flow.params()``, and the batch's NLL summed over its
     rows, from one data-to-noise pass into the ``_Workspace`` of the batch's
-    row count, kept in ``buffers``.  The gradients are written into ``out``
-    when it is given (training passes ``AdamW.grads``), else into new
+    row count, kept in ``buffers[n]``.  The gradients are written into
+    ``out`` when it is given (training passes ``AdamW.grads``), else into new
     arrays; each row's NLL is bitwise what ``nll`` gives for the row.
 
     The delta chain runs conditioner by conditioner, noise side first, each
     into its slices of the workspace (``MaskedMLP._deltas``).  Everything
     else runs once over the stacks: the clamp and ReLU gates before the
-    chain, and after it one weight-gradient product and one bias sum per
-    layer position for all K conditioners (``neural._weight_gradients``).
+    chain, and after it the weight-gradient pass, one product and one bias
+    sum per layer position for all K (``neural._weight_gradients``).
     """
     x, _ = neural._as_batch(x, flow.dim)
     n, last = x.shape[0], len(flow.layers) - 1
-    if ("flow", n) not in buffers:
-        buffers["flow", n] = _Workspace(flow, n)
-    ws = buffers["flow", n]
+    if n not in buffers:
+        buffers[n] = _Workspace(flow, n)
+    ws = buffers[n]
     levels, log_det = _to_noise(flow, x, keep_levels=True, ws=ws)
     if out is None:
         out = [np.empty(p.shape) for p in flow.params()]

@@ -6,10 +6,10 @@ that the masks from ``param_masks()`` exclude to +0.0 and steps only the free
 entries, so structural zeros stay exactly +0.0 through training.  A training
 run keeps all parameters of a model (every conditioner of a flow) in one
 flat vector and their gradients in another: each weight and bias becomes a
-view into the first, ``backward`` writes into views of the second, and the
-step updates the free entries of the first in place.  A flow's parameters
-are one stack per layer position over its K conditioners, so the views are
-stacks too.
+view into the first, the backward pass writes into views of the second, and
+the step updates the free entries of the first in place.  A flow's
+parameters are one stack per layer position over its K conditioners, so the
+views are stacks too.
 Hidden layers use ReLU; the head is either ``binary`` (d logits) or
 ``gaussian`` (2d outputs: means then log-sigmas, the final mask stacked twice
 vertically).  Each head has one likelihood, ``head_nll`` of the raw outputs:
@@ -19,17 +19,16 @@ sums it over the batch from the output its forward pass already wrote, so
 an epoch's training NLL costs no pass of its own; only the validation split
 is evaluated after each epoch.
 ``MaskedMLP._layers``, which ``forward`` runs on its checked input, is the
-one row-major layer loop; training runs it into buffers reused across steps
-(``layer_buffers`` for a network, the flow's own workspace for a flow).
-The backward pass is split in two: the delta chain (``MaskedMLP._deltas``),
-which carries the output gradient down through the layers, into the
-caller's buffers when given, and the weight-gradient pass
-(``_weight_gradients``), one product and one row sum per layer, which
-works on any rank.  ``backward`` runs both on one network; flow training
-runs the chain per conditioner and the pass once over the K conditioners'
-stacks.  The flow's inversion runs its passes coordinate-major, in its own
-loop over (width, n) views of its own buffers, each bias folded into its
-product (``flow._Plan.affine``).
+one row-major layer loop; training runs it into arrays kept per row count in
+the run's ``buffers`` (a network's activations, a flow's workspace).  Both
+trainers call the backward pass's two halves: the delta chain
+(``MaskedMLP._deltas``), which carries the output gradient down through the
+layers, into the caller's buffers when given, and the weight-gradient pass
+(``_weight_gradients``), one product and one row sum per layer, which works
+on any rank, so flow training runs it once over the K conditioners' stacks.
+The flow's inversion runs its passes coordinate-major, in its own loop over
+(width, n) views of its own buffers, each bias folded into its product
+(``flow._Plan.affine``).
 Evaluation runs in blocks of EVAL_BLOCK rows, so the hidden activations stay
 in cache; each sample's NLL is bitwise the one an unblocked pass gives.
 Checkpoints use the text format defined in ``textio``.
@@ -129,27 +128,6 @@ class MaskedMLP:
             np.add(h, b, out=h)
         return h
 
-    def backward(self, inputs, grad_out, *, input_grad=True, out=None):
-        """Reverse-mode pass from an output gradient, given each layer's input
-        ``[x] + work[:-1]`` of ``forward(x, work=work)``: the delta chain
-        (``_deltas``), then the weight-gradient pass (``_weight_gradients``).
-        The parameter gradients are written into ``out``, arrays aligned with
-        ``params()`` (training passes views of ``AdamW.grads``), or into new
-        arrays without it.  Returns ((weight_grads, bias_grads), grad_input).
-        Gradients are dense; masked positions are irrelevant because the
-        optimizer never steps them.  With ``input_grad=False`` the layer-0 product
-        ``delta @ W[0]`` is skipped and grad_input is None; the parameter
-        gradients are unchanged.
-        """
-        if out is None:
-            out = [np.empty(p.shape) for p in self.params()]
-        weight_grads, bias_grads = out[:len(self.weights)], out[len(self.weights):]
-        deltas = self._deltas(np.asarray(grad_out, dtype=np.float64),
-                              [h > 0.0 for h in inputs[1:]])
-        _weight_gradients(inputs, deltas, weight_grads, bias_grads)
-        grad_input = deltas[0] @ self.weights[0] if input_grad else None
-        return (weight_grads, bias_grads), grad_input
-
     def _deltas(self, grad_out, gates, out=None):
         """The gradient of every layer's output, input side first and
         ``grad_out`` last.  Hidden layer l's is the next layer's times that
@@ -176,15 +154,6 @@ class MaskedMLP:
     def param_masks(self):
         """The structural masks aligned with ``params()``: None per bias."""
         return self.masks + [None] * len(self.biases)
-
-
-def layer_buffers(buffers, net, n):
-    """``forward``'s ``work`` for ``net`` on n rows, kept in the caller's
-    dict ``buffers``: a later request gets the same arrays back."""
-    key = (n, tuple(len(b) for b in net.biases))
-    if key not in buffers:
-        buffers[key] = [np.empty((n, len(b))) for b in net.biases]
-    return buffers[key]
 
 
 def _weight_gradients(inputs, deltas, weight_grads, bias_grads):
@@ -286,13 +255,16 @@ def mean_nll(net, x):
 def gradients(net, x, buffers, out=None):
     """(grads, nll_sum): the gradients of ``mean_nll(net, x)``, the batch's
     mean NLL, aligned with ``net.params()``, and the batch's NLL summed over
-    its rows, both from one pass into ``layer_buffers(buffers, ...)``.  The
-    gradients are written into ``out`` when it is given (see ``backward``);
-    each row's NLL is ``head_nll`` of the output that pass wrote, bitwise
-    what ``nll`` gives for the row."""
+    its rows, both from one pass into the activations of the batch's row
+    count, kept in ``buffers[n]``.  The gradients are written into ``out``
+    when it is given (training passes ``AdamW.grads``), else into new arrays;
+    they are dense, as the optimizer never steps a masked entry.  Each row's
+    NLL is ``head_nll`` of the output the pass wrote, bitwise ``nll``'s."""
     x = _targets(net.head, x)
     n = x.shape[0]
-    work = layer_buffers(buffers, net, n)
+    if n not in buffers:
+        buffers[n] = [np.empty((n, len(b))) for b in net.biases]
+    work = buffers[n]
     y = net.forward(x, work=work)
     if net.head == "binary":
         grad_out = (sigmoid(y) - x) / n
@@ -303,9 +275,12 @@ def gradients(net, x, buffers, out=None):
         in_range = np.abs(log_sigma) < LOG_SIGMA_CLAMP
         g_log_sigma = (1.0 - (x - mu) ** 2 * inv_var) * in_range / n
         grad_out = np.concatenate([g_mu, g_log_sigma], axis=1)
-    (weight_grads, bias_grads), _ = net.backward([x] + work[:-1], grad_out,
-                                                 input_grad=False, out=out)
-    return weight_grads + bias_grads, head_nll(net.head, y, x).sum()
+    if out is None:
+        out = [np.empty(p.shape) for p in net.params()]
+    n_layers = len(net.weights)
+    deltas = net._deltas(grad_out, [h > 0.0 for h in work[:-1]])
+    _weight_gradients([x] + work[:-1], deltas, out[:n_layers], out[n_layers:])
+    return out, head_nll(net.head, y, x).sum()
 
 
 class AdamW:
@@ -473,13 +448,13 @@ def _optimize(model, dataset, config, gradients, mean_nll):
     """The training loop behind ``train`` and ``flow.train_flow``, given the
     model's ``gradients(model, x, buffers, out)``, which returns the batch's
     NLL sum beside its gradients, and ``mean_nll(model, x)``, which only the
-    validation split goes through.  ``train_nll`` sums what the steps
-    returned, so no pass runs over the whole training split.  A non-finite
-    epoch is never the best one, and it stops the run, which is how an
-    overflow is reported: the loop silences numpy's overflow and invalid
-    warnings.  The model's weights
-    and biases become views into the optimizer's flat parameter vector, and
-    stay so after the run."""
+    validation split goes through.  Each step keeps its scratch in the run's
+    ``buffers`` under the batch's row count.  ``train_nll`` sums what the
+    steps returned, so no pass runs over the whole training split.  A
+    non-finite epoch is never the best one, and it stops the run, which is
+    how an overflow is reported: the loop silences numpy's overflow and
+    invalid warnings.  The model's weights and biases become views into the
+    optimizer's flat parameter vector, and stay so after the run."""
     config.validate()
     train_x, val_x = _splits(dataset)
     rng = np.random.default_rng(config.seed)

@@ -609,7 +609,7 @@ class TestGenerationInversion:
             ref = reconstruct_full_passes(fl, [lv.copy() for lv in levels], plan.dep, j,
                                           (j, 0.5))
             assert_inversion_close([ours], [ref])
-        assert {key[1] for key in plan._buffers} == {20, 33}
+        assert sorted(plan._buffers) == [20, 33]
 
     @pytest.mark.parametrize("drop_units", [False, True])
     def test_either_side_of_the_row_slice_fork(self, drop_units):
@@ -677,7 +677,7 @@ class TestGenerationInversion:
                         read = (W != 0.0).any(axis=0) if layer else np.ones(7, dtype=bool)
                         expected.insert(0, np.hstack([b, W[:, read]] if layer else [W, b]))
                         keep = np.flatnonzero(read)
-                    buffers = plan.buffers(net, n)
+                    buffers = plan.buffers(n)
                     assert len(layers) == len(expected) == len(buffers)
                     for i, ((W, out, h), W_ref, buf) in enumerate(zip(layers, expected, buffers)):
                         assert W.flags.c_contiguous and W.shape == W_ref.shape

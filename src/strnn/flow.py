@@ -87,19 +87,17 @@ class AffineFlow:
         of A (``factorizer.factor_multilayer`` with ``method`` and
         ``objective``) but are independently initialized.
 
-        Each conditioner's output layer starts at zero, so every layer begins
-        as the identity map.  Without this, the per-layer log-scales compound
+        Each conditioner's output layer starts at zero, as every gaussian
+        head's does (``MaskedMLP.from_masks``), so every layer begins as the
+        identity map.  Without this, the per-layer log-scales compound
         multiplicatively through the stack and deep flows start (and often
         stay) in a numerically explosive regime.
         """
         A = adjacency_mod.validate(A)
         rng = np.random.default_rng(rng)
         masks = factorizer.factor_multilayer(A, hidden, method, objective)
-        layers = []
-        for _ in range(n_layers):
-            net = neural.MaskedMLP.from_masks(masks, "gaussian", rng)
-            net.weights[-1][...] = 0.0
-            layers.append(net)
+        layers = [neural.MaskedMLP.from_masks(masks, "gaussian", rng)
+                  for _ in range(n_layers)]
         return cls(A, layers)
 
     # Optimizer protocol shared with MaskedMLP.

@@ -12,12 +12,17 @@ parameters are one stack per layer position over its K conditioners, so the
 views are stacks too.
 Hidden layers use ReLU; the head is either ``binary`` (d logits) or
 ``gaussian`` (2d outputs: means then log-sigmas, the final mask stacked twice
-vertically).  Each head has one likelihood, ``head_nll`` of the raw outputs:
-evaluation (``nll``), the data generators' exact oracles and training go
-through it.  A training step (``gradients``) differentiates it and also
-sums it over the batch from the output its forward pass already wrote, so
-an epoch's training NLL costs no pass of its own; only the validation split
-is evaluated after each epoch.
+vertically).  A fresh gaussian head's output weights are zero, so it starts
+at the standard normal.  Each head has one likelihood, ``head_nll`` of the
+raw outputs: evaluation (``nll``), the data generators' exact oracles and
+training go through it.  A training step (``gradients``) differentiates it
+and also sums it over the batch from the output its forward pass already
+wrote, so an epoch's training NLL costs no pass of its own; only the
+validation split is evaluated after each epoch.  The binary head takes its
+softplus and, in a step, its sigmoid from one e = exp(-|o|) per logit
+(``_logistic``), so a step runs one exp over the outputs; ``sigmoid``, a
+form of its own, remains for ``datagen.gen_binary``, whose generated data
+must not move.
 ``MaskedMLP._layers``, which ``forward`` runs on its checked input, is the
 one row-major layer loop; training runs it into arrays kept per row count in
 the run's ``buffers`` (a network's activations, a flow's workspace).  Both
@@ -86,7 +91,10 @@ class MaskedMLP:
         """Build a network from a factorization mask list (input side first).
 
         Initialization is Kaiming-uniform with each row's fan-in counted from
-        its mask row, then masked.  Biases start at zero.
+        its mask row, then masked.  Biases start at zero.  A gaussian head's
+        output weights are drawn too, so the rng stream does not depend on
+        the head, and then set to zero: every output starts as mu = 0,
+        log-sigma = 0, the standard normal, far from the log-sigma clamp.
         """
         if head not in ("binary", "gaussian"):
             raise ConfigError(f"unknown head {head!r}")
@@ -104,6 +112,8 @@ class MaskedMLP:
             W = rng.uniform(-1.0, 1.0, size=M.shape) * bound * M
             weights.append(W)
             biases.append(np.zeros(M.shape[0]))
+        if head == "gaussian":
+            weights[-1][...] = 0.0
         return cls(weights, biases, masks, head, pattern)
 
     def forward(self, x, *, work=None):
@@ -193,7 +203,8 @@ def _targets(head, x):
 def sigmoid(t):
     """The logistic function 1 / (1 + exp(-t)).  Below t = -700, where that
     form would overflow and 1 + exp(t) rounds to 1, it is exp(t), computed at
-    those entries only."""
+    those entries only.  The data generators draw with it; the binary head
+    takes its sigmoid from its softplus's exponential (``_logistic``)."""
     t = np.asarray(t, dtype=np.float64)
     p = np.maximum(t, -700.0, out=np.empty(t.shape))
     np.negative(p, out=p)
@@ -223,11 +234,34 @@ def head_nll(head, out, x):
     (x_j - mu_j)^2 / (2 sigma_j^2), from ``_split_gaussian(out)``.
     """
     if head == "binary":
-        per = np.logaddexp(0.0, out) - x * out
-    else:
-        mu, log_sigma = _split_gaussian(out)
-        per = log_sigma + HALF_LOG_2PI + (x - mu) ** 2 * np.exp(-2.0 * log_sigma) / 2.0
+        return _binary_nll(out, x)
+    mu, log_sigma = _split_gaussian(out)
+    per = log_sigma + HALF_LOG_2PI + (x - mu) ** 2 * np.exp(-2.0 * log_sigma) / 2.0
     return per.sum(axis=-1)
+
+
+def _logistic(o, with_sigmoid=False):
+    """softplus(o) = log(1 + exp(o)) and, ``with_sigmoid``, sigmoid(o) (else
+    None), both from one e = exp(-|o|), which cannot overflow: the softplus
+    is max(o, 0) + log1p(e), the sigmoid 1 / (1 + e) where o >= 0 and
+    e / (1 + e) elsewhere."""
+    e = np.exp(-np.abs(o))
+    softplus = np.maximum(o, 0.0) + np.log1p(e)
+    if not with_sigmoid:
+        return softplus, None
+    return softplus, np.where(o >= 0.0, 1.0, e) / (1.0 + e)
+
+
+def _binary_nll(o, x, n=None):
+    """Per-sample Bernoulli NLL sum_j softplus(o_j) - x_j o_j of ``x`` under
+    the logits ``o``; given the batch's row count n, also its gradient
+    (p - x) / n with respect to ``o`` for the batch's mean NLL, p the sigmoid
+    that ``_logistic`` takes from the softplus's own exponential.  Evaluation
+    and the training step both go through here, so a step's NLL is bitwise
+    ``nll``'s."""
+    softplus, p = _logistic(o, n is not None)
+    per = (softplus - x * o).sum(axis=-1)
+    return per if n is None else (per, (p - x) / n)
 
 
 def nll(net, x):
@@ -267,8 +301,9 @@ def gradients(net, x, buffers, out=None):
     work = buffers[n]
     y = net.forward(x, work=work)
     if net.head == "binary":
-        grad_out = (sigmoid(y) - x) / n
+        per, grad_out = _binary_nll(y, x, n)
     else:
+        per = head_nll(net.head, y, x)
         mu, log_sigma = _split_gaussian(y)
         inv_var = np.exp(-2.0 * log_sigma)
         g_mu = (mu - x) * inv_var / n
@@ -280,7 +315,7 @@ def gradients(net, x, buffers, out=None):
     n_layers = len(net.weights)
     deltas = net._deltas(grad_out, [h > 0.0 for h in work[:-1]])
     _weight_gradients([x] + work[:-1], deltas, out[:n_layers], out[n_layers:])
-    return out, head_nll(net.head, y, x).sum()
+    return out, per.sum()
 
 
 class AdamW:

@@ -511,12 +511,20 @@ class TestFactorizationProperties:
            method=st.sampled_from(["greedy", "exact", "zuko"]),
            head=st.sampled_from(["binary", "gaussian"]), seed=st.integers(0, 2**16))
     def test_initialized_network_support_is_its_pattern(self, A, widths, method, head, seed):
+        """A fresh network reads every input its pattern allows.  A gaussian
+        head starts with zero output weights, so its own support is empty;
+        its drawn hidden weights chained through the output mask give the
+        pattern, stacked twice."""
         try:
             masks = factorizer.factor_multilayer(A, widths, method)
         except DOCUMENTED_ERRORS.get(method, ()):
             return
         net = neural.MaskedMLP.from_masks(masks, head, seed)
         pattern = net.pattern > 0
+        support = neural.support(net)
         if head == "gaussian":
             pattern = np.vstack([pattern, pattern])
-        np.testing.assert_array_equal(neural.support(net), pattern)
+            assert not support.any()
+            drawn = [W != 0 for W in net.weights[:-1]] + [net.masks[-1]]
+            support = factorizer.mask_product(drawn) > 0
+        np.testing.assert_array_equal(support, pattern)

@@ -9,7 +9,14 @@ three histories were rewritten when ``train_nll`` came to be taken from the
 epoch's own minibatch passes, the NLL of each batch before its step, in
 place of a pass over the training split after the epoch: only that column
 changed, and every ``val_nll`` and ``lr`` and every checkpoint stayed
-byte-identical.  Each run takes a few epochs, halves its learning rate on a
+byte-identical.  ``train_mlp`` was rewritten when the binary head came to
+take its softplus and sigmoid from one exp(-|o|) (3 of 24 history tokens
+and 171 of 2,222 checkpoint tokens moved, by rounding; ``best_epoch`` and
+every ``lr`` stayed), and ``train_gaussian`` when a fresh gaussian head
+came to start at the standard normal (every ``train_nll`` and ``val_nll``,
+3 of 10 ``lr`` and 258 of 1,834 checkpoint tokens moved; ``best_epoch``
+stayed 9); ``tests/data/README.md`` has the details.  Each run takes a few
+epochs, halves its learning rate on a
 plateau and restores its best epoch; its train split ends in a short
 minibatch and its validation split fits one evaluation block.  The
 checkpoint and the history are checked by separate tests, so a change to

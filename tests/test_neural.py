@@ -369,7 +369,6 @@ class TestLogistic:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             softplus, p = neural._logistic(o, with_sigmoid=True)
-            assert neural._logistic(o)[1] is None
         nan = np.isnan(o)
         assert np.isnan(softplus[nan]).all() and np.isnan(p[nan]).all()
         finite = np.isfinite(o)
@@ -379,17 +378,6 @@ class TestLogistic:
         np.testing.assert_array_equal(softplus[o == np.inf], np.inf)
         np.testing.assert_array_equal(p[o == np.inf], 1.0)
         assert not softplus[o == -np.inf].any() and not p[o == -np.inf].any()
-
-    def test_step_takes_nll_and_gradient_from_one_pass(self):
-        """``_binary_nll`` with n gives head_nll's per-sample NLL bitwise and
-        the gradient (p - x) / n."""
-        rng = np.random.default_rng(75)
-        o = 20.0 * rng.normal(size=(30, 7))
-        x = (rng.random(o.shape) < 0.5).astype(np.float64)
-        per, grad = neural._binary_nll(o, x, 30)
-        assert per.tobytes() == neural.head_nll("binary", o, x).tobytes()
-        _, p = neural._logistic(o, with_sigmoid=True)
-        assert grad.tobytes() == ((p - x) / 30).tobytes()
 
 
 class TestGradients:

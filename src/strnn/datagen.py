@@ -33,7 +33,7 @@ class GeneratedData:
 def gen_binary(A, n, rng):
     """Autoregressive Bernoulli data: p_i = sigmoid(sum_j alpha_ij x_j + c_i)
     with alpha ~ N(0,1) masked by A and intercepts c ~ N(0,1), both drawn
-    once per dataset."""
+    once per dataset; the sigmoid is the binary head's (``neural._sigmoid``)."""
     A = adjacency_mod.validate(A)
     rng = np.random.default_rng(rng)
     d = A.shape[0]
@@ -41,7 +41,8 @@ def gen_binary(A, n, rng):
     c = rng.standard_normal(d)
     x = np.zeros((n, d))
     for i in range(d):
-        p = neural.sigmoid(x @ alpha[i] + c[i])
+        t = x @ alpha[i] + c[i]
+        p = neural._sigmoid(t, np.exp(-np.abs(t)))
         x[:, i] = rng.random(n) < p
     return GeneratedData(x, A, "binary", "binary", {"alpha": alpha, "c": c})
 

@@ -18,11 +18,11 @@ raw outputs: evaluation (``nll``), the data generators' exact oracles and
 training go through it.  A training step (``gradients``) differentiates it
 and also sums it over the batch from the output its forward pass already
 wrote, so an epoch's training NLL costs no pass of its own; only the
-validation split is evaluated after each epoch.  The binary head takes its
-softplus and, in a step, its sigmoid from one e = exp(-|o|) per logit
-(``_logistic``), so a step runs one exp over the outputs; ``sigmoid``, a
-form of its own, remains for ``datagen.gen_binary``, whose generated data
-must not move.
+validation split is evaluated after each epoch.  Each head writes its NLL
+and output gradient once (``_HEADS``).  The binary head takes its softplus
+and, in a step, its sigmoid from one e = exp(-|o|) per logit, so a step runs
+one exp over the outputs; ``datagen.gen_binary`` draws with the same
+sigmoid (``_sigmoid``).  The gaussian head takes one exp per log-sigma.
 ``MaskedMLP._layers``, which ``forward`` runs on its checked input, is the
 one row-major layer loop; training runs it into arrays kept per row count in
 the run's ``buffers`` (a network's activations, a flow's workspace).  Both
@@ -200,23 +200,6 @@ def _targets(head, x):
     return x
 
 
-def sigmoid(t):
-    """The logistic function 1 / (1 + exp(-t)).  Below t = -700, where that
-    form would overflow and 1 + exp(t) rounds to 1, it is exp(t), computed at
-    those entries only.  The data generators draw with it; the binary head
-    takes its sigmoid from its softplus's exponential (``_logistic``)."""
-    t = np.asarray(t, dtype=np.float64)
-    p = np.maximum(t, -700.0, out=np.empty(t.shape))
-    np.negative(p, out=p)
-    np.exp(p, out=p)
-    p += 1.0
-    np.divide(1.0, p, out=p)
-    low = t < -700.0
-    if low.any():
-        p[low] = np.exp(t[low])
-    return p
-
-
 def _split_gaussian(out):
     """Means and log-sigmas clamped to +-LOG_SIGMA_CLAMP, the two halves of a
     gaussian-head output (for a flow conditioner: the shifts and
@@ -233,35 +216,49 @@ def head_nll(head, out, x):
     NLL with logits o.  gaussian: sum_j log sigma_j + 0.5 log 2 pi +
     (x_j - mu_j)^2 / (2 sigma_j^2), from ``_split_gaussian(out)``.
     """
-    if head == "binary":
-        return _binary_nll(out, x)
-    mu, log_sigma = _split_gaussian(out)
-    per = log_sigma + HALF_LOG_2PI + (x - mu) ** 2 * np.exp(-2.0 * log_sigma) / 2.0
-    return per.sum(axis=-1)
+    return _HEADS[head](out, x)
 
 
-def _logistic(o, with_sigmoid=False):
-    """softplus(o) = log(1 + exp(o)) and, ``with_sigmoid``, sigmoid(o) (else
-    None), both from one e = exp(-|o|), which cannot overflow: the softplus
-    is max(o, 0) + log1p(e), the sigmoid 1 / (1 + e) where o >= 0 and
-    e / (1 + e) elsewhere."""
-    e = np.exp(-np.abs(o))
-    softplus = np.maximum(o, 0.0) + np.log1p(e)
-    if not with_sigmoid:
-        return softplus, None
-    return softplus, np.where(o >= 0.0, 1.0, e) / (1.0 + e)
+def _sigmoid(o, e):
+    """The logistic function of ``o`` from e = exp(-|o|), which cannot
+    overflow: 1 / (1 + e) where o >= 0, e / (1 + e) elsewhere."""
+    return np.where(o >= 0.0, 1.0, e) / (1.0 + e)
 
 
 def _binary_nll(o, x, n=None):
     """Per-sample Bernoulli NLL sum_j softplus(o_j) - x_j o_j of ``x`` under
-    the logits ``o``; given the batch's row count n, also its gradient
-    (p - x) / n with respect to ``o`` for the batch's mean NLL, p the sigmoid
-    that ``_logistic`` takes from the softplus's own exponential.  Evaluation
-    and the training step both go through here, so a step's NLL is bitwise
-    ``nll``'s."""
-    softplus, p = _logistic(o, n is not None)
-    per = (softplus - x * o).sum(axis=-1)
-    return per if n is None else (per, (p - x) / n)
+    the logits ``o``, exact at infinite logits; given the batch's row count
+    n, also its gradient (p - x) / n for the batch's mean NLL.  The softplus
+    max(o, 0) + log1p(e) and the sigmoid p share one e = exp(-|o|).  A
+    step's NLL is bitwise ``nll``'s, as both go through here."""
+    e = np.exp(-np.abs(o))
+    with np.errstate(invalid="ignore"):
+        terms = np.maximum(o, 0.0) + np.log1p(e) - x * o
+    per = terms.sum(axis=-1)
+    if np.isnan(per).any():
+        # 0 * inf or inf - inf at an infinite logit, where the exact NLL is
+        # max(o, 0) for x = 0 and max(-o, 0) for x = 1 (NaN at a NaN logit).
+        np.copyto(terms, np.maximum(np.where(x != 0.0, -o, o), 0.0), where=np.isnan(terms))
+        per = terms.sum(axis=-1)
+    return per if n is None else (per, (_sigmoid(o, e) - x) / n)
+
+
+def _gaussian_nll(out, x, n=None):
+    """Per-sample gaussian NLL of ``x`` under the outputs ``out``; given the
+    batch's row count n, also its gradient for the batch's mean NLL:
+    (mu - x) / sigma^2 / n for the means and (1 - (x - mu)^2 / sigma^2) / n
+    for the log-sigmas, 0 where the clamp holds one."""
+    mu, log_sigma = _split_gaussian(out)
+    inv_var = np.exp(-2.0 * log_sigma)
+    sq = (x - mu) ** 2 * inv_var
+    per = (log_sigma + HALF_LOG_2PI + sq / 2.0).sum(axis=-1)
+    if n is None:
+        return per
+    in_range = np.abs(log_sigma) < LOG_SIGMA_CLAMP
+    return per, np.concatenate([(mu - x) * inv_var / n, (1.0 - sq) * in_range / n], axis=-1)
+
+
+_HEADS = {"binary": _binary_nll, "gaussian": _gaussian_nll}
 
 
 def nll(net, x):
@@ -300,16 +297,7 @@ def gradients(net, x, buffers, out=None):
         buffers[n] = [np.empty((n, len(b))) for b in net.biases]
     work = buffers[n]
     y = net.forward(x, work=work)
-    if net.head == "binary":
-        per, grad_out = _binary_nll(y, x, n)
-    else:
-        per = head_nll(net.head, y, x)
-        mu, log_sigma = _split_gaussian(y)
-        inv_var = np.exp(-2.0 * log_sigma)
-        g_mu = (mu - x) * inv_var / n
-        in_range = np.abs(log_sigma) < LOG_SIGMA_CLAMP
-        g_log_sigma = (1.0 - (x - mu) ** 2 * inv_var) * in_range / n
-        grad_out = np.concatenate([g_mu, g_log_sigma], axis=1)
+    per, grad_out = _HEADS[net.head](y, x, n)
     if out is None:
         out = [np.empty(p.shape) for p in net.params()]
     n_layers = len(net.weights)

@@ -1,5 +1,6 @@
 """Tests for the synthetic dataset families and dataset file IO."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -58,6 +59,21 @@ class TestGenBinary:
         a = datagen.gen_binary(A, 30, 5)
         b = datagen.gen_binary(A, 30, 5)
         np.testing.assert_array_equal(a.x, b.x)
+
+    @pytest.mark.parametrize("make, digest", [
+        (lambda: datagen.gen_binary(adjacency.gen_random_sparse(20, 0.8, 100), 5000, 101),
+         "c1fab767540abfb47df42d1f43f4544c5bb82cab3abe15a9b2688d0c746ecf9f"),
+        (lambda: datagen.generate(datagen.SynthSpec(
+            family="binary", n=5000, seed=1, adjacency=adjacency.GeneratorSpec(
+                scheme="random_sparse", d=20, threshold=0.8, seed=2)))[0],
+         "fbf99956124585ac98b55eb8e46a12fe313e321f58025e8b0bb7d221d3cbc9a0"),
+    ], ids=["c09", "mlp_train_spec"])
+    def test_data_pinned_at_scale(self, make, digest):
+        """C09's binary dataset and a dataset of the benchmark's
+        ``mlp-train`` shape (5000 x 20, random_sparse at 0.8) hash to the
+        bytes they had when drawn with the two-exp sigmoid: a draw u < p
+        moves only when u falls between two roundings of p."""
+        assert hashlib.sha256(make().x.tobytes()).hexdigest() == digest
 
 
 class TestGenGaussian:

@@ -231,6 +231,20 @@ class TestBinaryNLL:
             W *= 80.0
         vals = neural.nll(net, np.ones((2, 3)))
         assert np.isfinite(vals).all()
+        # An infinite logit costs 0 where it agrees with x and +inf where it
+        # disagrees, with no numpy warning; NaN stays NaN.
+        o = np.array([[np.inf, np.inf, -np.inf, -np.inf, np.nan, np.nan]])
+        x = np.array([[1.0, 0.0, 0.0, 1.0, 0.0, 1.0]])
+        for k, want in enumerate([0.0, np.inf, 0.0, np.inf, np.nan, np.nan]):
+            np.testing.assert_array_equal(neural.head_nll("binary", o[:, k], x[:, k]), want)
+        per, grad = neural._binary_nll(o, x, 2)
+        np.testing.assert_array_equal(per, [np.nan])
+        np.testing.assert_array_equal(grad, [[0.0, 0.5, 0.0, -0.5, np.nan, np.nan]])
+        # The finite entries of a row keep their bitwise terms.
+        finite = neural.head_nll("binary", np.array([[0.3, -2.0]]), np.array([[0.0, 1.0]]))
+        mixed = neural.head_nll("binary", np.array([[0.3, np.inf, -2.0, -np.inf]]),
+                                np.array([[0.0, 1.0, 1.0, 0.0]]))
+        assert mixed.tobytes() == finite.tobytes()
 
     def test_rejects_nonbinary(self):
         A, net = build_net(3, [5], "binary", 0)
@@ -306,38 +320,11 @@ class TestBlockedEvaluation:
 
 
 def sigmoid_reference(t):
-    """``sigmoid`` as it was written with two full ``exp`` passes."""
+    """The logistic function in its two-exp form: 1 / (1 + exp(-t)), and
+    exp(t) below t = -700, where that form would overflow."""
     t = np.asarray(t, dtype=np.float64)
     return np.where(t < -700.0, np.exp(np.minimum(t, -700.0)),
                     1.0 / (1.0 + np.exp(-np.maximum(t, -700.0))))
-
-
-SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, np.inf, -np.inf, np.nan,
-                  -700.0, np.nextafter(-700.0, 0.0), np.nextafter(-700.0, -np.inf)]
-
-
-class TestSigmoid:
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.one_of(st.floats(), st.floats(-760.0, -690.0),
-                              st.sampled_from(SPECIAL_FLOATS)), min_size=1, max_size=40))
-    def test_bitwise_the_two_exp_form(self, values):
-        """One ``exp`` per entry, and one more at the entries below -700,
-        gives bitwise the two full passes, for every float and shape."""
-        for t in (np.array(values), np.array(values[0]), np.array([values, values[::-1]])):
-            got, want = neural.sigmoid(t), sigmoid_reference(t)
-            assert isinstance(got, np.ndarray) and got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
-
-    def test_bitwise_the_plain_form_up_to_700(self):
-        t = np.concatenate([np.linspace(-700.0, 700.0, 20001), [-700.0, -699.9999, 0.0]])
-        np.testing.assert_array_equal(neural.sigmoid(t), 1.0 / (1.0 + np.exp(-t)))
-
-    def test_no_overflow_beyond(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            p = neural.sigmoid(np.array([-800.0, -709.9, 709.9, 800.0]))
-        assert p[0] == 0.0 and 0.0 < p[1] < 1e-300
-        assert p[2] == p[3] == 1.0
 
 
 # Logits where the one-exp forms could go wrong: signed zeros and the
@@ -345,8 +332,9 @@ class TestSigmoid:
 # infinite or NaN.
 LOGIT_SPECIALS = [s * v for v in (0.0, 5e-324, 700.0, 709.9, 800.0, 1e300, np.inf)
                   for s in (1.0, -1.0)] + [np.nan]
-# The most units in the last place by which ``_logistic``'s softplus differed
-# from ``np.logaddexp(0, o)``, and its sigmoid from ``sigmoid``, over 2.2e8
+# The most units in the last place by which the binary head's softplus
+# differed from ``np.logaddexp(0, o)``, and its sigmoid from
+# ``sigmoid_reference``, over 2.2e8
 # uniform logits in [-750, 750] (densest in [-10, 10]) and 5e6 random bit
 # patterns (numpy 2.4.6 on x86-64 with AVX-512).
 SOFTPLUS_ULPS, SIGMOID_ULPS = 3, 4
@@ -359,7 +347,8 @@ def within_ulps(got, want, ulps):
 
 class TestLogistic:
     """The binary head takes its softplus and its sigmoid from one
-    e = exp(-|o|)."""
+    e = exp(-|o|): the NLL of x = 0 is the softplus, and the step's output
+    gradient at n = 1 is the sigmoid."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.one_of(st.floats(), st.sampled_from(LOGIT_SPECIALS)),
@@ -368,12 +357,13 @@ class TestLogistic:
         o = np.array(values)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            softplus, p = neural._logistic(o, with_sigmoid=True)
+            softplus, p = neural._binary_nll(o[:, None], np.zeros((len(o), 1)), 1)
+        p = p.ravel()
         nan = np.isnan(o)
         assert np.isnan(softplus[nan]).all() and np.isnan(p[nan]).all()
         finite = np.isfinite(o)
         assert within_ulps(softplus[finite], np.logaddexp(0.0, o[finite]), SOFTPLUS_ULPS).all()
-        assert within_ulps(p[finite], neural.sigmoid(o[finite]), SIGMOID_ULPS).all()
+        assert within_ulps(p[finite], sigmoid_reference(o[finite]), SIGMOID_ULPS).all()
         assert ((p[~nan] >= 0.0) & (p[~nan] <= 1.0)).all()
         np.testing.assert_array_equal(softplus[o == np.inf], np.inf)
         np.testing.assert_array_equal(p[o == np.inf], 1.0)
